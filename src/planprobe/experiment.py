@@ -23,7 +23,6 @@ from .errors import PlanProbeError
 from .library import parse_library, serialize_library
 from .plans import (
     Hypothesis,
-    clear_relation_caches,
     hypothesis_from_dict,
     hypothesis_key,
     hypothesis_refines,
@@ -149,7 +148,6 @@ def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Instance]]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult()
     for instance_id, instance in _instances_for(spec):
-        clear_relation_caches()
         started = time.monotonic()
         try:
             h0 = recognize(

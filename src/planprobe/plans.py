@@ -172,20 +172,6 @@ def observe_leaf(plan: Plan, path: Path, index: int) -> Plan:
     return Plan(_replace(plan.root, path, PlanNode(node.label, observed=index)))
 
 
-# Relation caches. Keys are structurally-hashed node pairs, so equal subtrees
-# from different plans share entries. Cleared between experiment instances.
-# Only the default (mark-insensitive) relations are cached; the strict
-# variants are off the hot path.
-_REFINE_CACHE: dict[tuple[PlanNode, PlanNode], bool] = {}
-_MATCH_CACHE: dict[tuple[PlanNode, PlanNode], bool] = {}
-_CACHE_LIMIT = 2_000_000
-
-
-def clear_relation_caches() -> None:
-    _REFINE_CACHE.clear()
-    _MATCH_CACHE.clear()
-
-
 def _refines(u: PlanNode, v: PlanNode) -> bool:
     if u.label != v.label:
         return False
@@ -195,17 +181,9 @@ def _refines(u: PlanNode, v: PlanNode) -> bool:
         return True
     if u is v:
         return True
-    key = (u, v)
-    hit = _REFINE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = u.method == v.method and all(
+    return u.method == v.method and all(
         _refines(cu, cv) for cu, cv in zip(u.children, v.children)
     )
-    if len(_REFINE_CACHE) > _CACHE_LIMIT:
-        _REFINE_CACHE.clear()
-    _REFINE_CACHE[key] = result
-    return result
 
 
 def _refines_strict(u: PlanNode, v: PlanNode) -> bool:
@@ -237,17 +215,9 @@ def _match_nodes(u: PlanNode, v: PlanNode) -> bool:
         return True
     if u is v:
         return True
-    key = (u, v)
-    hit = _MATCH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = u.method == v.method and all(
+    return u.method == v.method and all(
         _match_nodes(cu, cv) for cu, cv in zip(u.children, v.children)
     )
-    if len(_MATCH_CACHE) > _CACHE_LIMIT:
-        _MATCH_CACHE.clear()
-    _MATCH_CACHE[key] = result
-    return result
 
 
 def _match_nodes_strict(u: PlanNode, v: PlanNode) -> bool:

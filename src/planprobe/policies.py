@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import PolicyError
-from .plans import Plan, PlanNode, canonical_key, is_refinement
+from .plans import Plan, PlanNode
 from .recognizer import HypothesisSet
-from .engine import candidate_plans, survivors_if_false, survivors_if_true
+from .engine import RelationTable, candidate_plans, relations, restrict
 
 POLICY_KINDS = ("random", "mph", "mpp", "entropy")
 
@@ -46,11 +46,9 @@ def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
 def cumulative_plan_prob(hset: HypothesisSet, plan: Plan) -> float:
     """Total weight of the hypotheses containing some plan refinable from
     `plan`."""
-    return sum(
-        h.weight
-        for h in hset.hypotheses
-        if any(is_refinement(plan, p) for p in h.plans)
-    )
+    table, alive = relations(hset)
+    refine = table.refine(table.intern(plan), alive)
+    return sum(h.weight for h in restrict(hset.hypotheses, alive, refine))
 
 
 def _entropy_of_weights(weights: list[float]) -> float:
@@ -71,25 +69,29 @@ def entropy(hset: HypothesisSet) -> float:
     return _entropy_of_weights([h.weight for h in hset.hypotheses])
 
 
-def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
-    candidates = candidate_plans(hset, closed)
+def _open_candidates(
+    hset: HypothesisSet, closed: set[PlanNode]
+) -> tuple[RelationTable, int, list[int]]:
+    table, alive = relations(hset)
+    candidates = list(table.candidates(alive, closed))
     if not candidates:
         raise PolicyError("no candidate plans left to query")
-    return _rng(seed, closed).choice(candidates)
+    return table, alive, candidates
+
+
+def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
+    table, _, candidates = _open_candidates(hset, closed)
+    return table.plans[_rng(seed, closed).choice(candidates)]
 
 
 def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     """Pick an unqueried plan from the heaviest hypothesis; when that one is
     exhausted, walk down the weight ranking."""
-    open_by_hyp: list[tuple[float, list[Plan]]] = []
-    for h in hset.hypotheses:
-        seen: set[PlanNode] = set()
-        pending: list[Plan] = []
-        for p in h.plans:
-            key = canonical_key(p)
-            if key not in closed and key not in seen:
-                seen.add(key)
-                pending.append(p)
+    table, alive = relations(hset)
+    skip = table.closed_ids(closed)
+    open_by_hyp: list[tuple[float, list[int]]] = []
+    for h, row in zip(hset.hypotheses, table.rows(alive)):
+        pending = list(dict.fromkeys(t for t in row if t not in skip))
         if pending:
             open_by_hyp.append((h.weight, pending))
     if not open_by_hyp:
@@ -97,35 +99,34 @@ def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     best = max(w for w, _ in open_by_hyp)
     tied = [pending for w, pending in open_by_hyp if w == best]
     rng = _rng(seed, closed)
-    return rng.choice(rng.choice(tied))
+    return table.plans[rng.choice(rng.choice(tied))]
 
 
 def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
-    candidates = candidate_plans(hset, closed)
-    if not candidates:
-        raise PolicyError("no candidate plans left to query")
-    scored = [(cumulative_plan_prob(hset, t), t) for t in candidates]
+    table, alive, candidates = _open_candidates(hset, closed)
+    weights = [h.weight for h in hset.hypotheses]
+    scored = [(sum(restrict(weights, alive, table.refine(t, alive))), t) for t in candidates]
     best = max(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
-    return _rng(seed, closed).choice(tied)
+    return table.plans[_rng(seed, closed).choice(tied)]
 
 
 def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     """Pick the plan whose expected post-update entropy is smallest, where
     the two hypothetical updates use exactly the engine's pruning rules and
     survivor weights are renormalized before measuring."""
-    candidates = candidate_plans(hset, closed)
-    if not candidates:
-        raise PolicyError("no candidate plans left to query")
-    scored: list[tuple[float, Plan]] = []
+    table, alive, candidates = _open_candidates(hset, closed)
+    weights = [h.weight for h in hset.hypotheses]
+    scored: list[tuple[float, int]] = []
     for t in candidates:
-        p_true = cumulative_plan_prob(hset, t)
-        ent_true = _entropy_of_weights([h.weight for h in survivors_if_true(hset, t)])
-        ent_false = _entropy_of_weights([h.weight for h in survivors_if_false(hset, t)])
+        refine = table.refine(t, alive)
+        p_true = sum(restrict(weights, alive, refine))
+        ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
+        ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
         scored.append((p_true * ent_true + (1.0 - p_true) * ent_false, t))
     best = min(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
-    return _rng(seed, closed).choice(tied)
+    return table.plans[_rng(seed, closed).choice(tied)]
 
 
 _SELECTORS = {

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import PlanError, UnexplainableObservationError
 from .library import PlanLibrary, RefinementMethod
@@ -30,6 +31,9 @@ from .plans import (
     iter_nodes,
     observe_leaf,
 )
+
+if TYPE_CHECKING:
+    from .engine import RelationTable
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -51,11 +55,14 @@ class RecognizerConfig:
 class HypothesisSet:
     """Weighted hypotheses explaining the first observation_count
     observations. Weights are normalized; truncated marks a capped set whose
-    completeness guarantees no longer hold."""
+    completeness guarantees no longer hold. A set derived by the query loop
+    carries the relation table it shares with the loop's other sets, and the
+    mask of its hypotheses over the table's order."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
     truncated: bool = False
+    relations: tuple[RelationTable, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.hypotheses:

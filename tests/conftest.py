@@ -6,13 +6,7 @@ import pytest
 
 from planprobe.domains import builtin_chemistry, builtin_quartet
 from planprobe.library import PlanLibrary, RefinementMethod
-from planprobe.plans import Plan, PlanNode, clear_relation_caches, observe_leaf, open_frontier
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_relation_caches()
-    yield
+from planprobe.plans import Plan, PlanNode, observe_leaf, open_frontier
 
 
 @pytest.fixture

@@ -6,16 +6,22 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused.
+reused. The list-based relation rules at the end are the exception: they
+reuse the production relations and serve as the reference for the query
+loop's relation table.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 
+from planprobe.errors import OracleInconsistencyError
 from planprobe.library import PlanLibrary
-from planprobe.plans import Plan, PlanNode
+from planprobe.plans import Plan, PlanNode, is_refinement, matches
+from planprobe.recognizer import HypothesisSet
 
 # ---------------------------------------------------------------- tuple form
 
@@ -269,3 +275,103 @@ def hypothesis_set_signature(hset) -> set[tuple[str, ...]]:
             tuple(sorted(json.dumps(plan_to_dict(p), sort_keys=True, separators=(",", ":")) for p in h.plans))
         )
     return out
+
+
+# ------------------------------------------ list-based relation rules
+
+# The pruning rules, plan scores and selectors as they read before the
+# query loop used a relation table: every call rescans the set's
+# hypotheses and calls the production relations directly. The engine and
+# policies must agree with these exactly, floats and tie-breaks included.
+
+def survivors_if_true(hset, plan: Plan) -> list:
+    return [h for h in hset.hypotheses if any(matches(p, plan) for p in h.plans)]
+
+
+def survivors_if_false(hset, plan: Plan) -> list:
+    return [h for h in hset.hypotheses if not any(is_refinement(plan, p) for p in h.plans)]
+
+
+def update(hset, plan: Plan, answer: bool):
+    survivors = survivors_if_true(hset, plan) if answer else survivors_if_false(hset, plan)
+    if not survivors:
+        raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
+    return HypothesisSet.normalized(survivors, hset.observation_count, hset.truncated)
+
+
+def candidate_plans(hset, closed: set) -> list[Plan]:
+    seen: set = set()
+    out: list[Plan] = []
+    for h in hset.hypotheses:
+        for p in h.plans:
+            if p.root in closed or p.root in seen:
+                continue
+            seen.add(p.root)
+            out.append(p)
+    return out
+
+
+def cumulative_plan_prob(hset, plan: Plan) -> float:
+    return sum(h.weight for h in hset.hypotheses if any(is_refinement(plan, p) for p in h.plans))
+
+
+def _rng(seed: int, closed: set) -> random.Random:
+    return random.Random(f"{seed}:{len(closed)}")
+
+
+def _entropy_of_weights(weights: list[float]) -> float:
+    if len(weights) <= 1:
+        return 0.0
+    total = sum(weights)
+    e = 0.0
+    for w in weights:
+        p = w / total
+        if p > 0:
+            e -= p * math.log2(p)
+    return e
+
+
+def select_random(hset, closed: set, seed: int) -> Plan:
+    return _rng(seed, closed).choice(candidate_plans(hset, closed))
+
+
+def select_mph(hset, closed: set, seed: int) -> Plan:
+    open_by_hyp = []
+    for h in hset.hypotheses:
+        seen: set = set()
+        pending = []
+        for p in h.plans:
+            if p.root not in closed and p.root not in seen:
+                seen.add(p.root)
+                pending.append(p)
+        if pending:
+            open_by_hyp.append((h.weight, pending))
+    best = max(w for w, _ in open_by_hyp)
+    tied = [pending for w, pending in open_by_hyp if w == best]
+    rng = _rng(seed, closed)
+    return rng.choice(rng.choice(tied))
+
+
+def select_mpp(hset, closed: set, seed: int) -> Plan:
+    scored = [(cumulative_plan_prob(hset, t), t) for t in candidate_plans(hset, closed)]
+    best = max(score for score, _ in scored)
+    return _rng(seed, closed).choice([t for score, t in scored if score == best])
+
+
+def select_min_entropy(hset, closed: set, seed: int) -> Plan:
+    scored = []
+    for t in candidate_plans(hset, closed):
+        p_true = cumulative_plan_prob(hset, t)
+        ent_true = _entropy_of_weights([h.weight for h in survivors_if_true(hset, t)])
+        ent_false = _entropy_of_weights([h.weight for h in survivors_if_false(hset, t)])
+        scored.append((p_true * ent_true + (1.0 - p_true) * ent_false, t))
+    best = min(score for score, _ in scored)
+    return _rng(seed, closed).choice([t for score, t in scored if score == best])
+
+
+SELECTORS = {
+    "random": select_random,
+    "mph": select_mph,
+    "mpp": select_mpp,
+    "entropy": select_min_entropy,
+}

@@ -26,7 +26,6 @@ from planprobe.plans import (
     Plan,
     PlanNode,
     canonical_key,
-    clear_relation_caches,
     hypothesis_key,
     hypothesis_refines,
     is_refinement,
@@ -55,7 +54,6 @@ def _sweep_instances(target=200, max_h0=500):
         shape = shapes[seed % len(shapes)]
         inst = gen_instance(GenParams(seed=seed, **shape))
         seed += 1
-        clear_relation_caches()
         h0 = recognize(inst.library, list(inst.observations))
         if len(h0) > max_h0:
             skipped += 1
@@ -82,7 +80,6 @@ def test_criterion_1_final_set_exactness(sweep):
     assert len(instances) >= 200
     checked = 0
     for inst, h0 in instances:
-        clear_relation_caches()
         oracle = QueryOracle(inst.truth)
         expected = {hypothesis_key(h) for h in brute_force_final_set(h0, inst.truth).hypotheses}
         for kind in POLICIES:
@@ -183,7 +180,6 @@ def test_criterion_7_hypothesis_counts():
     for obs_len in (3, 4, 5, 6, 7):
         sizes = []
         for rep in range(50):
-            clear_relation_caches()
             inst = gen_instance(GenParams(obs_len=obs_len, seed=40_000 + 97 * rep + obs_len))
             sizes.append(len(recognize(inst.library, list(inst.observations))))
         means[obs_len] = statistics.mean(sizes)
@@ -217,7 +213,6 @@ def test_criterion_8_termination_bound(sweep):
     instances, _ = sweep
     runs = 0
     for inst, h0 in instances[:120]:
-        clear_relation_caches()
         bound = len(candidate_plans(h0, set()))
         oracle = QueryOracle(inst.truth)
         for kind in POLICIES:
