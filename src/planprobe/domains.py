@@ -139,12 +139,10 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
 
 
 def _bounded_ambiguity(lib: PlanLibrary) -> bool:
-    from .recognizer import _chains_to
-
     for o in sorted(lib.basic):
         goal_total = 0
         for c in sorted(lib.complex_actions):
-            n = len(_chains_to(lib, c, o))
+            n = len(lib.chains_to(c, o))
             if n > _MAX_CHAINS_PER_LABEL:
                 return False
             if c in lib.goals:

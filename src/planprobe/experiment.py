@@ -14,11 +14,11 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .domains import GenParams, Instance, gen_instance
-from .engine import QueryOracle, run_query_loop
+from .engine import QueryOracle, relations, run_query_loop
 from .errors import PlanProbeError
 from .library import parse_library, serialize_library
 from .plans import (
@@ -161,6 +161,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         except PlanProbeError as e:
             result.failures.append(f"{instance_id}: {e}")
             continue
+        # one relation table for every policy's loop, so each column is
+        # evaluated once per instance
+        h0 = replace(h0, relations=relations(h0))
         expected_keys = None
         if spec.verify:
             expected_keys = {hypothesis_key(h) for h in brute_force_final_set(h0, instance.truth).hypotheses}

@@ -80,9 +80,14 @@ class RefinementMethod:
         return tuple(i for i, preds in enumerate(self.predecessors) if not preds)
 
 
+# chain: sequence of (method, constituent position) steps ending at a leaf
+Chain = tuple[tuple[RefinementMethod, int], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class PlanLibrary:
-    """Validated grammar. Immutable after construction; safe to share."""
+    """Validated grammar. Immutable after construction, apart from the memo
+    of expansion chains, which only ever grows; safe to share."""
 
     basic: frozenset[str]
     complex_actions: frozenset[str]
@@ -91,6 +96,7 @@ class PlanLibrary:
     goal_priors: dict[str, float] = field(default_factory=dict)
     _by_head: dict[str, tuple[RefinementMethod, ...]] = field(init=False, repr=False)
     _by_id: dict[str, RefinementMethod] = field(init=False, repr=False)
+    _chains: dict[tuple[str, str], tuple[Chain, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._validate()
@@ -144,6 +150,7 @@ class PlanLibrary:
             by_head.setdefault(m.head, []).append(m)
         object.__setattr__(self, "_by_head", {h: tuple(ms) for h, ms in by_head.items()})
         object.__setattr__(self, "_by_id", {m.id: m for m in self.methods})
+        object.__setattr__(self, "_chains", {})
 
         self._check_grammar_acyclic()
         self._check_goal_reachability()
@@ -221,6 +228,28 @@ class PlanLibrary:
             return self._by_id[method_id]
         except KeyError:
             raise LibraryValidationError(f"no method with id {method_id!r}") from None
+
+    def chains_to(self, label: str, target: str) -> tuple[Chain, ...]:
+        """All expansion chains from an open node labeled `label` down to a
+        basic leaf labeled `target`, descending only into order-minimal
+        positions of each applied method. Deterministic: file order,
+        ascending positions. Memoized per library."""
+        key = (label, target)
+        hit = self._chains.get(key)
+        if hit is not None:
+            return hit
+        chains: list[Chain] = []
+        for m in self.methods_for(label):
+            for i in m.minimal_positions:
+                c = m.constituents[i]
+                if c == target and self.is_basic(c):
+                    chains.append(((m, i),))
+                elif self.is_complex(c):
+                    for sub in self.chains_to(c, target):
+                        chains.append(((m, i),) + sub)
+        result = tuple(chains)
+        self._chains[key] = result
+        return result
 
 
 def methods_for(lib: PlanLibrary, label: str) -> tuple[RefinementMethod, ...]:

@@ -15,20 +15,17 @@ claim a position whose required predecessors were never begun.
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import PlanError, UnexplainableObservationError
-from .library import PlanLibrary, RefinementMethod
+from .library import Chain, PlanLibrary
 from .plans import (
     Hypothesis,
     Path,
     Plan,
     PlanNode,
     apply_method,
-    iter_nodes,
     observe_leaf,
 )
 
@@ -36,9 +33,6 @@ if TYPE_CHECKING:
     from .engine import RelationTable
 
 WEIGHT_TOLERANCE = 1e-9
-
-# chain: sequence of (method, constituent position) steps ending at a leaf
-Chain = tuple[tuple[RefinementMethod, int], ...]
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,33 @@ class HypothesisSet:
         )
 
 
+def _weight_factors(lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
+    """The root goal's prior, then, for every expanded node in preorder, one
+    over the number of methods for its label."""
+    out = [lib.goal_priors[plan.root.label]]
+    stack = [plan.root]
+    while stack:
+        node = stack.pop()
+        if node.method is not None:
+            out.append(1.0 / len(lib.methods_for(node.label)))
+            stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+def _times(w: float, factors: tuple[float, ...]) -> float:
+    # Left to right, one factor at a time: the same rounding at every step
+    # wherever a product over the same plans is formed.
+    for f in factors:
+        w *= f
+    return w
+
+
 def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
-    """Unnormalized weight: product over plans of the root goal's prior times,
-    for every expanded node, one over the number of methods for its label."""
+    """Unnormalized weight: the product, plan by plan, of each plan's
+    weight factors."""
     w = 1.0
     for plan in h.plans:
-        w *= lib.goal_priors[plan.root.label]
-        for _, node in iter_nodes(plan):
-            if node.expanded:
-                w *= 1.0 / len(lib.methods_for(node.label))
+        w = _times(w, _weight_factors(lib, plan))
     return w
 
 
@@ -125,46 +137,20 @@ def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list[Path]:
     out: list[Path] = []
     memo: dict[int, bool] = {}
 
-    def walk(node: PlanNode, path: Path, enabled: bool) -> None:
+    def walk(node: PlanNode, path: Path) -> None:
+        # node is enabled; a disabled node's subtree holds no target
         if not node.expanded:
-            if enabled and (lib.is_complex(node.label) or node.observed is None):
+            if lib.is_complex(node.label) or node.observed is None:
                 out.append(path)
             return
-        method = lib.method(node.method)
-        for i, child in enumerate(node.children):
-            child_enabled = enabled and all(
-                _fully_observed(lib, node.children[j], memo) for j in method.predecessors[i]
-            )
-            walk(child, path + (i,), child_enabled)
+        predecessors = lib.method(node.method).predecessors
+        siblings = node.children
+        for i, child in enumerate(siblings):
+            if all(_fully_observed(lib, siblings[j], memo) for j in predecessors[i]):
+                walk(child, path + (i,))
 
-    walk(plan.root, (), True)
+    walk(plan.root, ())
     return out
-
-
-_CHAIN_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _chains_to(lib: PlanLibrary, label: str, target: str) -> tuple[Chain, ...]:
-    """All expansion chains from an open node labeled `label` down to a basic
-    leaf labeled `target`, descending only into order-minimal positions of
-    each applied method. Deterministic: file order, ascending positions."""
-    per_lib = _CHAIN_CACHE.setdefault(lib, {})
-    key = (label, target)
-    hit = per_lib.get(key)
-    if hit is not None:
-        return hit
-    chains: list[Chain] = []
-    for m in lib.methods_for(label):
-        for i in m.minimal_positions:
-            c = m.constituents[i]
-            if c == target and lib.is_basic(c):
-                chains.append(((m, i),))
-            elif lib.is_complex(c):
-                for sub in _chains_to(lib, c, target):
-                    chains.append(((m, i),) + sub)
-    result = tuple(chains)
-    per_lib[key] = result
-    return result
 
 
 def _attach_chain(plan: Plan, path: Path, chain: Chain, index: int) -> Plan:
@@ -174,8 +160,12 @@ def _attach_chain(plan: Plan, path: Path, chain: Chain, index: int) -> Plan:
     return observe_leaf(plan, path, index)
 
 
-def _hypothesis_multiset(h: Hypothesis) -> frozenset:
-    return frozenset(Counter(p.root for p in h.plans).items())
+def _hypothesis_multiset(plans: tuple[Plan, ...]) -> frozenset:
+    """The hypothesis's plans as a multiset: (root, count) pairs."""
+    counts: dict[PlanNode, int] = {}
+    for p in plans:
+        counts[p.root] = counts.get(p.root, 0) + 1
+    return frozenset(counts.items())
 
 
 def explain_step(
@@ -187,44 +177,81 @@ def explain_step(
     """Extend every hypothesis by one observation, in all distinct ways.
     Structurally identical successors are merged (weights summed) and the
     result renormalized. Raises UnexplainableObservationError when no
-    hypothesis can absorb the action."""
+    hypothesis can absorb the action.
+
+    Plans recur across hypotheses, so each distinct plan is grown once per
+    call and every plan's weight factors are computed once; a successor's
+    weight multiplies the factors of its plans in order, exactly as
+    hypothesis_weight does."""
     cfg = cfg or RecognizerConfig()
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(hset.observation_count, f"{action} ({kind} action)")
     index = hset.observation_count
 
+    factors_of: dict[PlanNode, tuple[float, ...]] = {}
+    grown_of: dict[PlanNode, list[tuple[Plan, tuple[float, ...]]]] = {}
+
+    def factors(plan: Plan) -> tuple[float, ...]:
+        hit = factors_of.get(plan.root)
+        if hit is None:
+            hit = factors_of[plan.root] = _weight_factors(lib, plan)
+        return hit
+
+    def grown_from(plan: Plan) -> list[tuple[Plan, tuple[float, ...]]]:
+        """Every way `plan` absorbs the action, with the grown plans' factors."""
+        hit = grown_of.get(plan.root)
+        if hit is not None:
+            return hit
+        out = []
+        for path in enabled_expansion_targets(lib, plan):
+            node = plan.node_at(path)
+            if lib.is_basic(node.label):
+                if node.label == action:
+                    out.append(observe_leaf(plan, path, index))
+            else:
+                for chain in lib.chains_to(node.label, action):
+                    out.append(_attach_chain(plan, path, chain, index))
+        hit = grown_of[plan.root] = [(g, _weight_factors(lib, g)) for g in out]
+        return hit
+
+    # a new plan for a goal starts the same way in every hypothesis
+    fresh: dict[str, list[tuple[Plan, tuple[float, ...]]]] = {}
+    if cfg.new_plan_allowed:
+        for goal in lib.goals:
+            starts = [_attach_chain(Plan(PlanNode(goal)), (), c, index) for c in lib.chains_to(goal, action)]
+            fresh[goal] = [(p, _weight_factors(lib, p)) for p in starts]
+
     merged: dict[frozenset, Hypothesis] = {}
 
-    def emit(plans: tuple[Plan, ...]) -> None:
-        h = Hypothesis(plans, hypothesis_weight(lib, Hypothesis(plans)))
-        key = _hypothesis_multiset(h)
+    def emit(plans: tuple[Plan, ...], weight: float) -> None:
+        key = _hypothesis_multiset(plans)
         prev = merged.get(key)
         if prev is None:
-            merged[key] = h
+            merged[key] = Hypothesis(plans, weight)
         else:
-            merged[key] = Hypothesis(prev.plans, prev.weight + h.weight)
+            merged[key] = Hypothesis(prev.plans, prev.weight + weight)
 
     for h in hset.hypotheses:
-        for plan_idx, plan in enumerate(h.plans):
-            for path in enabled_expansion_targets(lib, plan):
-                node = plan.node_at(path)
-                if lib.is_basic(node.label):
-                    if node.label == action:
-                        grown = observe_leaf(plan, path, index)
-                        emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
-                else:
-                    for chain in _chains_to(lib, node.label, action):
-                        grown = _attach_chain(plan, path, chain, index)
-                        emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
-        if cfg.new_plan_allowed:
-            used_goals = {p.root.label for p in h.plans}
+        plans = h.plans
+        plan_factors = [factors(p) for p in plans]
+        # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
+        prefix = [1.0]
+        for fs in plan_factors:
+            prefix.append(_times(prefix[-1], fs))
+        for i, plan in enumerate(plans):
+            for grown, grown_factors in grown_from(plan):
+                w = _times(prefix[i], grown_factors)
+                for fs in plan_factors[i + 1:]:
+                    w = _times(w, fs)
+                emit(plans[:i] + (grown,) + plans[i + 1:], w)
+        if fresh:
+            used_goals = {p.root.label for p in plans}
             for goal in lib.goals:
                 if goal in used_goals:
                     continue
-                for chain in _chains_to(lib, goal, action):
-                    fresh = _attach_chain(Plan(PlanNode(goal)), (), chain, index)
-                    emit(h.plans + (fresh,))
+                for plan, fs in fresh[goal]:
+                    emit(plans + (plan,), _times(prefix[-1], fs))
 
     if not merged:
         raise UnexplainableObservationError(index, action)

@@ -6,9 +6,11 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused. The list-based relation rules at the end are the exception: they
-reuse the production relations and serve as the reference for the query
-loop's relation table.
+reused. Two sections at the end are the exception, because they serve as
+references for fast paths rather than as independent oracles: the
+list-based relation rules reuse the production relations and check the
+query loop's relation table, and the per-hypothesis recognition step reuses
+the production plan editing and checks the recognizer's per-step plan memo.
 """
 
 from __future__ import annotations
@@ -17,11 +19,21 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
-from planprobe.errors import OracleInconsistencyError
+from planprobe.errors import OracleInconsistencyError, UnexplainableObservationError
 from planprobe.library import PlanLibrary
-from planprobe.plans import Plan, PlanNode, is_refinement, matches
-from planprobe.recognizer import HypothesisSet
+from planprobe.plans import (
+    Hypothesis,
+    Plan,
+    PlanNode,
+    apply_method,
+    is_refinement,
+    iter_nodes,
+    matches,
+    observe_leaf,
+)
+from planprobe.recognizer import HypothesisSet, RecognizerConfig
 
 # ---------------------------------------------------------------- tuple form
 
@@ -375,3 +387,142 @@ SELECTORS = {
     "mpp": select_mpp,
     "entropy": select_min_entropy,
 }
+
+
+# ------------------------------------------ per-hypothesis recognition step
+#
+# The recognizer as it was before per-step plan memoization: every
+# (hypothesis, plan) pair finds its own targets and chains and grows its own
+# plans, and every successor's weight is recomputed from its plan trees.
+# Only the chain cache differs: it lives in a dict passed down from the
+# step instead of a module-global table.
+
+
+def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
+    w = 1.0
+    for plan in h.plans:
+        w *= lib.goal_priors[plan.root.label]
+        for _, node in iter_nodes(plan):
+            if node.expanded:
+                w *= 1.0 / len(lib.methods_for(node.label))
+    return w
+
+
+def _fully_observed(lib: PlanLibrary, node: PlanNode, memo: dict[int, bool]) -> bool:
+    key = id(node)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if node.expanded:
+        result = all(_fully_observed(lib, c, memo) for c in node.children)
+    else:
+        result = lib.is_basic(node.label) and node.observed is not None
+    memo[key] = result
+    return result
+
+
+def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list:
+    out: list = []
+    memo: dict[int, bool] = {}
+
+    def walk(node: PlanNode, path: tuple, enabled: bool) -> None:
+        if not node.expanded:
+            if enabled and (lib.is_complex(node.label) or node.observed is None):
+                out.append(path)
+            return
+        method = lib.method(node.method)
+        for i, child in enumerate(node.children):
+            child_enabled = enabled and all(
+                _fully_observed(lib, node.children[j], memo) for j in method.predecessors[i]
+            )
+            walk(child, path + (i,), child_enabled)
+
+    walk(plan.root, (), True)
+    return out
+
+
+def _chains_to(lib: PlanLibrary, label: str, target: str, cache: dict) -> tuple:
+    key = (label, target)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    chains: list = []
+    for m in lib.methods_for(label):
+        for i in m.minimal_positions:
+            c = m.constituents[i]
+            if c == target and lib.is_basic(c):
+                chains.append(((m, i),))
+            elif lib.is_complex(c):
+                for sub in _chains_to(lib, c, target, cache):
+                    chains.append(((m, i),) + sub)
+    result = tuple(chains)
+    cache[key] = result
+    return result
+
+
+def _attach_chain(plan: Plan, path: tuple, chain: tuple, index: int) -> Plan:
+    for method, pos in chain:
+        plan = apply_method(plan, path, method)
+        path = path + (pos,)
+    return observe_leaf(plan, path, index)
+
+
+def _hypothesis_multiset(h: Hypothesis) -> frozenset:
+    return frozenset(Counter(p.root for p in h.plans).items())
+
+
+def explain_step(
+    lib: PlanLibrary,
+    hset: HypothesisSet,
+    action: str,
+    cfg: RecognizerConfig | None = None,
+) -> HypothesisSet:
+    cfg = cfg or RecognizerConfig()
+    if not lib.is_basic(action):
+        kind = "complex" if lib.is_complex(action) else "unknown"
+        raise UnexplainableObservationError(hset.observation_count, f"{action} ({kind} action)")
+    index = hset.observation_count
+    chain_cache: dict = {}
+
+    merged: dict[frozenset, Hypothesis] = {}
+
+    def emit(plans: tuple[Plan, ...]) -> None:
+        h = Hypothesis(plans, hypothesis_weight(lib, Hypothesis(plans)))
+        key = _hypothesis_multiset(h)
+        prev = merged.get(key)
+        if prev is None:
+            merged[key] = h
+        else:
+            merged[key] = Hypothesis(prev.plans, prev.weight + h.weight)
+
+    for h in hset.hypotheses:
+        for plan_idx, plan in enumerate(h.plans):
+            for path in enabled_expansion_targets(lib, plan):
+                node = plan.node_at(path)
+                if lib.is_basic(node.label):
+                    if node.label == action:
+                        grown = observe_leaf(plan, path, index)
+                        emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
+                else:
+                    for chain in _chains_to(lib, node.label, action, chain_cache):
+                        grown = _attach_chain(plan, path, chain, index)
+                        emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
+        if cfg.new_plan_allowed:
+            used_goals = {p.root.label for p in h.plans}
+            for goal in lib.goals:
+                if goal in used_goals:
+                    continue
+                for chain in _chains_to(lib, goal, action, chain_cache):
+                    fresh = _attach_chain(Plan(PlanNode(goal)), (), chain, index)
+                    emit(h.plans + (fresh,))
+
+    if not merged:
+        raise UnexplainableObservationError(index, action)
+
+    successors = list(merged.values())
+    truncated = hset.truncated
+    if cfg.max_hypotheses is not None and len(successors) > cfg.max_hypotheses:
+        successors.sort(key=lambda h: -h.weight)
+        successors = successors[: cfg.max_hypotheses]
+        truncated = True
+    return HypothesisSet.normalized(successors, index + 1, truncated)

@@ -1,0 +1,151 @@
+"""Differential test: the recognizer's per-step plan memo against the
+per-hypothesis step kept in oracles.py.
+
+At every observation, the production `explain_step` and the reference step,
+both fed the same previous set, must return the same hypotheses in the same
+order (plans compared structurally, weights compared with ==) and the same
+`truncated` flag. Both also raise on the same unexplainable observations.
+"""
+
+import pytest
+
+from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
+from planprobe.errors import UnexplainableObservationError
+from planprobe.library import PlanLibrary, RefinementMethod
+from planprobe.plans import Hypothesis
+from planprobe.recognizer import HypothesisSet, RecognizerConfig, explain_step, hypothesis_weight
+
+from . import oracles
+
+OBS_LENS = (3, 4, 5, 6, 7, 8)
+PER_OBS_LEN = 9
+# The reference grows every (hypothesis, plan) pair on its own; larger sets
+# only cost time here.
+MAX_H0 = 400
+
+
+def _instances():
+    """(id, library, observations, set size after each observation)."""
+    out = []
+    for obs_len in OBS_LENS:
+        seed = kept = 0
+        while kept < PER_OBS_LEN:
+            inst = gen_instance(GenParams(obs_len=obs_len, seed=7000 + 100 * obs_len + seed))
+            seed += 1
+            sizes = _sizes(inst.library, inst.observations)
+            if sizes is not None:
+                out.append((f"L{obs_len}_s{seed - 1}", inst.library, inst.observations, sizes))
+                kept += 1
+    q = builtin_quartet()
+    out.append(("quartet", q.library, q.observations, _sizes(q.library, q.observations)))
+    for name, inst in sorted(builtin_chemistry().items()):
+        out.append((f"chem_{name}", inst.library, inst.observations, _sizes(inst.library, inst.observations)))
+    return out
+
+
+def _sizes(lib, observations):
+    """Set sizes after each observation, or None past MAX_H0."""
+    hset = _seed()
+    sizes = []
+    for action in observations:
+        hset = oracles.explain_step(lib, hset, action, RecognizerConfig(max_hypotheses=MAX_H0))
+        if hset.truncated:
+            return None
+        sizes.append(len(hset))
+    return sizes
+
+
+def _seed() -> HypothesisSet:
+    return HypothesisSet((Hypothesis((), 1.0),), 0)
+
+
+INSTANCES = _instances()
+# a cap of half the largest set binds at least once
+CAPPABLE = [i for i in INSTANCES if max(i[3]) >= 3]
+
+
+def _check_every_step(lib, observations, cfg, hset=None) -> HypothesisSet | None:
+    """Advance both steps from the reference's set at every observation and
+    require identical results. Returns the final set, or None once both
+    steps raise on an unexplainable observation."""
+    hset = hset or _seed()
+    for action in observations:
+        try:
+            want = oracles.explain_step(lib, hset, action, cfg)
+        except UnexplainableObservationError:
+            with pytest.raises(UnexplainableObservationError):
+                explain_step(lib, hset, action, cfg)
+            return None
+        got = explain_step(lib, hset, action, cfg)
+        assert got.hypotheses == want.hypotheses  # plans, order and weights, exactly
+        assert got.truncated == want.truncated
+        assert got.observation_count == want.observation_count
+        hset = want
+    return hset
+
+
+def test_enough_instances():
+    generated = [sizes for name, _, _, sizes in INSTANCES if name.startswith("L")]
+    assert len(generated) >= 50
+    assert max(s[-1] for s in generated) > 100
+    assert len(CAPPABLE) >= 50
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_matches_reference_uncapped(name, lib, observations, sizes):
+    final = _check_every_step(lib, observations, None)
+    assert not final.truncated and len(final) == sizes[-1]
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", CAPPABLE, ids=[i[0] for i in CAPPABLE])
+def test_matches_reference_cap_binding(name, lib, observations, sizes):
+    cap = max(sizes) // 2
+    final = _check_every_step(lib, observations, RecognizerConfig(max_hypotheses=cap))
+    # A cap may drop every hypothesis that could absorb a later observation.
+    assert final is None or (final.truncated and len(final) <= cap)
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_matches_reference_without_new_plans(name, lib, observations, sizes):
+    """The first observation must start a plan, so the run begins from the
+    reference's set after it; later steps may only grow existing plans."""
+    first = oracles.explain_step(lib, _seed(), observations[0])
+    _check_every_step(lib, observations[1:], RecognizerConfig(new_plan_allowed=False), first)
+
+
+def test_shared_plans_across_hypotheses_merge_like_reference():
+    """Two goals whose plans both absorb `x`: after two observations the
+    hypotheses share plans, and successors that reach the same multiset of
+    plans from different parents must merge with the reference's weight."""
+    lib = PlanLibrary(
+        basic=frozenset({"x"}),
+        complex_actions=frozenset({"g", "h", "s"}),
+        methods=(
+            RefinementMethod("g1", "g", ("x", "s")),
+            RefinementMethod("g2", "g", ("s", "x")),
+            RefinementMethod("h1", "h", ("x", "x")),
+            RefinementMethod("s1", "s", ("x",)),
+            RefinementMethod("s2", "s", ("x", "x")),
+        ),
+        goals=("g", "h"),
+    )
+    final = _check_every_step(lib, ("x", "x", "x", "x"), None)
+    assert len(final) > 1
+
+
+def test_hypothesis_weight_matches_reference():
+    for _, lib, observations, _ in INSTANCES[:: 5]:
+        hset = _seed()
+        for action in observations:
+            hset = oracles.explain_step(lib, hset, action)
+            for h in hset.hypotheses:
+                assert hypothesis_weight(lib, h) == oracles.hypothesis_weight(lib, h)
+
+
+def test_unexplainable_observation_raises_like_reference():
+    q = builtin_quartet()
+    cfg = RecognizerConfig(new_plan_allowed=False)
+    hset = oracles.explain_step(q.library, _seed(), q.observations[0])
+    actions = sorted(q.library.basic | q.library.complex_actions)
+    outcomes = [_check_every_step(q.library, (action,), cfg, hset) for action in actions]
+    assert None in outcomes

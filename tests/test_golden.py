@@ -1,5 +1,5 @@
-"""Byte-identity gate: a fixed experiment and fixed `sprp` runs must write
-exactly the bytes they wrote before.
+"""Byte-identity gate: a fixed experiment and fixed `sprp` and `recognize`
+runs must write exactly the bytes they wrote before.
 
 The digests below were recorded by running this module against the engine
 that still computed every survivor list and plan score by scanning hypothesis
@@ -8,6 +8,12 @@ per-loop relation table replaced it. Any change to a policy choice, a query
 count, a weight or its formatting moves a digest. To re-record after an
 intended output change, run this module and copy the digests from the
 failure messages.
+
+The `recognize` digests were recorded the same way, on the recognizer that
+still expanded every (hypothesis, plan) pair on its own and recomputed each
+weight from the plan trees, before per-step plan memoization replaced it.
+Its output prints every weight with `repr`, so the weights are pinned to the
+last bit.
 """
 
 import hashlib
@@ -32,6 +38,14 @@ SPRP_INSTANCE = GenParams(obs_len=5, seed=4)
 SPRP_SHA256 = {
     "entropy": "b6880f75bc0b02cbc4104b5e34a8bb9cc9b949fe9781e4acd186e9939a87632e",
     "mpp": "22bba99c85e1cbc18d2444ab55a2b853f4448e8f8e95adf36308d7ff78895cef",
+}
+
+# h0 has 144 hypotheses (1, 4, 8, 24, 72, 144 after each observation); a cap
+# of 30 binds at the last two observations, so the cap sort is pinned too.
+RECOGNIZE_INSTANCE = GenParams(obs_len=6, seed=1)
+RECOGNIZE_SHA256 = {
+    None: "125238c8d7207d4a642718893bb74edda9e8d3f6d49f66d384fb1b0773f85142",
+    30: "ab7d8f9bdb36c2230c563076b98f20170006e6667f905737ab97f51633a4d030",
 }
 
 
@@ -62,3 +76,19 @@ def test_sprp_trace_byte_identical(policy, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode()) == SPRP_SHA256[policy]
+
+
+@pytest.mark.parametrize("cap", sorted(RECOGNIZE_SHA256, key=lambda c: c or 0))
+def test_recognize_output_byte_identical(cap, tmp_path, capsys):
+    save_instance(gen_instance(RECOGNIZE_INSTANCE), tmp_path, "golden")
+    argv = [
+        "recognize",
+        "--library", str(tmp_path / "golden.library.json"),
+        "--obs", str(tmp_path / "golden.obs.txt"),
+    ]
+    if cap is not None:
+        argv += ["--max-hypotheses", str(cap)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out.encode()) == RECOGNIZE_SHA256[cap]
