@@ -31,12 +31,18 @@ class PlanError(PlanProbeError):
 
 
 class UnexplainableObservationError(PlanProbeError):
-    """No hypothesis can explain an observation."""
+    """No hypothesis can explain an observation. `truncated` marks a set that
+    a hypothesis cap cut at an earlier observation, so a dropped hypothesis
+    might have explained it."""
 
-    def __init__(self, index: int, action: str):
-        super().__init__(f"observation {index} ({action!r}) cannot be explained by any hypothesis")
+    def __init__(self, index: int, action: str, truncated: bool = False):
+        message = f"observation {index} ({action!r}) cannot be explained by any hypothesis"
+        if truncated:
+            message += "; the hypothesis cap dropped hypotheses at an earlier observation"
+        super().__init__(message)
         self.index = index
         self.action = action
+        self.truncated = truncated
 
 
 class OracleInconsistencyError(PlanProbeError):

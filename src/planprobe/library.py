@@ -20,6 +20,13 @@ from .errors import LibrarySyntaxError, LibraryValidationError
 
 PRIOR_TOLERANCE = 1e-9
 
+# The longest chain of head-to-constituent steps a grammar may hold, so the
+# deepest plan has MAX_GRAMMAR_DEPTH + 1 levels. Plan relations, JSON
+# serialization and chain enumeration recurse once or twice per level; at
+# this limit they stay well inside the interpreter's default recursion limit
+# of 1000 (a 330-step chain already exhausted it in `sprp --verify`).
+MAX_GRAMMAR_DEPTH = 200
+
 
 def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tuple[frozenset[int], ...]:
     """Predecessor sets per constituent index under the transitive closure of
@@ -152,7 +159,7 @@ class PlanLibrary:
         object.__setattr__(self, "_by_id", {m.id: m for m in self.methods})
         object.__setattr__(self, "_chains", {})
 
-        self._check_grammar_acyclic()
+        self._check_grammar_shape()
         self._check_goal_reachability()
 
         if not self.goal_priors:
@@ -171,26 +178,44 @@ class PlanLibrary:
                 self, "goal_priors", {g: self.goal_priors.get(g, 0.0) for g in self.goals}
             )
 
-    def _check_grammar_acyclic(self) -> None:
-        # head -> complex constituents, over all methods; recursion is rejected
-        # so the space of complete refinements stays finite.
-        state: dict[str, int] = {}  # 0 visiting, 1 done
+    def _check_grammar_shape(self) -> None:
+        # head -> complex constituents, over all methods. Recursion is
+        # rejected so the space of complete refinements stays finite, and so
+        # is a chain of more than MAX_GRAMMAR_DEPTH steps. The search keeps
+        # its own stack, so a deep grammar cannot exhaust the interpreter's.
+        below = {
+            head: [c for m in methods for c in m.constituents if c in self.complex_actions]
+            for head, methods in self._by_head.items()
+        }
+        height: dict[str, int] = {}  # finished label -> longest chain of steps below it
+        for root in sorted(self.complex_actions):
+            if root in height:
+                continue
+            trail, on_trail, pending = [root], {root}, [iter(below.get(root, ()))]
+            while pending:
+                c = next(pending[-1], None)
+                if c is None:
+                    pending.pop()
+                    label = trail.pop()
+                    on_trail.discard(label)
+                    if label in below:
+                        height[label] = 1 + max((height[k] for k in below[label]), default=0)
+                    else:
+                        height[label] = 0
+                elif c in on_trail:
+                    cycle = trail[trail.index(c):] + [c]
+                    raise LibraryValidationError(f"cyclic grammar: {' -> '.join(cycle)}")
+                elif c not in height:
+                    trail.append(c)
+                    on_trail.add(c)
+                    pending.append(iter(below.get(c, ())))
 
-        def visit(label: str, trail: list[str]) -> None:
-            if state.get(label) == 1:
-                return
-            if state.get(label) == 0:
-                cycle = trail[trail.index(label):] + [label]
-                raise LibraryValidationError(f"cyclic grammar: {' -> '.join(cycle)}")
-            state[label] = 0
-            for m in self._by_head.get(label, ()):
-                for c in m.constituents:
-                    if c in self.complex_actions:
-                        visit(c, trail + [label])
-            state[label] = 1
-
-        for label in sorted(self.complex_actions):
-            visit(label, [])
+        deepest = max(sorted(height), key=height.__getitem__, default=None)
+        if deepest is not None and height[deepest] > MAX_GRAMMAR_DEPTH:
+            raise LibraryValidationError(
+                f"grammar too deep: {deepest!r} heads a chain of {height[deepest]} method steps, "
+                f"more than the limit of {MAX_GRAMMAR_DEPTH}"
+            )
 
     def _check_goal_reachability(self) -> None:
         pending = list(self.goals)
@@ -276,7 +301,7 @@ def parse_library(text: str) -> PlanLibrary:
     """Parse and validate a library file. Raises LibrarySyntaxError with
     position info on malformed input, LibraryValidationError on semantic
     violations (duplicate id, undeclared action, cyclic order, cyclic
-    grammar, empty goals)."""
+    grammar, grammar deeper than MAX_GRAMMAR_DEPTH, empty goals)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -11,12 +11,20 @@ enabled only when every ordering predecessor (at every ancestor level) roots
 a fully observed subtree. When a fresh expansion chain is created, it may
 only descend through order-minimal constituents, so an observation can never
 claim a position whose required predecessors were never begun.
+
+recognize folds one step over the observations with a memo that lives for
+the call: each distinct plan's enabled targets and weight factors are
+computed once and kept while the plan is carried over unchanged, and each
+distinct plan is grown once per observation. Successor weights are
+products of plan factors and never read the parent's weight, so only the
+final set is normalized. explain_step is that step on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from math import prod
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import PlanError, UnexplainableObservationError
 from .library import Chain, PlanLibrary
@@ -100,20 +108,14 @@ def _weight_factors(lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _times(w: float, factors: tuple[float, ...]) -> float:
-    # Left to right, one factor at a time: the same rounding at every step
-    # wherever a product over the same plans is formed.
-    for f in factors:
-        w *= f
-    return w
-
-
 def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
-    """Unnormalized weight: the product, plan by plan, of each plan's
-    weight factors."""
+    """Unnormalized weight: the product of each plan's weight factors,
+    plan by plan, one factor at a time. math.prod multiplies left to right
+    from `start`, so wherever a product over the same plans is formed, it
+    rounds the same way at every factor."""
     w = 1.0
     for plan in h.plans:
-        w = _times(w, _weight_factors(lib, plan))
+        w = prod(_weight_factors(lib, plan), start=w)
     return w
 
 
@@ -160,12 +162,135 @@ def _attach_chain(plan: Plan, path: Path, chain: Chain, index: int) -> Plan:
     return observe_leaf(plan, path, index)
 
 
-def _hypothesis_multiset(plans: tuple[Plan, ...]) -> frozenset:
-    """The hypothesis's plans as a multiset: (root, count) pairs."""
-    counts: dict[PlanNode, int] = {}
-    for p in plans:
-        counts[p.root] = counts.get(p.root, 0) + 1
-    return frozenset(counts.items())
+@dataclass
+class _PlanMemo:
+    """What one recognition run knows about a plan at any observation,
+    keyed by plan.root: its weight factors and its enabled expansion targets
+    with their nodes; plus the weight factors of the new-plan starts for
+    each (goal, action). A plan carried over unchanged from the step before
+    finds both here instead of walking its tree again."""
+
+    factors: dict[PlanNode, tuple[float, ...]] = field(default_factory=dict)
+    targets: dict[PlanNode, list[tuple[Path, PlanNode]]] = field(default_factory=dict)
+    fresh: dict[tuple[str, str], list[tuple[float, ...]]] = field(default_factory=dict)
+
+    def factors_of(self, lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
+        hit = self.factors.get(plan.root)
+        if hit is None:
+            hit = self.factors[plan.root] = _weight_factors(lib, plan)
+        return hit
+
+
+def _step(
+    lib: PlanLibrary,
+    cfg: RecognizerConfig,
+    memo: _PlanMemo,
+    hypotheses: Iterable[tuple[Plan, ...]],
+    index: int,
+    action: str,
+    truncated: bool,
+) -> tuple[list[list], bool]:
+    """Extend every hypothesis, given by its plans, by observation `index`
+    in all distinct ways. Returns the merged and capped successors as
+    [plans, weight] pairs with unnormalized weights, and whether the set is
+    now truncated (`truncated` says an earlier cap already cut it).
+
+    A successor's weight is the product of its plans' weight factors, formed
+    left to right exactly as hypothesis_weight forms it; it never reads the
+    parent's weight, so no intermediate set needs normalizing. Successors
+    with the same plans merge by adding weights. Their merge key is the set
+    of their plan roots: a hypothesis holds at most one plan per goal (a new
+    plan starts only for an unused goal, and a grown plan keeps its root
+    label), so its roots are distinct and the set stands for the multiset."""
+    if not lib.is_basic(action):
+        kind = "complex" if lib.is_complex(action) else "unknown"
+        raise UnexplainableObservationError(index, f"{action} ({kind} action)")
+    targets_of = memo.targets
+    grown_of: dict[PlanNode, list[tuple[Plan, tuple[float, ...]]]] = {}
+
+    def grow(plan: Plan) -> list[tuple[Plan, tuple[float, ...]]]:
+        """Every way `plan` absorbs the action, with the grown plans' factors."""
+        root = plan.root
+        targets = targets_of.get(root)
+        if targets is None:
+            paths = enabled_expansion_targets(lib, plan)
+            targets = targets_of[root] = [(path, plan.node_at(path)) for path in paths]
+        out = []
+        for path, node in targets:
+            if lib.is_basic(node.label):
+                if node.label == action:
+                    out.append(observe_leaf(plan, path, index))
+            else:
+                for chain in lib.chains_to(node.label, action):
+                    out.append(_attach_chain(plan, path, chain, index))
+        grown = grown_of[root] = [(g, memo.factors_of(lib, g)) for g in out]
+        return grown
+
+    # a new plan for a goal starts the same way in every hypothesis
+    fresh: list[tuple[str, list[tuple[Plan, tuple[float, ...]]]]] = []
+    if cfg.new_plan_allowed:
+        for goal in lib.goals:
+            chains = lib.chains_to(goal, action)
+            if not chains:
+                continue
+            starts = [_attach_chain(Plan(PlanNode(goal)), (), c, index) for c in chains]
+            start_factors = memo.fresh.get((goal, action))
+            if start_factors is None:
+                start_factors = memo.fresh[(goal, action)] = [_weight_factors(lib, p) for p in starts]
+            for p, fs in zip(starts, start_factors):
+                memo.factors[p.root] = fs
+            fresh.append((goal, list(zip(starts, start_factors))))
+
+    merged: dict[frozenset[PlanNode], list] = {}
+
+    def emit(key: frozenset[PlanNode], plans: tuple[Plan, ...], weight: float) -> None:
+        prev = merged.get(key)
+        if prev is None:
+            merged[key] = [plans, weight]
+        else:
+            prev[1] += weight
+
+    for plans in hypotheses:
+        roots = [p.root for p in plans]
+        plan_factors = [memo.factors_of(lib, p) for p in plans]
+        # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
+        prefix = [1.0]
+        for fs in plan_factors:
+            prefix.append(prod(fs, start=prefix[-1]))
+        for i, plan in enumerate(plans):
+            grown = grown_of.get(plan.root)
+            if grown is None:
+                grown = grow(plan)
+            if not grown:
+                continue
+            others = roots[:i] + roots[i + 1:]
+            tail = tuple(f for fs in plan_factors[i + 1:] for f in fs)
+            for g, gfs in grown:
+                successor = plans[:i] + (g,) + plans[i + 1:]
+                emit(frozenset((*others, g.root)), successor, prod(gfs + tail, start=prefix[i]))
+        if fresh:
+            used_goals = {r.label for r in roots}
+            for goal, starts in fresh:
+                if goal in used_goals:
+                    continue
+                for p, fs in starts:
+                    emit(frozenset((*roots, p.root)), plans + (p,), prod(fs, start=prefix[-1]))
+
+    if not merged:
+        raise UnexplainableObservationError(index, action, truncated)
+
+    successors = list(merged.values())
+    if cfg.max_hypotheses is not None and len(successors) > cfg.max_hypotheses:
+        successors.sort(key=lambda s: -s[1])
+        del successors[cfg.max_hypotheses:]
+        truncated = True
+    return successors, truncated
+
+
+def _normalized(successors: list[list], observation_count: int, truncated: bool) -> HypothesisSet:
+    return HypothesisSet.normalized(
+        [Hypothesis(plans, w) for plans, w in successors], observation_count, truncated
+    )
 
 
 def explain_step(
@@ -176,93 +301,19 @@ def explain_step(
 ) -> HypothesisSet:
     """Extend every hypothesis by one observation, in all distinct ways.
     Structurally identical successors are merged (weights summed) and the
-    result renormalized. Raises UnexplainableObservationError when no
+    result normalized. Raises UnexplainableObservationError when no
     hypothesis can absorb the action.
 
-    Plans recur across hypotheses, so each distinct plan is grown once per
-    call and every plan's weight factors are computed once; a successor's
-    weight multiplies the factors of its plans in order, exactly as
-    hypothesis_weight does."""
-    cfg = cfg or RecognizerConfig()
-    if not lib.is_basic(action):
-        kind = "complex" if lib.is_complex(action) else "unknown"
-        raise UnexplainableObservationError(hset.observation_count, f"{action} ({kind} action)")
+    One step of recognize with a fresh plan memo: each distinct plan is
+    grown once and its weight factors computed once. The incoming weights
+    are not read, so explain_step(lib, recognize(lib, obs[:k]), obs[k])
+    equals recognize(lib, obs[:k + 1])."""
     index = hset.observation_count
-
-    factors_of: dict[PlanNode, tuple[float, ...]] = {}
-    grown_of: dict[PlanNode, list[tuple[Plan, tuple[float, ...]]]] = {}
-
-    def factors(plan: Plan) -> tuple[float, ...]:
-        hit = factors_of.get(plan.root)
-        if hit is None:
-            hit = factors_of[plan.root] = _weight_factors(lib, plan)
-        return hit
-
-    def grown_from(plan: Plan) -> list[tuple[Plan, tuple[float, ...]]]:
-        """Every way `plan` absorbs the action, with the grown plans' factors."""
-        hit = grown_of.get(plan.root)
-        if hit is not None:
-            return hit
-        out = []
-        for path in enabled_expansion_targets(lib, plan):
-            node = plan.node_at(path)
-            if lib.is_basic(node.label):
-                if node.label == action:
-                    out.append(observe_leaf(plan, path, index))
-            else:
-                for chain in lib.chains_to(node.label, action):
-                    out.append(_attach_chain(plan, path, chain, index))
-        hit = grown_of[plan.root] = [(g, _weight_factors(lib, g)) for g in out]
-        return hit
-
-    # a new plan for a goal starts the same way in every hypothesis
-    fresh: dict[str, list[tuple[Plan, tuple[float, ...]]]] = {}
-    if cfg.new_plan_allowed:
-        for goal in lib.goals:
-            starts = [_attach_chain(Plan(PlanNode(goal)), (), c, index) for c in lib.chains_to(goal, action)]
-            fresh[goal] = [(p, _weight_factors(lib, p)) for p in starts]
-
-    merged: dict[frozenset, Hypothesis] = {}
-
-    def emit(plans: tuple[Plan, ...], weight: float) -> None:
-        key = _hypothesis_multiset(plans)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = Hypothesis(plans, weight)
-        else:
-            merged[key] = Hypothesis(prev.plans, prev.weight + weight)
-
-    for h in hset.hypotheses:
-        plans = h.plans
-        plan_factors = [factors(p) for p in plans]
-        # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
-        prefix = [1.0]
-        for fs in plan_factors:
-            prefix.append(_times(prefix[-1], fs))
-        for i, plan in enumerate(plans):
-            for grown, grown_factors in grown_from(plan):
-                w = _times(prefix[i], grown_factors)
-                for fs in plan_factors[i + 1:]:
-                    w = _times(w, fs)
-                emit(plans[:i] + (grown,) + plans[i + 1:], w)
-        if fresh:
-            used_goals = {p.root.label for p in plans}
-            for goal in lib.goals:
-                if goal in used_goals:
-                    continue
-                for plan, fs in fresh[goal]:
-                    emit(plans + (plan,), _times(prefix[-1], fs))
-
-    if not merged:
-        raise UnexplainableObservationError(index, action)
-
-    successors = list(merged.values())
-    truncated = hset.truncated
-    if cfg.max_hypotheses is not None and len(successors) > cfg.max_hypotheses:
-        successors.sort(key=lambda h: -h.weight)
-        successors = successors[: cfg.max_hypotheses]
-        truncated = True
-    return HypothesisSet.normalized(successors, index + 1, truncated)
+    successors, truncated = _step(
+        lib, cfg or RecognizerConfig(), _PlanMemo(),
+        (h.plans for h in hset.hypotheses), index, action, hset.truncated,
+    )
+    return _normalized(successors, index + 1, truncated)
 
 
 def recognize(
@@ -270,13 +321,23 @@ def recognize(
     observations: list[str],
     cfg: RecognizerConfig | None = None,
 ) -> HypothesisSet:
-    """Fold explain_step over the observation sequence, starting from the
-    empty seed hypothesis. The result contains every hypothesis that
-    describes the observations under the attachment semantics above, unless
-    a cap truncated it."""
+    """Fold the step over the observation sequence, starting from the empty
+    seed hypothesis. The result contains every hypothesis that describes the
+    observations under the attachment semantics above, unless a cap
+    truncated it.
+
+    One plan memo serves the whole fold, so a plan carried over unchanged
+    keeps its enabled targets and weight factors from the step before, and
+    only the final set is normalized. The result equals folding explain_step
+    over the observations."""
     if not observations:
         raise PlanError("observation sequence is empty")
-    hset = HypothesisSet((Hypothesis((), 1.0),), 0)
-    for action in observations:
-        hset = explain_step(lib, hset, action, cfg)
-    return hset
+    cfg = cfg or RecognizerConfig()
+    memo = _PlanMemo()
+    successors: list[list] = [[(), 1.0]]
+    truncated = False
+    for index, action in enumerate(observations):
+        successors, truncated = _step(
+            lib, cfg, memo, (plans for plans, _ in successors), index, action, truncated
+        )
+    return _normalized(successors, len(observations), truncated)

@@ -5,8 +5,11 @@ import pytest
 from planprobe.cli import main
 from planprobe.domains import GenParams, gen_instance
 from planprobe.experiment import save_instance
-from planprobe.library import serialize_library
+from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import hypothesis_to_dict
+from planprobe.recognizer import recognize
+
+from .test_library import chain_library_doc
 
 
 @pytest.fixture
@@ -57,6 +60,48 @@ def test_recognize_unknown_action_exits_2(chem_files, tmp_path, capsys):
     obs.write_text("mix_AB\nmix_XY\n")
     assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 2
     assert "observation 1" in capsys.readouterr().err
+
+
+def test_unexplainable_after_cap_says_the_cap_dropped_hypotheses(tmp_path, capsys):
+    save_instance(gen_instance(GenParams(obs_len=8, seed=7807)), tmp_path, "i")
+    args = ["recognize", "--library", str(tmp_path / "i.library.json"), "--obs", str(tmp_path / "i.obs.txt")]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["observation_count"] == 8
+    assert main(args + ["--max-hypotheses", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "observation 5 ('b1') cannot be explained by any hypothesis" in err
+    assert "cap dropped hypotheses" in err
+
+
+def _chain_files(tmp_path, depth):
+    doc = chain_library_doc(depth)
+    lib = tmp_path / "chain.library.json"
+    lib.write_text(json.dumps(doc))
+    obs = tmp_path / "chain.obs.txt"
+    obs.write_text("a\n")
+    return lib, obs
+
+
+def test_too_deep_library_exits_1_with_one_line(tmp_path, capsys):
+    lib, obs = _chain_files(tmp_path, 1500)
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: grammar too deep: 'c0' heads a chain of 1500 method steps")
+
+
+def test_library_at_depth_limit_recognizes_and_verifies(tmp_path, capsys):
+    lib, obs = _chain_files(tmp_path, MAX_GRAMMAR_DEPTH)
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 0
+    assert json.loads(capsys.readouterr().out)["hypothesis_count"] == 1
+    only = recognize(parse_library(lib.read_text()), ["a"]).hypotheses[0]
+    truth = tmp_path / "chain.truth.json"
+    truth.write_text(json.dumps(hypothesis_to_dict(only, include_weight=False)))
+    code = main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth),
+                 "--policy", "entropy", "--seed", "0", "--verify"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

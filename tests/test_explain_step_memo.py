@@ -1,10 +1,14 @@
-"""Differential test: the recognizer's per-step plan memo against the
+"""Differential test: the recognizer's plan memos against the
 per-hypothesis step kept in oracles.py.
 
 At every observation, the production `explain_step` and the reference step,
 both fed the same previous set, must return the same hypotheses in the same
 order (plans compared structurally, weights compared with ==) and the same
 `truncated` flag. Both also raise on the same unexplainable observations.
+`recognize`, which keeps one memo across the whole fold and normalizes only
+its final set, must equal the reference step folded over the observations,
+and chaining `explain_step` onto a prefix's `recognize` must equal
+`recognize` of the longer prefix.
 """
 
 import pytest
@@ -13,7 +17,7 @@ from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen
 from planprobe.errors import UnexplainableObservationError
 from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import Hypothesis
-from planprobe.recognizer import HypothesisSet, RecognizerConfig, explain_step, hypothesis_weight
+from planprobe.recognizer import HypothesisSet, RecognizerConfig, explain_step, hypothesis_weight, recognize
 
 from . import oracles
 
@@ -111,6 +115,82 @@ def test_matches_reference_without_new_plans(name, lib, observations, sizes):
     reference's set after it; later steps may only grow existing plans."""
     first = oracles.explain_step(lib, _seed(), observations[0])
     _check_every_step(lib, observations[1:], RecognizerConfig(new_plan_allowed=False), first)
+
+
+def _configs(sizes):
+    """Uncapped, a cap of half the largest set (binding when that set has
+    at least 3 hypotheses), and no new plans after the first observation."""
+    return (
+        RecognizerConfig(),
+        RecognizerConfig(max_hypotheses=max(1, max(sizes) // 2)),
+        RecognizerConfig(new_plan_allowed=False),
+    )
+
+
+def _fold(step, lib, observations, cfg):
+    """The final set of `step` folded over the observations, or the index of
+    the observation it raised on."""
+    hset = _seed()
+    for action in observations:
+        try:
+            hset = step(lib, hset, action, cfg)
+        except UnexplainableObservationError as e:
+            return e.index
+    return hset
+
+
+def _recognize_or_index(lib, observations, cfg):
+    try:
+        return recognize(lib, list(observations), cfg)
+    except UnexplainableObservationError as e:
+        return e.index
+
+
+def _assert_same(got, want):
+    if isinstance(want, int):
+        assert got == want  # both raised, at the same observation
+        return
+    assert got.hypotheses == want.hypotheses  # plans, order and weights, exactly
+    assert got.truncated == want.truncated
+    assert got.observation_count == want.observation_count
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_recognize_equals_reference_fold(name, lib, observations, sizes):
+    for cfg in _configs(sizes):
+        want = _fold(oracles.explain_step, lib, observations, cfg)
+        _assert_same(_recognize_or_index(lib, observations, cfg), want)
+    # new_plan_allowed=False cannot start the first plan
+    assert want == 0
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_explain_step_chains_onto_recognize(name, lib, observations, sizes):
+    for cfg in _configs(sizes)[:2]:
+        prefix = _recognize_or_index(lib, observations[:1], cfg)
+        for k in range(1, len(observations)):
+            longer = _recognize_or_index(lib, observations[: k + 1], cfg)
+            if isinstance(prefix, int):
+                assert longer == prefix
+            else:
+                try:
+                    chained = explain_step(lib, prefix, observations[k], cfg)
+                except UnexplainableObservationError as e:
+                    chained = e.index
+                _assert_same(chained, longer)
+            prefix = longer
+
+
+def test_cap_binds_and_drops_explanations_in_some_folds():
+    """The cap config is not vacuous: it truncates some folds and leaves some
+    observation unexplainable in others, where recognize says so."""
+    outcomes = [_recognize_or_index(lib, obs, _configs(sizes)[1]) for _, lib, obs, sizes in CAPPABLE]
+    assert sum(not isinstance(o, int) and o.truncated for o in outcomes) >= 40
+    assert any(isinstance(o, int) for o in outcomes)
+    name, lib, obs, sizes = next(i for i, o in zip(CAPPABLE, outcomes) if isinstance(o, int))
+    with pytest.raises(UnexplainableObservationError, match="cap dropped hypotheses") as info:
+        recognize(lib, list(obs), _configs(sizes)[1])
+    assert info.value.truncated
 
 
 def test_shared_plans_across_hypotheses_merge_like_reference():

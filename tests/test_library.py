@@ -5,6 +5,7 @@ import pytest
 from planprobe.domains import GenParams, gen_instance
 from planprobe.errors import LibrarySyntaxError, LibraryValidationError
 from planprobe.library import (
+    MAX_GRAMMAR_DEPTH,
     PlanLibrary,
     RefinementMethod,
     methods_for,
@@ -142,6 +143,32 @@ def test_cyclic_grammar_rejected():
     doc["methods"].append({"id": "mg2", "head": "g", "children": ["h"]})
     with pytest.raises(LibraryValidationError, match="cyclic grammar"):
         parse_library(json.dumps(doc))
+
+
+def chain_library_doc(depth: int, cyclic: bool = False) -> dict:
+    """Goal c0 -> c1 -> ... -> c{depth-1} -> basic a: `depth` method steps.
+    With `cyclic`, the last complex action also expands back to c0."""
+    labels = [f"c{i}" for i in range(depth)]
+    methods = [
+        {"id": f"m{i}", "head": labels[i], "children": [labels[i + 1] if i + 1 < depth else "a"]}
+        for i in range(depth)
+    ]
+    if cyclic:
+        methods.append({"id": "back", "head": labels[-1], "children": ["c0"]})
+    return {"basic": ["a"], "complex": labels, "goals": ["c0"], "methods": methods}
+
+
+def test_grammar_depth_limit():
+    assert len(parse_library(json.dumps(chain_library_doc(MAX_GRAMMAR_DEPTH))).methods) == MAX_GRAMMAR_DEPTH
+    with pytest.raises(LibraryValidationError, match=f"chain of {MAX_GRAMMAR_DEPTH + 1} method steps"):
+        parse_library(json.dumps(chain_library_doc(MAX_GRAMMAR_DEPTH + 1)))
+
+
+def test_deep_grammars_fail_validation_not_the_stack():
+    with pytest.raises(LibraryValidationError, match="'c0' heads a chain of 5000 method steps"):
+        parse_library(json.dumps(chain_library_doc(5000)))
+    with pytest.raises(LibraryValidationError, match=r"cyclic grammar: c0 -> c1 -> .* -> c4999 -> c0$"):
+        parse_library(json.dumps(chain_library_doc(5000, cyclic=True)))
 
 
 def test_reachable_complex_needs_method():
