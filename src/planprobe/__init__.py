@@ -13,13 +13,12 @@ from .errors import (
     PolicyError,
     UnexplainableObservationError,
 )
-from .library import PlanLibrary, RefinementMethod, methods_for, parse_library, serialize_library
+from .library import PlanLibrary, RefinementMethod, parse_library, serialize_library
 from .plans import (
     Hypothesis,
     Plan,
     PlanNode,
     apply_method,
-    canonical_key,
     describes,
     hypothesis_refines,
     is_complete,

@@ -48,9 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+def _gen_params(args, **fields) -> GenParams:
+    """GenParams from the library-shape flags in args, plus the given fields."""
+    shape = ("num_goals", "branching", "depth", "num_basic", "order_density")
+    return GenParams(**{name: getattr(args, name) for name in shape}, **fields)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planprobe", description="Plan recognition with query-driven pruning")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the generator's library-shape flags, shared by gen and experiment
+    shape = argparse.ArgumentParser(add_help=False)
+    for name in ("num_goals", "branching", "depth", "num_basic", "order_density"):
+        default = getattr(GenParams, name)
+        shape.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     p_rec = sub.add_parser("recognize", parents=[], help="report hypotheses for an observation file")
     p_rec.add_argument("--library", required=True, type=Path)
@@ -66,18 +77,13 @@ def _build_parser() -> _Parser:
     p_sprp.add_argument("--verify", action="store_true",
                         help="check the final set equals the exhaustive refinement filter")
 
-    p_gen = sub.add_parser("gen", help="write synthetic instance files")
+    p_gen = sub.add_parser("gen", parents=[shape], help="write synthetic instance files")
     p_gen.add_argument("--out", required=True, type=Path)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--obs-len", type=int, default=5)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--num-goals", type=int, default=5)
-    p_gen.add_argument("--branching", type=int, default=3)
-    p_gen.add_argument("--depth", type=int, default=3)
-    p_gen.add_argument("--num-basic", type=int, default=22)
-    p_gen.add_argument("--order-density", type=float, default=0.5)
 
-    p_exp = sub.add_parser("experiment", help="batch policy comparison, writes CSV files")
+    p_exp = sub.add_parser("experiment", parents=[shape], help="batch policy comparison, writes CSV files")
     p_exp.add_argument("--out", required=True, type=Path)
     p_exp.add_argument("--policy", action="append", choices=POLICY_KINDS, default=None,
                        help="repeatable; default: all policies")
@@ -87,11 +93,6 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--instances", type=Path, default=None,
                        help="directory of instance files instead of generated ones")
-    p_exp.add_argument("--num-goals", type=int, default=5)
-    p_exp.add_argument("--branching", type=int, default=3)
-    p_exp.add_argument("--depth", type=int, default=3)
-    p_exp.add_argument("--num-basic", type=int, default=22)
-    p_exp.add_argument("--order-density", type=float, default=0.5)
     p_exp.add_argument("--max-hypotheses", type=int, default=None)
     p_exp.add_argument("--timeout", type=float, default=None, help="per-instance budget in seconds")
     p_exp.add_argument("--verify", action="store_true")
@@ -138,15 +139,7 @@ def _cmd_sprp(args) -> int:
 
 def _cmd_gen(args) -> int:
     for i in range(args.count):
-        params = GenParams(
-            num_goals=args.num_goals,
-            branching=args.branching,
-            depth=args.depth,
-            num_basic=args.num_basic,
-            obs_len=args.obs_len,
-            seed=args.seed + i,
-            order_density=args.order_density,
-        )
+        params = _gen_params(args, obs_len=args.obs_len, seed=args.seed + i)
         save_instance(gen_instance(params), args.out, f"instance_{i:03d}")
     print(f"wrote {args.count} instance(s) to {args.out}")
     return 0
@@ -158,11 +151,7 @@ def _cmd_experiment(args) -> int:
         obs_lens=tuple(args.obs_len) if args.obs_len else DEFAULT_OBS_LENS,
         reps=args.reps,
         seed=args.seed,
-        num_goals=args.num_goals,
-        branching=args.branching,
-        depth=args.depth,
-        num_basic=args.num_basic,
-        order_density=args.order_density,
+        gen=_gen_params(args),
         instance_dir=args.instances,
         max_hypotheses=args.max_hypotheses,
         verify=args.verify,

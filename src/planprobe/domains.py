@@ -195,11 +195,13 @@ def _emit_observations(
 def gen_instance(params: GenParams) -> Instance:
     """Deterministic in params.seed. Raises GenerationError when the
     parameters cannot yield a valid instance."""
+    cause = f"all {_MAX_LIBRARY_TRIES} libraries drawn were too ambiguous: a basic action starts too many derivations"
     for lib_try in range(_MAX_LIBRARY_TRIES):
         rng = random.Random(f"{params.seed}:{lib_try}")
         lib = _gen_library(params, rng)
         if not _bounded_ambiguity(lib):
             continue
+        cause = "plans too small for these parameters"
         for _ in range(_MAX_TRUTH_TRIES):
             want = 2 if (params.num_goals >= 2 and params.obs_len >= 2 and rng.random() < 0.35) else 1
             goal_names = rng.sample(list(lib.goals), want)
@@ -209,10 +211,7 @@ def gen_instance(params: GenParams) -> Instance:
             marked, observations = _emit_observations(lib, plans, params.obs_len, rng)
             truth = Hypothesis(tuple(marked), 1.0)
             return Instance(lib, truth, tuple(observations))
-    raise GenerationError(
-        f"could not generate an instance with obs_len={params.obs_len} "
-        f"(plans too small for these parameters)"
-    )
+    raise GenerationError(f"could not generate an instance with obs_len={params.obs_len} ({cause})")
 
 
 def _chem_library() -> PlanLibrary:

@@ -20,7 +20,6 @@ from .plans import (
     Hypothesis,
     Plan,
     PlanNode,
-    canonical_key,
     hypothesis_refines,
     is_refinement,
     matches,
@@ -94,7 +93,7 @@ class RelationTable:
 
     def intern(self, plan: Plan) -> int:
         """Id of plan, added (with no owners) if new."""
-        t = self.ids.setdefault(canonical_key(plan), len(self.plans))
+        t = self.ids.setdefault(plan.root, len(self.plans))
         if t == len(self.plans):
             self.plans.append(plan)
             self.owners.append(0)
@@ -268,7 +267,7 @@ def run_query_loop(
         if next(table.candidates(alive, closed), None) is None:
             break
         plan = policy.select(current, closed)
-        key = canonical_key(plan)
+        key = plan.root
         if key in closed:
             raise PolicyError(f"policy {policy.kind!r} returned an already-queried plan")
         t = table.ids.get(key)

@@ -57,7 +57,10 @@ def load_observations(path: Path) -> list[str]:
     """Observation file: one basic-action name per line, or a JSON list."""
     text = path.read_text()
     if text.lstrip().startswith("["):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:  # nested too deeply to be a list of strings
+            doc = None
         if not isinstance(doc, list) or not all(isinstance(o, str) for o in doc):
             raise PlanProbeError(f"{path}: JSON observations must be a list of strings")
         return doc
@@ -67,7 +70,10 @@ def load_observations(path: Path) -> list[str]:
 def load_instance(library_path: Path, obs_path: Path, truth_path: Path) -> Instance:
     lib = parse_library(library_path.read_text())
     observations = load_observations(obs_path)
-    truth = hypothesis_from_dict(json.loads(truth_path.read_text()))
+    try:
+        truth = hypothesis_from_dict(json.loads(truth_path.read_text()))
+    except RecursionError:
+        raise PlanProbeError(f"{truth_path}: truth file nested too deeply") from None
     return Instance(lib, truth, tuple(observations))
 
 
@@ -90,11 +96,9 @@ class ExperimentSpec:
     obs_lens: tuple[int, ...] = DEFAULT_OBS_LENS
     reps: int = 10
     seed: int = 0
-    num_goals: int = 5
-    branching: int = 3
-    depth: int = 3
-    num_basic: int = 22
-    order_density: float = 0.5
+    gen: GenParams = GenParams()
+    """The generator's library shape. Its obs_len and seed are not read:
+    _instances_for sets both per instance with dataclasses.replace."""
     instance_dir: Path | None = None
     max_hypotheses: int | None = None
     verify: bool = False
@@ -132,15 +136,8 @@ def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Instance]]:
     out = []
     for obs_len in spec.obs_lens:
         for rep in range(spec.reps):
-            params = GenParams(
-                num_goals=spec.num_goals,
-                branching=spec.branching,
-                depth=spec.depth,
-                num_basic=spec.num_basic,
-                obs_len=obs_len,
-                seed=int.from_bytes(f"{spec.seed}:{obs_len}:{rep}".encode(), "little") % (2**62),
-                order_density=spec.order_density,
-            )
+            seed = int.from_bytes(f"{spec.seed}:{obs_len}:{rep}".encode(), "little") % (2**62)
+            params = replace(spec.gen, obs_len=obs_len, seed=seed)
             out.append((f"L{obs_len}_r{rep:03d}", gen_instance(params)))
     return out
 

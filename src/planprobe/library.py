@@ -277,10 +277,6 @@ class PlanLibrary:
         return result
 
 
-def methods_for(lib: PlanLibrary, label: str) -> tuple[RefinementMethod, ...]:
-    return lib.methods_for(label)
-
-
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise LibrarySyntaxError(message)
@@ -306,6 +302,8 @@ def parse_library(text: str) -> PlanLibrary:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise LibrarySyntaxError(f"invalid library file: {e.msg}", e.lineno, e.colno) from e
+    except RecursionError:
+        raise LibrarySyntaxError("invalid library file: nested too deeply") from None
     _expect(isinstance(doc, dict), "library file must be a JSON object")
 
     basic = _string_list(doc, "basic")

@@ -186,25 +186,10 @@ def _refines(u: PlanNode, v: PlanNode) -> bool:
     )
 
 
-def _refines_strict(u: PlanNode, v: PlanNode) -> bool:
-    if u.label != v.label:
-        return False
-    if u.method is None:
-        if u.observed is not None and u.observed != v.observed:
-            return False
-        return True
-    return v.method == u.method and all(
-        _refines_strict(cu, cv) for cu, cv in zip(u.children, v.children)
-    )
-
-
-def is_refinement(p: Plan, q: Plan, strict_marks: bool = False) -> bool:
+def is_refinement(p: Plan, q: Plan) -> bool:
     """True iff q can be obtained from p by expanding frontier nodes only
     (reflexive: the empty expansion sequence counts). The relation is
-    structural; with strict_marks, a leaf p already observed must appear in
-    q observed at the same index."""
-    if strict_marks:
-        return _refines_strict(p.root, q.root)
+    structural: observation marks are ignored."""
     return _refines(p.root, q.root)
 
 
@@ -220,25 +205,11 @@ def _match_nodes(u: PlanNode, v: PlanNode) -> bool:
     )
 
 
-def _match_nodes_strict(u: PlanNode, v: PlanNode) -> bool:
-    if u.label != v.label:
-        return False
-    if u.method is None and v.method is None:
-        return u.observed is None or v.observed is None or u.observed == v.observed
-    if u.method is None or v.method is None:
-        return True
-    return u.method == v.method and all(
-        _match_nodes_strict(cu, cv) for cu, cv in zip(u.children, v.children)
-    )
-
-
-def matches(p: Plan, q: Plan, strict_marks: bool = False) -> bool:
+def matches(p: Plan, q: Plan) -> bool:
     """True iff p and q have a common refinement. Wherever both plans are
     expanded they must agree on the method; wherever one is still open the
-    other side supplies the witness. Symmetric. With strict_marks, leaves
-    observed on both sides must carry the same index."""
-    if strict_marks:
-        return _match_nodes_strict(p.root, q.root)
+    other side supplies the witness. Symmetric; observation marks are
+    ignored."""
     return _match_nodes(p.root, q.root)
 
 
@@ -267,12 +238,6 @@ def hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
         return False
 
     return assign(0)
-
-
-def canonical_key(plan: Plan) -> PlanNode:
-    """Opaque structural identity key: equal keys iff structurally equal
-    plans (labels, methods, child order, observation marks)."""
-    return plan.root
 
 
 def describes(h: Hypothesis, obs: Sequence[str]) -> bool:
@@ -363,7 +328,7 @@ def plan_from_dict(doc: dict) -> Plan:
 
 
 def plan_digest(plan: Plan) -> str:
-    """Short stable identifier for traces and ordering."""
+    """Short stable identifier of a plan for query traces."""
     blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
@@ -382,6 +347,8 @@ def hypothesis_from_dict(doc: dict) -> Hypothesis:
     return Hypothesis(plans=plans, weight=float(doc.get("weight", 1.0)))
 
 
-def hypothesis_key(h: Hypothesis) -> tuple[str, ...]:
-    """Order-insensitive structural identity of a hypothesis."""
-    return tuple(sorted(plan_digest(p) for p in h.plans))
+def hypothesis_key(h: Hypothesis) -> frozenset[PlanNode]:
+    """Order-insensitive identity of a hypothesis: the set of its plan roots,
+    the key the recognizer merges on. Exact when the plans are pairwise
+    distinct, as in every recognized hypothesis (one plan per goal)."""
+    return frozenset(p.root for p in h.plans)

@@ -22,21 +22,9 @@ from dataclasses import dataclass
 from .errors import PolicyError
 from .plans import Plan, PlanNode
 from .recognizer import HypothesisSet
-from .engine import RelationTable, candidate_plans, relations, restrict
+from .engine import RelationTable, relations, restrict
 
 POLICY_KINDS = ("random", "mph", "mpp", "entropy")
-
-__all__ = [
-    "POLICY_KINDS",
-    "Policy",
-    "candidate_plans",
-    "cumulative_plan_prob",
-    "entropy",
-    "select_mph",
-    "select_min_entropy",
-    "select_mpp",
-    "select_random",
-]
 
 
 def _rng(seed: int, closed: set[PlanNode]) -> random.Random:

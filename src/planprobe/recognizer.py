@@ -199,9 +199,10 @@ def _step(
     left to right exactly as hypothesis_weight forms it; it never reads the
     parent's weight, so no intermediate set needs normalizing. Successors
     with the same plans merge by adding weights. Their merge key is the set
-    of their plan roots: a hypothesis holds at most one plan per goal (a new
-    plan starts only for an unused goal, and a grown plan keeps its root
-    label), so its roots are distinct and the set stands for the multiset."""
+    of their plan roots, which is plans.hypothesis_key: a hypothesis holds at
+    most one plan per goal (a new plan starts only for an unused goal, and a
+    grown plan keeps its root label), so its roots are distinct and the set
+    stands for the multiset."""
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, f"{action} ({kind} action)")

@@ -6,15 +6,18 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused. Two sections at the end are the exception, because they serve as
+reused. Three sections at the end are the exception, because they serve as
 references for fast paths rather than as independent oracles: the
 list-based relation rules reuse the production relations and check the
-query loop's relation table, and the per-hypothesis recognition step reuses
-the production plan editing and checks the recognizer's per-step plan memo.
+query loop's relation table, the per-hypothesis recognition step reuses
+the production plan editing and checks the recognizer's per-step plan memo,
+and the digest identity reuses the production serialization and checks
+plans.hypothesis_key.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -32,6 +35,7 @@ from planprobe.plans import (
     iter_nodes,
     matches,
     observe_leaf,
+    plan_to_dict,
 )
 from planprobe.recognizer import HypothesisSet, RecognizerConfig
 
@@ -279,8 +283,6 @@ def naive_recognize(lib: PlanLibrary, observations: list[str]) -> set[tuple[str,
 
 def hypothesis_set_signature(hset) -> set[tuple[str, ...]]:
     """Same signature for production output, for comparison."""
-    from planprobe.plans import plan_to_dict
-
     out = set()
     for h in hset.hypotheses:
         out.add(
@@ -526,3 +528,13 @@ def explain_step(
         successors = successors[: cfg.max_hypotheses]
         truncated = True
     return HypothesisSet.normalized(successors, index + 1, truncated)
+
+
+# ------------------------------------------------------ digest identity
+
+# The hypothesis identity as it read before plans.hypothesis_key became the
+# set of plan roots: the sorted, truncated SHA-1 digests of each plan's JSON.
+
+def digest_hypothesis_key(h: Hypothesis) -> tuple[str, ...]:
+    blobs = (json.dumps(plan_to_dict(p), sort_keys=True, separators=(",", ":")) for p in h.plans)
+    return tuple(sorted(hashlib.sha1(b.encode()).hexdigest()[:12] for b in blobs))

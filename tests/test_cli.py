@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from planprobe.cli import main
 from planprobe.domains import GenParams, gen_instance
-from planprobe.experiment import save_instance
+from planprobe.experiment import ExperimentSpec, run_experiment, save_instance, write_all_csvs
 from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import hypothesis_to_dict
 from planprobe.recognizer import recognize
@@ -104,6 +105,37 @@ def test_library_at_depth_limit_recognizes_and_verifies(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
+def _nested_truth(levels: int) -> str:
+    """A truth file whose one plan is nested `levels` deep, c0 -> c1 -> ...,
+    written as text because json.dumps cannot encode it."""
+    head = "".join(f'{{"label": "c{i}", "method": "m{i}", "children": [' for i in range(levels))
+    return '{"plans": [' + head + '{"label": "a", "observed": 0}' + "]}" * levels + "]}"
+
+
+def test_deeply_nested_truth_file_exits_1_with_one_line(tmp_path, capsys):
+    lib, obs = _chain_files(tmp_path, MAX_GRAMMAR_DEPTH)
+    truth = tmp_path / "deep.truth.json"
+    truth.write_text(_nested_truth(600))
+    assert main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth)]) == 1
+    assert capsys.readouterr().err == f"error: {truth}: truth file nested too deeply\n"
+
+
+def test_deeply_nested_library_file_exits_1_with_one_line(tmp_path, capsys):
+    _, obs = _chain_files(tmp_path, 1)
+    lib = tmp_path / "deep.library.json"
+    lib.write_text("[" * 3000 + "]" * 3000)
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == "error: invalid library file: nested too deeply\n"
+
+
+def test_deeply_nested_observation_list_exits_1_with_one_line(tmp_path, capsys):
+    lib, _ = _chain_files(tmp_path, 1)
+    obs = tmp_path / "deep.obs.json"
+    obs.write_text("[" * 3000 + "]" * 3000)
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == f"error: {obs}: JSON observations must be a list of strings\n"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["recognize", "--library", str(tmp_path / "none.json"), "--obs", str(tmp_path / "x")]) == 1
 
@@ -171,6 +203,47 @@ def test_gen_writes_instances(tmp_path, capsys):
     assert len(list(out.glob("*.library.json"))) == 3
     assert len(list(out.glob("*.obs.txt"))) == 3
     assert len(list(out.glob("*.truth.json"))) == 3
+
+
+def test_gen_says_when_no_library_passes_the_ambiguity_bound(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "batch"), "--depth", "150"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "all 60 libraries drawn were too ambiguous" in err
+    assert "plans too small" not in err
+
+
+def test_gen_says_plans_too_small_when_no_truth_is_long_enough(tmp_path, capsys):
+    args = ["--depth", "1", "--num-goals", "1", "--num-basic", "2", "--obs-len", "50"]
+    assert main(["gen", "--out", str(tmp_path / "batch"), *args]) == 1
+    assert capsys.readouterr().err == \
+        "error: could not generate an instance with obs_len=50 (plans too small for these parameters)\n"
+
+
+SHAPE_FLAGS = ["--num-goals", "4", "--branching", "2", "--depth", "2", "--num-basic", "15",
+               "--order-density", "0.3"]
+SHAPE = GenParams(num_goals=4, branching=2, depth=2, num_basic=15, order_density=0.3)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_shape_flags_write_what_the_api_writes(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "gen_cli"), "--count", "2", "--obs-len", "4",
+                 "--seed", "3", *SHAPE_FLAGS]) == 0
+    for i in range(2):
+        save_instance(gen_instance(replace(SHAPE, obs_len=4, seed=3 + i)), tmp_path / "gen_api", f"instance_{i:03d}")
+    assert _files(tmp_path / "gen_cli") == _files(tmp_path / "gen_api")
+    lib = parse_library((tmp_path / "gen_cli" / "instance_000.library.json").read_text())
+    assert len(lib.goals) == 4 and len(lib.basic) == 15
+
+    assert main(["experiment", "--out", str(tmp_path / "exp_cli"), "--reps", "2", "--seed", "5",
+                 "--obs-len", "3", "--obs-len", "4", "--verify", *SHAPE_FLAGS]) == 0
+    result = run_experiment(ExperimentSpec(obs_lens=(3, 4), reps=2, seed=5, gen=SHAPE, verify=True))
+    write_all_csvs(result, tmp_path / "exp_api")
+    assert _files(tmp_path / "exp_cli") == _files(tmp_path / "exp_api")
+    assert run_experiment(ExperimentSpec(obs_lens=(3, 4), reps=2, seed=5)).rows != result.rows
 
 
 def test_experiment_generated(tmp_path, capsys):

@@ -14,7 +14,6 @@ from planprobe.errors import OracleInconsistencyError, PolicyError
 from planprobe.experiment import brute_force_final_set
 from planprobe.plans import (
     Hypothesis,
-    canonical_key,
     hypothesis_key,
     hypothesis_refines,
     matches,
@@ -108,13 +107,13 @@ class TestCandidatePlans:
         assert len(plans) == 7  # partner1 and partner3 coincide
 
     def test_closed_removed(self, quartet):
-        closed = {canonical_key(quartet.p1)}
+        closed = {quartet.p1.root}
         plans = candidate_plans(quartet.hset, closed)
         assert len(plans) == 6
-        assert all(canonical_key(p) != canonical_key(quartet.p1) for p in plans)
+        assert all(p.root != quartet.p1.root for p in plans)
 
     def test_all_closed_empty(self, quartet):
-        closed = {canonical_key(p) for p in candidate_plans(quartet.hset, set())}
+        closed = {p.root for p in candidate_plans(quartet.hset, set())}
         assert candidate_plans(quartet.hset, closed) == []
 
 
@@ -152,7 +151,7 @@ class TestRunQueryLoop:
             while len(current) > 1 and candidate_plans(current, closed):
                 plan = policy.select(current, closed)
                 current = update(current, plan, query_answer(oracle, plan))
-                closed.add(canonical_key(plan))
+                closed.add(plan.root)
                 assert refiners <= {hypothesis_key(h) for h in current.hypotheses}
 
     def test_truncated_input_rejected(self, quartet):

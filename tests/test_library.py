@@ -8,7 +8,6 @@ from planprobe.library import (
     MAX_GRAMMAR_DEPTH,
     PlanLibrary,
     RefinementMethod,
-    methods_for,
     parse_library,
     serialize_library,
 )
@@ -69,20 +68,20 @@ def test_order_closure_predecessors():
 
 def test_methods_for_chemistry():
     lib = parse_library(CHEMISTRY_TEXT)
-    ms = methods_for(lib, "InvestigateReaction")
+    ms = lib.methods_for("InvestigateReaction")
     assert [m.id for m in ms] == ["strategy_pairwise", "strategy_fourway"]
 
 
 def test_methods_for_minimal(minimal_lib):
-    assert [m.id for m in methods_for(minimal_lib, "g")] == ["m"]
+    assert [m.id for m in minimal_lib.methods_for("g")] == ["m"]
 
 
 def test_methods_for_rejects_basic_and_unknown():
     lib = parse_library(CHEMISTRY_TEXT)
     with pytest.raises(LibraryValidationError, match="basic"):
-        methods_for(lib, "mix_AB")
+        lib.methods_for("mix_AB")
     with pytest.raises(LibraryValidationError, match="unknown"):
-        methods_for(lib, "nope")
+        lib.methods_for("nope")
 
 
 def test_generated_libraries_respect_branching():

@@ -7,7 +7,7 @@ from planprobe.domains import GenParams, gen_instance
 from planprobe.engine import candidate_plans, survivors_if_false, survivors_if_true, update
 from planprobe.errors import PolicyError
 from planprobe.library import PlanLibrary, RefinementMethod
-from planprobe.plans import Hypothesis, Plan, PlanNode, canonical_key, hypothesis_key
+from planprobe.plans import Hypothesis, Plan, PlanNode, hypothesis_key
 from planprobe.policies import (
     Policy,
     cumulative_plan_prob,
@@ -60,10 +60,10 @@ class TestEntropy:
 
 class TestSelectRandom:
     def test_single_candidate(self, quartet):
-        closed = {canonical_key(p) for p in candidate_plans(quartet.hset, set())
-                  if canonical_key(p) != canonical_key(quartet.p2)}
+        closed = {p.root for p in candidate_plans(quartet.hset, set())
+                  if p.root != quartet.p2.root}
         pick = select_random(quartet.hset, closed, seed=0)
-        assert canonical_key(pick) == canonical_key(quartet.p2)
+        assert pick.root == quartet.p2.root
 
     def test_same_seed_same_sequence(self, quartet):
         def draw_sequence(seed):
@@ -72,8 +72,8 @@ class TestSelectRandom:
             hset = quartet.hset
             for _ in range(4):
                 p = select_random(hset, closed, seed)
-                out.append(canonical_key(p))
-                closed.add(canonical_key(p))
+                out.append(p.root)
+                closed.add(p.root)
             return out
 
         assert draw_sequence(9) == draw_sequence(9)
@@ -85,16 +85,16 @@ class TestSelectRandom:
         hset = HypothesisSet.normalized(list(quartet.hset.hypotheses) + [extra], 3)
         candidates = candidate_plans(hset, set())
         assert len(candidates) == 8
-        counts = {canonical_key(p): 0 for p in candidates}
+        counts = {p.root: 0 for p in candidates}
         n = 10_000
         for seed in range(n):
-            counts[canonical_key(select_random(hset, set(), seed))] += 1
+            counts[select_random(hset, set(), seed).root] += 1
         expected = n / 8
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 30  # p ~ 1e-4 at 7 degrees of freedom
 
     def test_no_candidates_raises(self, quartet):
-        closed = {canonical_key(p) for p in candidate_plans(quartet.hset, set())}
+        closed = {p.root for p in candidate_plans(quartet.hset, set())}
         with pytest.raises(PolicyError):
             select_random(quartet.hset, closed, 0)
 
@@ -103,41 +103,41 @@ class TestSelectMph:
     def test_heaviest_hypothesis_wins(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.7, 0.3)
         pick = select_mph(hset, set(), seed=0)
-        keys = {canonical_key(p) for p in quartet.h1.plans}
-        assert canonical_key(pick) in keys
+        keys = {p.root for p in quartet.h1.plans}
+        assert pick.root in keys
 
     def test_fallback_when_exhausted(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.7, 0.3)
-        closed = {canonical_key(p) for p in quartet.h1.plans}
+        closed = {p.root for p in quartet.h1.plans}
         pick = select_mph(hset, closed, seed=0)
-        assert canonical_key(pick) in {canonical_key(p) for p in quartet.h4.plans}
+        assert pick.root in {p.root for p in quartet.h4.plans}
 
     def test_equal_weights_uniform_over_seeds(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.5, 0.5)
         # close everything except one plan per hypothesis
-        closed = {canonical_key(p) for p in (quartet.partner1, quartet.partner4)}
-        hits = {canonical_key(quartet.p1): 0, canonical_key(quartet.p4): 0}
+        closed = {p.root for p in (quartet.partner1, quartet.partner4)}
+        hits = {quartet.p1.root: 0, quartet.p4.root: 0}
         n = 2000
         for seed in range(n):
-            hits[canonical_key(select_mph(hset, closed, seed))] += 1
+            hits[select_mph(hset, closed, seed).root] += 1
         for count in hits.values():
             assert abs(count - n / 2) < 150  # ~4.5 sigma
 
 
 class TestSelectMpp:
     def test_quartet_argmax(self, quartet):
-        scores = {canonical_key(t): cumulative_plan_prob(quartet.hset, t)
+        scores = {t.root: cumulative_plan_prob(quartet.hset, t)
                   for t in candidate_plans(quartet.hset, set())}
         best = max(scores.values())
         assert best == pytest.approx(0.75)
-        assert scores[canonical_key(quartet.p2)] == pytest.approx(best)
+        assert scores[quartet.p2.root] == pytest.approx(best)
         pick = select_mpp(quartet.hset, set(), seed=0)
-        assert scores[canonical_key(pick)] == pytest.approx(best)
+        assert scores[pick.root] == pytest.approx(best)
 
     def test_single_hypothesis_all_equal(self, quartet):
         hset = HypothesisSet.normalized([quartet.h1], 3)
         pick = select_mpp(hset, set(), seed=3)
-        assert canonical_key(pick) in {canonical_key(p) for p in quartet.h1.plans}
+        assert pick.root in {p.root for p in quartet.h1.plans}
         assert cumulative_plan_prob(hset, pick) == pytest.approx(1.0)
 
 
@@ -172,7 +172,7 @@ class TestSelectMinEntropy:
         # shared plan splits 2/2: expected entropy 1.0; every other candidate
         # splits 1/3: 0.25 * 0 + 0.75 * log2(3) ~ 1.19
         pick = select_min_entropy(hset, set(), seed=0)
-        assert canonical_key(pick) == canonical_key(shared)
+        assert pick.root == shared.root
 
     def test_uninformative_plan_scores_current_entropy(self, quartet):
         shared = Plan(PlanNode("G1"))
@@ -201,9 +201,9 @@ class TestSelectMinEntropy:
             return p * ent(survivors_if_true(quartet.hset, t)) + \
                 (1 - p) * ent(survivors_if_false(quartet.hset, t))
 
-        scores = {canonical_key(t): expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
+        scores = {t.root: expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
         pick = select_min_entropy(quartet.hset, set(), seed=0)
-        assert scores[canonical_key(pick)] == pytest.approx(min(scores.values()))
+        assert scores[pick.root] == pytest.approx(min(scores.values()))
 
 
 class TestPolicyObject:
@@ -217,10 +217,10 @@ class TestPolicyObject:
         for seed in range(12):
             inst = gen_instance(GenParams(seed=seed, obs_len=4))
             hset = recognize(inst.library, list(inst.observations))
-            keys = {canonical_key(p) for p in candidate_plans(hset, set())}
+            keys = {p.root for p in candidate_plans(hset, set())}
             for kind in ("random", "mph", "mpp", "entropy"):
                 pick = Policy(kind, rng.randint(0, 99)).select(hset, set())
-                assert canonical_key(pick) in keys
+                assert pick.root in keys
                 cases += 1
         assert cases == 48
 
@@ -233,7 +233,7 @@ class TestPolicyObject:
                 for pseed in range(8):
                     a = Policy(kind, pseed).select(hset, set())
                     b = Policy(kind, pseed).select(hset, set())
-                    assert canonical_key(a) == canonical_key(b)
+                    assert a.root == b.root
                     cases += 1
         assert cases == 256
 
@@ -244,5 +244,5 @@ class TestPolicyObject:
         b = HypothesisSet.normalized(scaled, 3)
         for kind in ("random", "mph", "mpp", "entropy"):
             for seed in range(6):
-                assert canonical_key(Policy(kind, seed).select(a, set())) == \
-                       canonical_key(Policy(kind, seed).select(b, set()))
+                assert Policy(kind, seed).select(a, set()).root == \
+                       Policy(kind, seed).select(b, set()).root
