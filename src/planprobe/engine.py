@@ -7,6 +7,23 @@ query; a False answer removes exactly the hypotheses containing a plan the
 query refines to. Both rules never drop a hypothesis that can be refined to
 the truth, and repeated querying shrinks the set to precisely those
 hypotheses.
+
+The loop asks only questions whose answer is still open. Every relation
+ignores observation marks, so it identifies plans up to marks: plans that
+differ only in their marks are one question, and a mark variant of an asked
+plan counts as asked. Before each question it closes, unasked, every
+candidate whose answer is forced, since asking it could prune nothing:
+
+    (a) every live hypothesis holds a plan refinable from the candidate.
+        Some live hypothesis refines to the truth, so the answer is True,
+        and a True answer keeps the hypotheses matching the candidate,
+        which is all of them. This rests on that premise, so it is off when
+        the loop is run with check_premise=False.
+    (b) the candidate refines to a plan already answered True. Its answer
+        is then True too, and every live hypothesis already matches it.
+
+Both conditions persist as the set shrinks, so the final set is the one
+asking every question would give.
 """
 
 from __future__ import annotations
@@ -60,30 +77,59 @@ def restrict(items: Sequence[T], alive: int, mask: int) -> Iterator[T]:
     return compress(items, compress(_bit_selectors(mask & alive), _bit_selectors(alive)))
 
 
+def _shape_key(root: PlanNode) -> tuple:
+    """The tree under root with observation marks dropped: the preorder
+    sequence of (label, method, child count), with a leaf written as just
+    its label. Every relation ignores marks, so two plans with one key are
+    interchangeable as questions."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children = node.children
+        if children:
+            out.append((node.label, node.method, len(children)))
+            stack.extend(children[::-1])
+        else:
+            out.append(node.label)
+    return tuple(out)
+
+
 class RelationTable:
     """The refinement and match relations between the plans of one
     hypothesis set h0 and its hypotheses, as bitmasks over h0's order (bit i
     stands for h0.hypotheses[i]).
 
-    Each distinct plan is interned to an int in first-occurrence order:
-    per_hyp[i] lists hypothesis i's plan ids and owners[t] is the mask of
-    hypotheses holding plan t. The columns refine(t) and match(t) are filled
-    on first use, evaluating the relation once per distinct plan that has an
-    owner in the caller's live mask; a later call with hypotheses outside
-    every mask a column was filled for extends it. A column is therefore
-    exact on the bits of any live mask it is asked about.
+    Plans are interned up to observation marks: every plan with one
+    _shape_key gets one int id, in first-occurrence order, and the key is
+    computed once per distinct root node. per_hyp[i] lists hypothesis i's
+    plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
+    lists the ids per root label and label_owners holds the mask of
+    hypotheses with a plan of each root label. The columns refine(t) and
+    match(t) are filled on first use, evaluating the relation once per
+    distinct plan with t's root label (both relations reject any other) that
+    has an owner in the caller's live mask; a later call with hypotheses
+    outside every mask a column was filled for extends it. A column is
+    therefore exact on the bits of any live mask it is asked about.
     """
 
     def __init__(self, h0: HypothesisSet):
+        self.hypotheses = h0.hypotheses
         self.ids: dict[PlanNode, int] = {}
+        self._by_shape: dict[tuple, int] = {}
         self.plans: list[Plan] = []
         self.owners: list[int] = []
+        self.by_label: dict[str, list[int]] = {}
+        self.label_owners: dict[str, int] = {}
         per_hyp = []
         for i, h in enumerate(h0.hypotheses):
+            bit = 1 << i
             row = []
             for p in h.plans:
                 t = self.intern(p)
-                self.owners[t] |= 1 << i
+                self.owners[t] |= bit
+                label = p.root.label
+                self.label_owners[label] = self.label_owners.get(label, 0) | bit
                 row.append(t)
             per_hyp.append(tuple(row))
         self.per_hyp = tuple(per_hyp)
@@ -91,13 +137,36 @@ class RelationTable:
         self._refine: dict[int, tuple[int, int]] = {}
         self._match: dict[int, tuple[int, int]] = {}
 
-    def intern(self, plan: Plan) -> int:
-        """Id of plan, added (with no owners) if new."""
-        t = self.ids.setdefault(plan.root, len(self.plans))
-        if t == len(self.plans):
-            self.plans.append(plan)
-            self.owners.append(0)
+    def lookup(self, root: PlanNode) -> int | None:
+        """Id of the plan with root's shape, or None if none is interned."""
+        t = self.ids.get(root)
+        if t is None:
+            t = self._by_shape.get(_shape_key(root))
+            if t is not None:
+                self.ids[root] = t
         return t
+
+    def intern(self, plan: Plan) -> int:
+        """Id of plan's shape, added (with no owners) if new."""
+        root = plan.root
+        t = self.ids.get(root)
+        if t is None:
+            t = self._by_shape.setdefault(_shape_key(root), len(self.plans))
+            self.ids[root] = t
+            if t == len(self.plans):
+                self.plans.append(plan)
+                self.owners.append(0)
+                self.by_label.setdefault(root.label, []).append(t)
+        return t
+
+    def plan(self, t: int, alive: int) -> Plan:
+        """The plan of id t held by the first hypothesis in alive that holds
+        one (the first interned plan of id t if none does)."""
+        mask = self.owners[t] & alive
+        if not mask:
+            return self.plans[t]
+        i = (mask & -mask).bit_length() - 1
+        return self.hypotheses[i].plans[self.per_hyp[i].index(t)]
 
     def refine(self, t: int, alive: int) -> int:
         """Hypotheses holding a plan refinable from plan t."""
@@ -112,10 +181,12 @@ class RelationTable:
         column, covered = columns.get(t, (0, 0))
         if alive & ~covered:
             query = self.plans[t]
-            for q, owners in enumerate(self.owners):
+            owners = self.owners
+            for q in self.by_label[query.root.label]:
                 # plans owned in covered were evaluated when it was filled
-                if owners & alive and not owners & covered and related(query, self.plans[q]):
-                    column |= owners
+                mask = owners[q]
+                if mask & alive and not mask & covered and related(query, self.plans[q]):
+                    column |= mask
             columns[t] = column, covered | alive
         return column
 
@@ -124,11 +195,12 @@ class RelationTable:
         return compress(self.per_hyp, _bit_selectors(alive))
 
     def closed_ids(self, closed: set[PlanNode]) -> set[int]:
-        """Ids of the closed keys that name a plan in the table."""
-        return {t for t in map(self.ids.get, closed) if t is not None}
+        """Ids of the closed keys that name a plan in the table, up to
+        marks."""
+        return {t for t in map(self.lookup, closed) if t is not None}
 
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
-        """Ids of the not-yet-queried plans of the live hypotheses, in
+        """Ids of the not-yet-closed plans of the live hypotheses, in
         first-occurrence order."""
         skip = self.closed_ids(closed)
         for row in self.rows(alive):
@@ -182,18 +254,25 @@ def update(hset: HypothesisSet, plan: Plan, answer: bool) -> HypothesisSet:
 
 
 def candidate_plans(hset: HypothesisSet, closed: set[PlanNode]) -> list[Plan]:
-    """Distinct not-yet-queried plans across the set, in first-occurrence
-    order. Structural duplicates appearing in several hypotheses are listed
-    once."""
+    """Distinct not-yet-closed plans across the set, up to observation
+    marks, in first-occurrence order. Plans appearing in several hypotheses
+    are listed once, as held by the first of them."""
     table, alive = relations(hset)
-    return [table.plans[t] for t in table.candidates(alive, closed)]
+    return [table.plan(t, alive) for t in table.candidates(alive, closed)]
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One question. settled_by_premise and settled_by_answer count the
+    candidates the loop closed unasked since the previous question, by the
+    premise rule (a) and by the answered-True rule (b) of the module
+    docstring."""
+
     plan: Plan
     answer: bool
     remaining: int
+    settled_by_premise: int = 0
+    settled_by_answer: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -201,6 +280,8 @@ class TraceStep:
             "plan": plan_to_dict(self.plan),
             "answer": self.answer,
             "remaining": self.remaining,
+            "settled_by_premise": self.settled_by_premise,
+            "settled_by_answer": self.settled_by_answer,
         }
 
 
@@ -243,12 +324,16 @@ def run_query_loop(
     check_premise: bool = True,
 ) -> tuple[HypothesisSet, ProbeTrace]:
     """Iteratively query plans chosen by the policy and prune until one
-    hypothesis remains or every plan still in the set has been queried.
-    Performs at most as many queries as there are distinct plans in h0.
+    hypothesis remains or no question is left open. Performs at most as
+    many queries as there are distinct plans in h0, up to marks.
 
     Requires an untruncated set and, unless check_premise is disabled, that
     some hypothesis can be refined to the oracle's truth (the guarantee that
     pruning can never empty the set).
+
+    Before each select, the candidates whose answer is forced are closed
+    unasked, by rules (a) and (b) of the module docstring; rule (a) applies
+    only with check_premise.
 
     Every set the loop holds and hands to the policy shares one
     RelationTable built for h0.
@@ -259,22 +344,51 @@ def run_query_loop(
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
+    # closed holds a root per asked or settled id; asked and settled split it
     closed: set[PlanNode] = set()
+    asked: set[int] = set()
+    settled: set[int] = set()
+    last_true: Plan | None = None
     table, alive = relations(h0)
     current = replace(h0, relations=(table, alive))
+
+    def settle(ids: list[int]) -> None:
+        settled.update(ids)
+        closed.update(table.plans[t].root for t in ids)
+
     while len(current) > 1:
         _, alive = current.relations
-        if next(table.candidates(alive, closed), None) is None:
+        by_answer = []
+        if last_true is not None:
+            by_answer = [
+                t for t in table.by_label[last_true.root.label]
+                if table.owners[t] & alive and t not in asked and t not in settled
+                and is_refinement(table.plans[t], last_true)
+            ]
+            settle(by_answer)
+        open_ids = list(table.candidates(alive, closed))
+        by_premise = []
+        if check_premise:
+            by_premise = [
+                t for t in open_ids
+                if not alive & ~table.label_owners[table.plans[t].root.label]
+                and not alive & ~table.refine(t, alive)
+            ]
+            settle(by_premise)
+        if len(open_ids) == len(by_premise):
             break
         plan = policy.select(current, closed)
-        key = plan.root
-        if key in closed:
+        t = table.lookup(plan.root)
+        if t in asked:
             raise PolicyError(f"policy {policy.kind!r} returned an already-queried plan")
-        t = table.ids.get(key)
+        if t in settled:
+            raise PolicyError(f"policy {policy.kind!r} returned a settled plan, whose answer is already known")
         if t is None or not table.owners[t] & alive:
             raise PolicyError(f"policy {policy.kind!r} returned a plan outside the hypothesis set")
         answer = query_answer(oracle, plan)
         current = update(current, plan, answer)
-        closed.add(key)
-        trace.steps.append(TraceStep(plan, answer, len(current)))
+        asked.add(t)
+        closed.add(plan.root)
+        trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
+        last_true = plan if answer else None
     return current, trace

@@ -136,7 +136,7 @@ def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Instance]]:
     out = []
     for obs_len in spec.obs_lens:
         for rep in range(spec.reps):
-            seed = int.from_bytes(f"{spec.seed}:{obs_len}:{rep}".encode(), "little") % (2**62)
+            seed = int.from_bytes(f"{spec.seed}:{obs_len}:{rep}".encode(), "little")
             params = replace(spec.gen, obs_len=obs_len, seed=seed)
             out.append((f"L{obs_len}_r{rep:03d}", gen_instance(params)))
     return out
@@ -168,7 +168,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if spec.timeout is not None and time.monotonic() - started > spec.timeout:
                 result.failures.append(f"{instance_id}: timeout after {spec.timeout}s")
                 break
-            policy_seed = int.from_bytes(f"{spec.seed}:{instance_id}:{policy_kind}".encode(), "little") % (2**62)
+            policy_seed = int.from_bytes(f"{spec.seed}:{instance_id}:{policy_kind}".encode(), "little")
             try:
                 final, trace = run_query_loop(h0, oracle, Policy(policy_kind, policy_seed))
             except PlanProbeError as e:

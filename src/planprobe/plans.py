@@ -214,30 +214,23 @@ def matches(p: Plan, q: Plan) -> bool:
 
 
 def hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
-    """True iff g can be obtained from h plan-by-plan: a perfect matching
-    between h's and g's plans where each g-plan is a refinement of its
-    h-plan. Requires equal plan counts."""
+    """True iff g can be obtained from h plan-by-plan: a one-to-one pairing
+    of h's and g's plans where each g-plan is a refinement of its h-plan.
+
+    Requires h's plans to have pairwise distinct root labels, as every
+    recognized hypothesis has (one plan per goal). Refinement keeps the root
+    label, so each g-plan can only pair with h's plan of its label."""
     if len(h.plans) != len(g.plans):
         return False
-    n = len(g.plans)
-    compat = [
-        [is_refinement(hp, gp) for hp in h.plans]
-        for gp in g.plans
-    ]
-    used = [False] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and compat[i][j]:
-                used[j] = True
-                if assign(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return assign(0)
+    by_label = {p.root.label: p for p in h.plans}
+    paired: set[str] = set()
+    for q in g.plans:
+        label = q.root.label
+        p = by_label.get(label)
+        if p is None or label in paired or not is_refinement(p, q):
+            return False
+        paired.add(label)
+    return True
 
 
 def describes(h: Hypothesis, obs: Sequence[str]) -> bool:

@@ -2,7 +2,7 @@
 
 Four strategies for picking which plan to ask about next:
 
-    random    uniform draw over the not-yet-queried plans
+    random    uniform draw over the not-yet-closed plans
     mph       a plan from the most probable hypothesis that still has one
     mpp       the plan with the highest cumulative probability over the
               hypotheses it can be refined into
@@ -68,13 +68,13 @@ def _open_candidates(
 
 
 def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
-    table, _, candidates = _open_candidates(hset, closed)
-    return table.plans[_rng(seed, closed).choice(candidates)]
+    table, alive, candidates = _open_candidates(hset, closed)
+    return table.plan(_rng(seed, closed).choice(candidates), alive)
 
 
 def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
-    """Pick an unqueried plan from the heaviest hypothesis; when that one is
-    exhausted, walk down the weight ranking."""
+    """Pick a not-yet-closed plan from the heaviest hypothesis; when that
+    one is exhausted, walk down the weight ranking."""
     table, alive = relations(hset)
     skip = table.closed_ids(closed)
     open_by_hyp: list[tuple[float, list[int]]] = []
@@ -87,7 +87,7 @@ def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     best = max(w for w, _ in open_by_hyp)
     tied = [pending for w, pending in open_by_hyp if w == best]
     rng = _rng(seed, closed)
-    return table.plans[rng.choice(rng.choice(tied))]
+    return table.plan(rng.choice(rng.choice(tied)), alive)
 
 
 def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
@@ -96,7 +96,7 @@ def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     scored = [(sum(restrict(weights, alive, table.refine(t, alive))), t) for t in candidates]
     best = max(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
-    return table.plans[_rng(seed, closed).choice(tied)]
+    return table.plan(_rng(seed, closed).choice(tied), alive)
 
 
 def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
@@ -114,7 +114,7 @@ def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) ->
         scored.append((p_true * ent_true + (1.0 - p_true) * ent_false, t))
     best = min(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
-    return table.plans[_rng(seed, closed).choice(tied)]
+    return table.plan(_rng(seed, closed).choice(tied), alive)
 
 
 _SELECTORS = {

@@ -6,13 +6,14 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused. Three sections at the end are the exception, because they serve as
+reused. Four sections at the end are the exception, because they serve as
 references for fast paths rather than as independent oracles: the
-list-based relation rules reuse the production relations and check the
-query loop's relation table, the per-hypothesis recognition step reuses
-the production plan editing and checks the recognizer's per-step plan memo,
-and the digest identity reuses the production serialization and checks
-plans.hypothesis_key.
+list-based relation rules and the root-keyed query loop reuse the
+production relations and check the query loop's relation table and its
+forced answers, the per-hypothesis recognition step reuses the production
+plan editing and checks the recognizer's per-step plan memo, the matching
+search checks plans.hypothesis_refines, and the digest identity reuses the
+production serialization and checks plans.hypothesis_key.
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def hypothesis_set_signature(hset) -> set[tuple[str, ...]]:
 # query loop used a relation table: every call rescans the set's
 # hypotheses and calls the production relations directly. The engine and
 # policies must agree with these exactly, floats and tie-breaks included.
+# A candidate is a plan up to marks (plan_shape), named by its first
+# occurrence in the set; with key=plan_root the selectors read as they did
+# before the loop dropped marks.
 
 def survivors_if_true(hset, plan: Plan) -> list:
     return [h for h in hset.hypotheses if any(matches(p, plan) for p in h.plans)]
@@ -313,15 +317,27 @@ def update(hset, plan: Plan, answer: bool):
     return HypothesisSet.normalized(survivors, hset.observation_count, hset.truncated)
 
 
-def candidate_plans(hset, closed: set) -> list[Plan]:
-    seen: set = set()
+def plan_shape(plan: Plan) -> Tup:
+    """A plan's identity as a question: its tree with marks dropped."""
+    return strip_marks(to_tuple(plan))
+
+
+def plan_root(plan: Plan) -> PlanNode:
+    """A plan's identity as a question before the loop dropped marks."""
+    return plan.root
+
+
+def candidate_plans(hset, closed: set, key=plan_shape) -> list[Plan]:
+    """The plans of the set once per key, skipping the keys of the closed
+    roots, in first-occurrence order."""
+    seen = {key(Plan(r)) for r in closed}
     out: list[Plan] = []
     for h in hset.hypotheses:
         for p in h.plans:
-            if p.root in closed or p.root in seen:
-                continue
-            seen.add(p.root)
-            out.append(p)
+            k = key(p)
+            if k not in seen:
+                seen.add(k)
+                out.append(p)
     return out
 
 
@@ -345,19 +361,16 @@ def _entropy_of_weights(weights: list[float]) -> float:
     return e
 
 
-def select_random(hset, closed: set, seed: int) -> Plan:
-    return _rng(seed, closed).choice(candidate_plans(hset, closed))
+def select_random(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+    return _rng(seed, closed).choice(candidate_plans(hset, closed, key))
 
 
-def select_mph(hset, closed: set, seed: int) -> Plan:
+def select_mph(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+    # a chosen plan is named by its key's first occurrence in the set
+    first = {key(p): p for p in candidate_plans(hset, closed, key)}
     open_by_hyp = []
     for h in hset.hypotheses:
-        seen: set = set()
-        pending = []
-        for p in h.plans:
-            if p.root not in closed and p.root not in seen:
-                seen.add(p.root)
-                pending.append(p)
+        pending = [first[k] for k in dict.fromkeys(map(key, h.plans)) if k in first]
         if pending:
             open_by_hyp.append((h.weight, pending))
     best = max(w for w, _ in open_by_hyp)
@@ -366,15 +379,15 @@ def select_mph(hset, closed: set, seed: int) -> Plan:
     return rng.choice(rng.choice(tied))
 
 
-def select_mpp(hset, closed: set, seed: int) -> Plan:
-    scored = [(cumulative_plan_prob(hset, t), t) for t in candidate_plans(hset, closed)]
+def select_mpp(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+    scored = [(cumulative_plan_prob(hset, t), t) for t in candidate_plans(hset, closed, key)]
     best = max(score for score, _ in scored)
     return _rng(seed, closed).choice([t for score, t in scored if score == best])
 
 
-def select_min_entropy(hset, closed: set, seed: int) -> Plan:
+def select_min_entropy(hset, closed: set, seed: int, key=plan_shape) -> Plan:
     scored = []
-    for t in candidate_plans(hset, closed):
+    for t in candidate_plans(hset, closed, key):
         p_true = cumulative_plan_prob(hset, t)
         ent_true = _entropy_of_weights([h.weight for h in survivors_if_true(hset, t)])
         ent_false = _entropy_of_weights([h.weight for h in survivors_if_false(hset, t)])
@@ -389,6 +402,20 @@ SELECTORS = {
     "mpp": select_mpp,
     "entropy": select_min_entropy,
 }
+
+
+def root_key_query_loop(h0, truth: Hypothesis, kind: str, seed: int):
+    """The query loop as it read before it identified plans up to marks and
+    closed forced answers unasked: every plan root not yet asked is a
+    candidate. Returns the final set and the number of questions."""
+    closed: set = set()
+    current = h0
+    while len(current) > 1 and candidate_plans(current, closed, plan_root):
+        plan = SELECTORS[kind](current, closed, seed, plan_root)
+        answer = any(is_refinement(plan, t) for t in truth.plans)
+        current = update(current, plan, answer)
+        closed.add(plan.root)
+    return current, len(closed)
 
 
 # ------------------------------------------ per-hypothesis recognition step
@@ -528,6 +555,32 @@ def explain_step(
         successors = successors[: cfg.max_hypotheses]
         truncated = True
     return HypothesisSet.normalized(successors, index + 1, truncated)
+
+
+# ------------------------------------------------ hypothesis refinement
+
+# hypothesis_refines as it read before it paired plans by root label: a
+# search for a perfect matching, which needs no precondition on labels.
+
+def matching_hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
+    if len(h.plans) != len(g.plans):
+        return False
+    n = len(g.plans)
+    compat = [[is_refinement(hp, gp) for hp in h.plans] for gp in g.plans]
+    used = [False] * n
+
+    def assign(i: int) -> bool:
+        if i == n:
+            return True
+        for j in range(n):
+            if not used[j] and compat[i][j]:
+                used[j] = True
+                if assign(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return assign(0)
 
 
 # ------------------------------------------------------ digest identity

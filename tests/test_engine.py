@@ -14,6 +14,8 @@ from planprobe.errors import OracleInconsistencyError, PolicyError
 from planprobe.experiment import brute_force_final_set
 from planprobe.plans import (
     Hypothesis,
+    Plan,
+    PlanNode,
     hypothesis_key,
     hypothesis_refines,
     matches,
@@ -186,6 +188,39 @@ class TestRunQueryLoop:
 
         with pytest.raises(PolicyError):
             run_query_loop(quartet.hset, QueryOracle(quartet.truth), Stubborn(quartet.complete_main))
+
+    def test_settled_plan_rejected(self, quartet):
+        # p1 is answered True, which settles p2 (p1 refines p2) unasked
+        class AsksP1ThenP2:
+            kind = "stub"
+
+            def __init__(self):
+                self.plans = [quartet.p1, quartet.p2]
+
+            def select(self, hset, closed):
+                return self.plans.pop(0)
+
+        with pytest.raises(PolicyError, match="settled plan"):
+            run_query_loop(quartet.hset, QueryOracle(quartet.truth), AsksP1ThenP2())
+
+    def test_mark_variant_of_asked_plan_rejected(self, quartet):
+        # p3 with its observation mark dropped is still the question p3
+        unmarked = Plan(PlanNode("G1", method="mg", children=(
+            PlanNode("o1", observed=0), PlanNode("X"),
+            PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b"))))))
+        assert unmarked.root != quartet.p3.root
+
+        class AsksP3Twice:
+            kind = "stub"
+
+            def __init__(self):
+                self.plans = [quartet.p3, unmarked]
+
+            def select(self, hset, closed):
+                return self.plans.pop(0)
+
+        with pytest.raises(PolicyError, match="already-queried"):
+            run_query_loop(quartet.hset, QueryOracle(quartet.truth), AsksP3Twice())
 
     def test_final_set_order_insensitive(self):
         for seed in range(8):

@@ -6,6 +6,7 @@ import pytest
 from planprobe.domains import GenParams, gen_instance
 from planprobe.experiment import (
     ExperimentSpec,
+    _instances_for,
     brute_force_final_set,
     discover_instances,
     mean_decay_curves,
@@ -74,6 +75,13 @@ class TestRunExperiment:
             assert row.remaining[0] == 1.0
             assert list(row.remaining) == sorted(row.remaining, reverse=True)
             assert row.queries == len(row.remaining) - 1
+
+    def test_reps_are_distinct_instances(self):
+        # the acceptance batch at seven observations: the seed of every rep
+        # is derived from its full seed string
+        spec = ExperimentSpec(obs_lens=(7,), reps=100, seed=2026)
+        instances = [inst for _, inst in _instances_for(spec)]
+        assert len({(serialize_library(i.library), i.observations) for i in instances}) == 100
 
     def test_single_row(self, tmp_path):
         inst = gen_instance(GenParams(seed=5, obs_len=3))

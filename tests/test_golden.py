@@ -1,15 +1,18 @@
 """Byte-identity gate: a fixed experiment and fixed `sprp` and `recognize`
 runs must write exactly the bytes they wrote before.
 
-The digests below were recorded by running this module against the engine
-that still computed every survivor list and plan score by scanning hypothesis
-lists (with the global relation caches), under CPython 3.11.7, before the
-per-loop relation table replaced it. Any change to a policy choice, a query
-count, a weight or its formatting moves a digest. To re-record after an
-intended output change, run this module and copy the digests from the
-failure messages.
+The experiment and `sprp` digests below were recorded under CPython 3.11.7
+when the query loop began to name plans up to observation marks and to close
+forced answers unasked, and experiment seeds stopped being truncated: all
+three change which questions are asked. The digests they replace had pinned
+the output of the engine that still computed every survivor list and plan
+score by scanning hypothesis lists, which the per-loop relation table
+reproduced byte for byte. Any change to a policy choice, a query count, a
+weight or its formatting moves a digest. To re-record after an intended
+output change, run this module and copy the digests from the failure
+messages.
 
-The `recognize` digests were recorded the same way, on the recognizer that
+The `recognize` digests were recorded on the recognizer that
 still expanded every (hypothesis, plan) pair on its own and recomputed each
 weight from the plan trees, before per-step plan memoization replaced it.
 Its output prints every weight with `repr`, so the weights are pinned to the
@@ -26,18 +29,19 @@ from planprobe.experiment import ExperimentSpec, run_experiment, save_instance, 
 
 EXPERIMENT = ExperimentSpec(obs_lens=(3, 4, 5), reps=4, seed=5)
 EXPERIMENT_SHA256 = {
-    "rows.csv": "114ca12485a1ac4f3e9b14dbef9542d1b7ce1fc7b0d7c1e2fb6f9064dd5e486e",
-    "summary.csv": "01910defbb0a8a4d74f20313a2dbcbf800d242f4926ed0ed10dc3b5806f45354",
-    "decay.csv": "566d6c3105cfc3444c156a8113fbe4af9ae8734b73c55c0eb715cba1fd6fd592",
-    "winrates.csv": "ceac47c308594e75f765608d1953f3ec1375e0e1330347a6ac6d0557060bd501",
+    "rows.csv": "05711363e5d0e18a8770caeaf47bfe9c11936608b2e82a32cb49eaedcf2e2d28",
+    "summary.csv": "ade710a0d4f7c42106240bc129b32919677d0f54dc867f49034daa1e50201117",
+    "decay.csv": "881eea9299903ad0a69ca511ab2557bded3ee55592f83efa4249093bb62195fa",
+    "winrates.csv": "5f325597a96705ebcdefb2a5564e1d5ceab7db85f798376a6c674b2fcea66f26",
 }
 
-# h0 has 42 hypotheses; entropy asks 18 questions and mpp 32, and 10
-# hypotheses remain, so the final weights are pinned too.
+# h0 has 42 hypotheses; entropy asks 4 questions and mpp 6, and 10
+# hypotheses remain, so the final weights are pinned too. Both traces close
+# plans unasked, so the settled counts are pinned too.
 SPRP_INSTANCE = GenParams(obs_len=5, seed=4)
 SPRP_SHA256 = {
-    "entropy": "b6880f75bc0b02cbc4104b5e34a8bb9cc9b949fe9781e4acd186e9939a87632e",
-    "mpp": "22bba99c85e1cbc18d2444ab55a2b853f4448e8f8e95adf36308d7ff78895cef",
+    "entropy": "fc74d03652121fdca08d77a41d01abfe7e8ea2e511c96b5629778e8205e328b3",
+    "mpp": "07d1e3ecd19275fec686424a036610f8a3fa570a22311417c2bd3054acd2d577",
 }
 
 # h0 has 144 hypotheses (1, 4, 8, 24, 72, 144 after each observation); a cap

@@ -1,0 +1,72 @@
+"""Differential test: the query loop that names plans up to marks and closes
+forced answers unasked, against the root-keyed loop in oracles.py.
+
+On the instances of test_relation_table.py, under every policy and with the
+premise check on and off, the final set must equal the root-keyed loop's
+and the exhaustive filter. Before every select, each closed plan must have
+been asked (up to marks) or be forced, and each open candidate must be
+forced by neither rule; the plan asked must be open. A plan is forced by
+(a), only with the premise checked, when every live hypothesis holds a plan
+refinable from it, and by (b) when it refines to a plan answered True.
+"""
+
+import pytest
+
+from planprobe.engine import QueryOracle, query_answer, run_query_loop
+from planprobe.experiment import brute_force_final_set
+from planprobe.plans import Plan, hypothesis_key, is_refinement
+from planprobe.policies import POLICY_KINDS, Policy
+
+from . import oracles
+from .test_relation_table import INSTANCES
+
+
+class Audited:
+    """Policy that checks, at each select, which plans the loop closed."""
+
+    def __init__(self, kind: str, seed: int, truth, check_premise: bool):
+        self.kind = kind
+        self.policy = Policy(kind, seed)
+        self.oracle = QueryOracle(truth)
+        self.check_premise = check_premise
+        self.answered: list[tuple[Plan, bool]] = []
+        self.settled: list[int] = []  # plans closed unasked, at each select
+
+    def forced(self, hset, p: Plan) -> tuple[bool, bool]:
+        by_premise = self.check_premise and all(
+            any(is_refinement(p, q) for q in h.plans) for h in hset.hypotheses)
+        by_answer = any(answer and is_refinement(p, q) for q, answer in self.answered)
+        return by_premise, by_answer
+
+    def select(self, hset, closed):
+        asked = {oracles.plan_shape(q) for q, _ in self.answered}
+        assert len(closed) >= len(asked)
+        self.settled.append(len(closed) - len(asked))
+        for root in closed:
+            if oracles.plan_shape(Plan(root)) not in asked:
+                assert any(self.forced(hset, Plan(root)))
+        for p in oracles.candidate_plans(hset, closed):
+            assert not any(self.forced(hset, p))
+        plan = self.policy.select(hset, closed)
+        assert oracles.plan_shape(plan) not in asked
+        assert not any(self.forced(hset, plan))
+        self.answered.append((plan, query_answer(self.oracle, plan)))
+        return plan
+
+
+@pytest.mark.parametrize("check_premise", [True, False], ids=["premise", "no_premise"])
+@pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
+def test_only_open_questions_and_same_final_set(name, h0, truth, check_premise):
+    expected = {hypothesis_key(h) for h in brute_force_final_set(h0, truth).hypotheses}
+    for kind in POLICY_KINDS:
+        policy = Audited(kind, len(h0), truth, check_premise)
+        final, trace = run_query_loop(h0, QueryOracle(truth), policy, check_premise=check_premise)
+        assert [s.plan for s in trace.steps] == [q for q, _ in policy.answered]
+        counted = 0
+        for step, settled in zip(trace.steps, policy.settled):
+            counted += step.settled_by_premise + step.settled_by_answer
+            assert counted == settled
+            assert check_premise or step.settled_by_premise == 0
+        old_final, _ = oracles.root_key_query_loop(h0, truth, kind, len(h0))
+        assert {hypothesis_key(h) for h in final.hypotheses} == expected
+        assert {hypothesis_key(h) for h in old_final.hypotheses} == expected

@@ -174,6 +174,25 @@ class TestHypothesisRefines:
         rev = Hypothesis((quartet.partner1, quartet.p1))
         assert hypothesis_refines(fwd, rev)
 
+    def test_pairing_by_label_equals_matching_search(self, quartet):
+        # every recognized hypothesis against the truth and against the
+        # others, plus targets whose labels repeat or differ from h's
+        cases = held = 0
+        for seed in range(30):
+            inst = gen_instance(GenParams(seed=seed, obs_len=4))
+            hyps = recognize(inst.library, list(inst.observations)).hypotheses
+            targets = [inst.truth] + list(hyps[:12])
+            for h in hyps[:40]:
+                for g in targets + [Hypothesis(h.plans[:1] * len(h.plans)), Hypothesis(h.plans[::-1])]:
+                    expected = oracles.matching_hypothesis_refines(h, g)
+                    assert hypothesis_refines(h, g) == expected
+                    cases += 1
+                    held += expected
+        twice = Hypothesis((quartet.p2, quartet.p2))
+        assert not hypothesis_refines(quartet.h2, twice)
+        assert not oracles.matching_hypothesis_refines(quartet.h2, twice)
+        assert cases == 4224 and held > 500
+
 
 class TestCanonicalKey:
     def test_deep_copy_equal(self, quartet):
