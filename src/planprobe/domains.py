@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import GenerationError
 from .library import PlanLibrary, RefinementMethod
@@ -95,6 +96,7 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
 
     complex_actions = [a for level in levels[1:] for a in level]
     methods: list[RefinementMethod] = []
+    lower_pool: list[str] = []  # the complex actions of the levels below
     for level_idx in range(1, len(levels)):
         basic_share = _BASIC_SHARE_GOAL if level_idx == len(levels) - 1 else _BASIC_SHARE_MID
         for head in levels[level_idx]:
@@ -110,7 +112,6 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
                     if level_idx == 1 or rng.random() < basic_share
                 )
                 slots = rng.sample(basics, min(n_basic_slots, len(basics)))
-                lower_pool = [a for level in levels[1:level_idx] for a in level]
                 n_complex_slots = tau_len - len(slots)
                 slots += rng.sample(lower_pool, min(n_complex_slots, len(lower_pool)))
                 if not slots:
@@ -129,6 +130,7 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
                         order=order,
                     )
                 )
+        lower_pool += levels[level_idx]
 
     return PlanLibrary(
         basic=frozenset(basics),
@@ -138,11 +140,31 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
     )
 
 
+def _chain_counter(lib: PlanLibrary) -> Callable[[str, str], int]:
+    """count(label, target) == len(lib.chains_to(label, target)) for a basic
+    target, memoized on (label, target) without building any chain."""
+    counts: dict[tuple[str, str], int] = {}
+
+    def count(label: str, target: str) -> int:
+        n = counts.get((label, target))
+        if n is None:
+            n = 0
+            for m in lib.methods_for(label):
+                for i in m.minimal_positions:
+                    c = m.constituents[i]
+                    n += count(c, target) if lib.is_complex(c) else c == target
+            counts[(label, target)] = n
+        return n
+
+    return count
+
+
 def _bounded_ambiguity(lib: PlanLibrary) -> bool:
+    count = _chain_counter(lib)
     for o in sorted(lib.basic):
         goal_total = 0
         for c in sorted(lib.complex_actions):
-            n = len(lib.chains_to(c, o))
+            n = count(c, o)
             if n > _MAX_CHAINS_PER_LABEL:
                 return False
             if c in lib.goals:

@@ -70,21 +70,17 @@ class RefinementMethod:
     constituents: tuple[str, ...]
     order: frozenset[tuple[int, int]] = frozenset()
     predecessors: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
+    # constituent indices with no ordering predecessor
+    minimal_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.id:
             raise LibraryValidationError("method id must be non-empty")
         if len(self.constituents) < 1:
             raise LibraryValidationError(f"method {self.id!r} has no constituents")
-        object.__setattr__(
-            self, "predecessors",
-            _order_closure(len(self.constituents), self.order, f"method {self.id!r}"),
-        )
-
-    @property
-    def minimal_positions(self) -> tuple[int, ...]:
-        """Constituent indices with no ordering predecessor."""
-        return tuple(i for i, preds in enumerate(self.predecessors) if not preds)
+        predecessors = _order_closure(len(self.constituents), self.order, f"method {self.id!r}")
+        object.__setattr__(self, "predecessors", predecessors)
+        object.__setattr__(self, "minimal_positions", tuple(i for i, preds in enumerate(predecessors) if not preds))
 
 
 # chain: sequence of (method, constituent position) steps ending at a leaf

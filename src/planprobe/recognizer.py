@@ -12,12 +12,15 @@ a fully observed subtree. When a fresh expansion chain is created, it may
 only descend through order-minimal constituents, so an observation can never
 claim a position whose required predecessors were never begun.
 
-recognize folds one step over the observations with a memo that lives for
-the call: each distinct plan's enabled targets and weight factors are
-computed once and kept while the plan is carried over unchanged, and each
-distinct plan is grown once per observation. Successor weights are
-products of plan factors and never read the parent's weight, so only the
-final set is normalized. explain_step is that step on its own.
+recognize folds one step over the observations with a memo keyed by tree
+node that lives for the call: each node's fully-observed flag, enabled
+frontier and weight factors are computed once. A grown plan shares every
+subtree off its attachment path with its parent, so only the new nodes are
+computed. Each distinct plan is grown once per observation; each chain's
+subtree is built once per observation and attached with one path copy.
+Successor weights are products of plan factors and never read the parent's
+weight, so only the final set is normalized. explain_step is that step on
+its own.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from .plans import (
     Path,
     Plan,
     PlanNode,
-    apply_method,
-    observe_leaf,
+    _replace,
 )
 
 if TYPE_CHECKING:
@@ -95,90 +97,76 @@ class HypothesisSet:
         )
 
 
-def _weight_factors(lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
-    """The root goal's prior, then, for every expanded node in preorder, one
-    over the number of methods for its label."""
-    out = [lib.goal_priors[plan.root.label]]
-    stack = [plan.root]
-    while stack:
-        node = stack.pop()
-        if node.method is not None:
-            out.append(1.0 / len(lib.methods_for(node.label)))
-            stack.extend(reversed(node.children))
-    return tuple(out)
+@dataclass
+class _PlanMemo:
+    """What one recognition run knows about each plan node it has met,
+    keyed by the node itself, marks included: whether its subtree is fully
+    observed, its enabled frontier as (path relative to the node, node)
+    pairs in left-to-right order, and the weight factors of its expanded
+    nodes in preorder; plus one tuple of blank constituent nodes per method,
+    shared by every chain subtree built. Plans are persistent trees, so a
+    grown plan shares every subtree off its attachment path with the plan
+    it grew from, and only the nodes on that path and in the grafted chain
+    are new here."""
+
+    lib: PlanLibrary
+    nodes: dict[PlanNode, tuple] = field(default_factory=dict)
+    blanks: dict[str, tuple[PlanNode, ...]] = field(default_factory=dict)
+
+    def __call__(self, node: PlanNode) -> tuple[bool, tuple[tuple[Path, PlanNode], ...], tuple[float, ...]]:
+        """(fully observed, enabled frontier, weight factors) of `node`."""
+        hit = self.nodes.get(node)
+        if hit is not None:
+            return hit
+        lib = self.lib
+        if node.method is None:
+            full = lib.is_basic(node.label) and node.observed is not None
+            targets = (((), node),) if lib.is_complex(node.label) or node.observed is None else ()
+            hit = (full, targets, ())
+        else:
+            # a constituent is enabled when all its ordering predecessors
+            # root fully observed subtrees; a disabled one holds no target
+            kids = [self(c) for c in node.children]
+            predecessors = lib.method(node.method).predecessors
+            factors = (1.0 / len(lib.methods_for(node.label)),)
+            targets = []
+            for i, (_, below, fs) in enumerate(kids):
+                factors += fs
+                if below and all(kids[j][0] for j in predecessors[i]):
+                    targets.extend(((i, *path), n) for path, n in below)
+            hit = (all(k[0] for k in kids), tuple(targets), factors)
+        self.nodes[node] = hit
+        return hit
+
+    def graft(self, chain: Chain, leaf: PlanNode) -> PlanNode:
+        """The subtree a fresh expansion along `chain` grows down to `leaf`,
+        built bottom-up."""
+        node = leaf
+        for method, pos in reversed(chain):
+            blanks = self.blanks.get(method.id)
+            if blanks is None:
+                blanks = self.blanks[method.id] = tuple(PlanNode(c) for c in method.constituents)
+            node = PlanNode(method.head, method.id, blanks[:pos] + (node,) + blanks[pos + 1:])
+        return node
 
 
 def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
-    """Unnormalized weight: the product of each plan's weight factors,
-    plan by plan, one factor at a time. math.prod multiplies left to right
-    from `start`, so wherever a product over the same plans is formed, it
-    rounds the same way at every factor."""
+    """Unnormalized weight: per plan, its root goal's prior, then one over
+    the number of methods for each expanded node's label, in preorder;
+    multiplied plan by plan, one factor at a time. math.prod multiplies left
+    to right from `start`, so wherever a product over the same plans is
+    formed, it rounds the same way at every factor."""
+    memo = _PlanMemo(lib)
     w = 1.0
     for plan in h.plans:
-        w = prod(_weight_factors(lib, plan), start=w)
+        w = prod(memo(plan.root)[2], start=w * lib.goal_priors[plan.root.label])
     return w
-
-
-def _fully_observed(lib: PlanLibrary, node: PlanNode, memo: dict[int, bool]) -> bool:
-    """Subtree completely expanded with every basic leaf observed."""
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if node.expanded:
-        result = all(_fully_observed(lib, c, memo) for c in node.children)
-    else:
-        result = lib.is_basic(node.label) and node.observed is not None
-    memo[key] = result
-    return result
 
 
 def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list[Path]:
     """Frontier nodes whose ordering predecessors, at every ancestor level,
     all root fully observed subtrees. Left-to-right order."""
-    out: list[Path] = []
-    memo: dict[int, bool] = {}
-
-    def walk(node: PlanNode, path: Path) -> None:
-        # node is enabled; a disabled node's subtree holds no target
-        if not node.expanded:
-            if lib.is_complex(node.label) or node.observed is None:
-                out.append(path)
-            return
-        predecessors = lib.method(node.method).predecessors
-        siblings = node.children
-        for i, child in enumerate(siblings):
-            if all(_fully_observed(lib, siblings[j], memo) for j in predecessors[i]):
-                walk(child, path + (i,))
-
-    walk(plan.root, ())
-    return out
-
-
-def _attach_chain(plan: Plan, path: Path, chain: Chain, index: int) -> Plan:
-    for method, pos in chain:
-        plan = apply_method(plan, path, method)
-        path = path + (pos,)
-    return observe_leaf(plan, path, index)
-
-
-@dataclass
-class _PlanMemo:
-    """What one recognition run knows about a plan at any observation,
-    keyed by plan.root: its weight factors and its enabled expansion targets
-    with their nodes; plus the weight factors of the new-plan starts for
-    each (goal, action). A plan carried over unchanged from the step before
-    finds both here instead of walking its tree again."""
-
-    factors: dict[PlanNode, tuple[float, ...]] = field(default_factory=dict)
-    targets: dict[PlanNode, list[tuple[Path, PlanNode]]] = field(default_factory=dict)
-    fresh: dict[tuple[str, str], list[tuple[float, ...]]] = field(default_factory=dict)
-
-    def factors_of(self, lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
-        hit = self.factors.get(plan.root)
-        if hit is None:
-            hit = self.factors[plan.root] = _weight_factors(lib, plan)
-        return hit
+    return [path for path, _ in _PlanMemo(lib)(plan.root)[1]]
 
 
 def _step(
@@ -206,41 +194,41 @@ def _step(
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, f"{action} ({kind} action)")
-    targets_of = memo.targets
+    leaf = PlanNode(action, observed=index)
+    chain_roots: dict[str, list[PlanNode]] = {}
     grown_of: dict[PlanNode, list[tuple[Plan, tuple[float, ...]]]] = {}
 
-    def grow(plan: Plan) -> list[tuple[Plan, tuple[float, ...]]]:
-        """Every way `plan` absorbs the action, with the grown plans' factors."""
-        root = plan.root
-        targets = targets_of.get(root)
-        if targets is None:
-            paths = enabled_expansion_targets(lib, plan)
-            targets = targets_of[root] = [(path, plan.node_at(path)) for path in paths]
+    def grafts(label: str) -> list[PlanNode]:
+        """The subtree of every chain from an open `label` node down to the
+        action, built once per step and shared by every plan it joins."""
+        hit = chain_roots.get(label)
+        if hit is None:
+            hit = chain_roots[label] = [memo.graft(c, leaf) for c in lib.chains_to(label, action)]
+        return hit
+
+    def grow(root: PlanNode) -> list[tuple[Plan, tuple[float, ...]]]:
+        """Every way the plan at `root` absorbs the action, each made by one
+        path copy, with the grown plans' weight factors."""
         out = []
-        for path, node in targets:
+        for path, node in memo(root)[1]:
             if lib.is_basic(node.label):
                 if node.label == action:
-                    out.append(observe_leaf(plan, path, index))
-            else:
-                for chain in lib.chains_to(node.label, action):
-                    out.append(_attach_chain(plan, path, chain, index))
-        grown = grown_of[root] = [(g, memo.factors_of(lib, g)) for g in out]
+                    out.append(_replace(root, path, leaf))
+                continue
+            subtrees = grafts(node.label)
+            if subtrees and node.observed is not None:
+                raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
+            out.extend(_replace(root, path, sub) for sub in subtrees)
+        grown = grown_of[root] = [(Plan(g), memo(g)[2]) for g in out]
         return grown
 
+    priors, known = lib.goal_priors, memo.nodes.get
     # a new plan for a goal starts the same way in every hypothesis
     fresh: list[tuple[str, list[tuple[Plan, tuple[float, ...]]]]] = []
-    if cfg.new_plan_allowed:
-        for goal in lib.goals:
-            chains = lib.chains_to(goal, action)
-            if not chains:
-                continue
-            starts = [_attach_chain(Plan(PlanNode(goal)), (), c, index) for c in chains]
-            start_factors = memo.fresh.get((goal, action))
-            if start_factors is None:
-                start_factors = memo.fresh[(goal, action)] = [_weight_factors(lib, p) for p in starts]
-            for p, fs in zip(starts, start_factors):
-                memo.factors[p.root] = fs
-            fresh.append((goal, list(zip(starts, start_factors))))
+    for goal in lib.goals if cfg.new_plan_allowed else ():
+        starts = [(Plan(sub), memo(sub)[2]) for sub in grafts(goal)]
+        if starts:
+            fresh.append((goal, starts))
 
     merged: dict[frozenset[PlanNode], list] = {}
 
@@ -253,29 +241,32 @@ def _step(
 
     for plans in hypotheses:
         roots = [p.root for p in plans]
-        plan_factors = [memo.factors_of(lib, p) for p in plans]
+        parts = [(priors[r.label], (known(r) or memo(r))[2]) for r in roots]
         # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
         prefix = [1.0]
-        for fs in plan_factors:
-            prefix.append(prod(fs, start=prefix[-1]))
-        for i, plan in enumerate(plans):
-            grown = grown_of.get(plan.root)
+        for prior, fs in parts:
+            prefix.append(prod(fs, start=prefix[-1] * prior))
+        for i, root in enumerate(roots):
+            grown = grown_of.get(root)
             if grown is None:
-                grown = grow(plan)
+                grown = grow(root)
             if not grown:
                 continue
             others = roots[:i] + roots[i + 1:]
-            tail = tuple(f for fs in plan_factors[i + 1:] for f in fs)
+            start, rest = prefix[i] * parts[i][0], parts[i + 1:]
             for g, gfs in grown:
-                successor = plans[:i] + (g,) + plans[i + 1:]
-                emit(frozenset((*others, g.root)), successor, prod(gfs + tail, start=prefix[i]))
+                w = prod(gfs, start=start)
+                for prior, fs in rest:
+                    w = prod(fs, start=w * prior)
+                emit(frozenset((*others, g.root)), plans[:i] + (g,) + plans[i + 1:], w)
         if fresh:
             used_goals = {r.label for r in roots}
             for goal, starts in fresh:
                 if goal in used_goals:
                     continue
+                head = prefix[-1] * priors[goal]
                 for p, fs in starts:
-                    emit(frozenset((*roots, p.root)), plans + (p,), prod(fs, start=prefix[-1]))
+                    emit(frozenset((*roots, p.root)), plans + (p,), prod(fs, start=head))
 
     if not merged:
         raise UnexplainableObservationError(index, action, truncated)
@@ -305,13 +296,13 @@ def explain_step(
     result normalized. Raises UnexplainableObservationError when no
     hypothesis can absorb the action.
 
-    One step of recognize with a fresh plan memo: each distinct plan is
-    grown once and its weight factors computed once. The incoming weights
+    One step of recognize with a fresh node memo: each distinct plan is
+    grown once and each node's frontier and weight factors computed once. The incoming weights
     are not read, so explain_step(lib, recognize(lib, obs[:k]), obs[k])
     equals recognize(lib, obs[:k + 1])."""
     index = hset.observation_count
     successors, truncated = _step(
-        lib, cfg or RecognizerConfig(), _PlanMemo(),
+        lib, cfg or RecognizerConfig(), _PlanMemo(lib),
         (h.plans for h in hset.hypotheses), index, action, hset.truncated,
     )
     return _normalized(successors, index + 1, truncated)
@@ -327,14 +318,14 @@ def recognize(
     observations under the attachment semantics above, unless a cap
     truncated it.
 
-    One plan memo serves the whole fold, so a plan carried over unchanged
-    keeps its enabled targets and weight factors from the step before, and
-    only the final set is normalized. The result equals folding explain_step
+    One node memo serves the whole fold, so a node carried over unchanged,
+    in the same plan or in one grown from it, keeps its frontier and weight
+    factors from the step before, and only the final set is normalized. The result equals folding explain_step
     over the observations."""
     if not observations:
         raise PlanError("observation sequence is empty")
     cfg = cfg or RecognizerConfig()
-    memo = _PlanMemo()
+    memo = _PlanMemo(lib)
     successors: list[list] = [[(), 1.0]]
     truncated = False
     for index, action in enumerate(observations):

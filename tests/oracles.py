@@ -437,6 +437,20 @@ def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
     return w
 
 
+def weight_factors(lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
+    """The root goal's prior, then, for every expanded node in preorder, one
+    over the number of methods for its label: the whole-tree walk the
+    recognizer's node memo replaced."""
+    out = [lib.goal_priors[plan.root.label]]
+    stack = [plan.root]
+    while stack:
+        node = stack.pop()
+        if node.method is not None:
+            out.append(1.0 / len(lib.methods_for(node.label)))
+            stack.extend(reversed(node.children))
+    return tuple(out)
+
+
 def _fully_observed(lib: PlanLibrary, node: PlanNode, memo: dict[int, bool]) -> bool:
     key = id(node)
     hit = memo.get(key)

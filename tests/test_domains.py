@@ -1,10 +1,14 @@
+import json
+import random
+
 import pytest
 
+from planprobe import domains
 from planprobe.domains import GenParams, Instance, gen_instance
 from planprobe.engine import QueryOracle, run_query_loop
 from planprobe.errors import GenerationError
 from planprobe.experiment import brute_force_final_set
-from planprobe.library import serialize_library
+from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import (
     describes,
     hypothesis_key,
@@ -19,6 +23,8 @@ from planprobe.plans import (
 )
 from planprobe.policies import Policy
 from planprobe.recognizer import enabled_expansion_targets, recognize
+
+from .test_library import chain_library_doc
 
 
 def _strip(doc):
@@ -100,6 +106,43 @@ class TestGenInstance:
             inst = gen_instance(GenParams(seed=seed, obs_len=4))
             hset = recognize(inst.library, list(inst.observations))
             assert any(hypothesis_refines(h, inst.truth) for h in hset.hypotheses)
+
+
+class TestChainCounts:
+    """The generator's ambiguity check counts chains instead of building
+    them; each count must equal the number of chains chains_to builds."""
+
+    @staticmethod
+    def _libraries():
+        shapes = (GenParams(), GenParams(depth=5, branching=3), GenParams(depth=2, num_basic=6, order_density=0.0))
+        for params in shapes:
+            for seed in range(6):
+                # libraries before the ambiguity check, so rejected ones count too
+                yield domains._gen_library(params, random.Random(f"{seed}:0"))
+        yield parse_library(json.dumps(chain_library_doc(MAX_GRAMMAR_DEPTH)))
+
+    def test_count_equals_number_of_chains_for_every_pair(self):
+        most = 0
+        for lib in self._libraries():
+            count = domains._chain_counter(lib)
+            for label in sorted(lib.complex_actions):
+                for target in sorted(lib.basic):
+                    n = count(label, target)
+                    assert n == len(lib.chains_to(label, target)), (label, target)
+                    most = max(most, n)
+        assert most > domains._MAX_CHAINS_PER_GOAL_SUM
+
+    def test_bounded_ambiguity_agrees_with_enumerated_chains(self):
+        verdicts = []
+        for lib in self._libraries():
+            per_pair = {(c, o): len(lib.chains_to(c, o)) for c in lib.complex_actions for o in lib.basic}
+            want = all(n <= domains._MAX_CHAINS_PER_LABEL for n in per_pair.values()) and all(
+                sum(per_pair[(g, o)] for g in lib.goals) <= domains._MAX_CHAINS_PER_GOAL_SUM
+                for o in lib.basic
+            )
+            assert domains._bounded_ambiguity(lib) == want
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
 
 class TestChemistry:

@@ -8,7 +8,9 @@ order (plans compared structurally, weights compared with ==) and the same
 `recognize`, which keeps one memo across the whole fold and normalizes only
 its final set, must equal the reference step folded over the observations,
 and chaining `explain_step` onto a prefix's `recognize` must equal
-`recognize` of the longer prefix.
+`recognize` of the longer prefix. The node memo itself, kept across a whole
+fold, must give every plan the enabled targets and weight factors of the
+reference's whole-tree walks.
 """
 
 import pytest
@@ -17,7 +19,15 @@ from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen
 from planprobe.errors import UnexplainableObservationError
 from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import Hypothesis
-from planprobe.recognizer import HypothesisSet, RecognizerConfig, explain_step, hypothesis_weight, recognize
+from planprobe.recognizer import (
+    HypothesisSet,
+    RecognizerConfig,
+    _PlanMemo,
+    enabled_expansion_targets,
+    explain_step,
+    hypothesis_weight,
+    recognize,
+)
 
 from . import oracles
 
@@ -220,6 +230,24 @@ def test_hypothesis_weight_matches_reference():
             hset = oracles.explain_step(lib, hset, action)
             for h in hset.hypotheses:
                 assert hypothesis_weight(lib, h) == oracles.hypothesis_weight(lib, h)
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_node_memo_matches_whole_tree_walks(name, lib, observations, sizes):
+    """One node memo serves the whole fold, as in recognize. At every
+    observation, every plan's memoized targets and weight factors must equal
+    the reference's whole-tree walks, and so must the public wrapper's."""
+    memo = _PlanMemo(lib)
+    hset = _seed()
+    for action in observations:
+        hset = oracles.explain_step(lib, hset, action)
+        for plan in {p for h in hset.hypotheses for p in h.plans}:
+            want = oracles.enabled_expansion_targets(lib, plan)
+            _, targets, factors = memo(plan.root)
+            assert [path for path, _ in targets] == want
+            assert [node for _, node in targets] == [plan.node_at(path) for path in want]
+            assert enabled_expansion_targets(lib, plan) == want
+            assert (lib.goal_priors[plan.root.label],) + factors == oracles.weight_factors(lib, plan)
 
 
 def test_unexplainable_observation_raises_like_reference():

@@ -1,11 +1,17 @@
+import json
+import re
+
 import pytest
 
 from planprobe.domains import GenParams, gen_instance
-from planprobe.errors import UnexplainableObservationError
-from planprobe.library import PlanLibrary, RefinementMethod, parse_library, serialize_library
+from planprobe.errors import PlanError, UnexplainableObservationError
+from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod, parse_library, serialize_library
 from planprobe.plans import (
     Hypothesis,
+    Plan,
+    PlanNode,
     describes,
+    is_complete,
     hypothesis_key,
     hypothesis_refines,
     plan_to_dict,
@@ -20,6 +26,7 @@ from planprobe.recognizer import (
 )
 
 from . import oracles
+from .test_library import chain_library_doc
 
 
 def _ordered_lib(order):
@@ -155,6 +162,42 @@ class TestRecognize:
             want = oracles.naive_recognize(inst.library, list(inst.observations))
             assert got == want
             checked += 1
+
+    def test_marked_complex_frontier_node_is_rejected(self):
+        # a hand-built plan whose unexpanded complex node `s` carries a mark:
+        # explaining an action below `s` must not expand an observed node
+        lib = PlanLibrary(
+            basic=frozenset({"a", "x"}),
+            complex_actions=frozenset({"g", "s"}),
+            methods=(RefinementMethod("mg", "g", ("s", "x")), RefinementMethod("ms", "s", ("a",))),
+            goals=("g",),
+        )
+        plan = Plan(PlanNode("g", method="mg", children=(PlanNode("s", observed=0), PlanNode("x"))))
+        hset = HypothesisSet((Hypothesis((plan,), 1.0),), 1)
+        with pytest.raises(PlanError, match=re.escape("node 's' at (0,) is an observed leaf")):
+            explain_step(lib, hset, "a")
+
+    def test_several_observations_at_the_depth_limit(self):
+        # c0 -> ... -> c199 -> (a, b) with a before b, and c100 -> (c101, e),
+        # e -> d: `b` is observed at the deepest leaf and `d` grafts a chain
+        # 102 levels down
+        doc = chain_library_doc(MAX_GRAMMAR_DEPTH)
+        doc["basic"] += ["b", "d"]
+        doc["complex"].append("e")
+        doc["methods"][-1].update(children=["a", "b"], order=[[0, 1]])
+        doc["methods"][100]["children"].append("e")
+        doc["methods"].append({"id": "me", "head": "e", "children": ["d"]})
+        lib = parse_library(json.dumps(doc))
+        observations = ["a", "b", "d"]
+        hset = recognize(lib, observations)
+        assert len(hset) == 1
+        (plan,) = hset.hypotheses[0].plans
+        assert is_complete(plan, lib) and describes(hset.hypotheses[0], observations)
+        assert plan.node_at((0,) * 100 + (1, 0)).observed == 2
+        assert plan.node_at((0,) * (MAX_GRAMMAR_DEPTH - 1) + (1,)).observed == 1
+        with pytest.raises(UnexplainableObservationError) as info:
+            recognize(lib, ["b"])
+        assert info.value.index == 0
 
     def test_truth_always_recoverable(self):
         for seed in range(25):
