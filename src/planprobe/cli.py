@@ -94,7 +94,8 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--instances", type=Path, default=None,
                        help="directory of instance files instead of generated ones")
     p_exp.add_argument("--max-hypotheses", type=int, default=None)
-    p_exp.add_argument("--timeout", type=float, default=None, help="per-instance budget in seconds")
+    p_exp.add_argument("--timeout", type=float, default=None,
+                       help="per-instance budget in seconds, checked before each policy's loop")
     p_exp.add_argument("--verify", action="store_true")
 
     return parser

@@ -14,6 +14,7 @@ and pruning rules.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,38 +141,35 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
     )
 
 
-def _chain_counter(lib: PlanLibrary) -> Callable[[str, str], int]:
-    """count(label, target) == len(lib.chains_to(label, target)) for a basic
-    target, memoized on (label, target) without building any chain."""
-    counts: dict[tuple[str, str], int] = {}
+def _chain_counts(lib: PlanLibrary) -> Callable[[str], Counter[str]]:
+    """counts(label)[target] == len(lib.chains_to(label, target)) for every
+    basic target, memoized per label without building any chain."""
+    memo: dict[str, Counter[str]] = {}
 
-    def count(label: str, target: str) -> int:
-        n = counts.get((label, target))
-        if n is None:
-            n = 0
+    def counts(label: str) -> Counter[str]:
+        out = memo.get(label)
+        if out is None:
+            out = memo[label] = Counter()
             for m in lib.methods_for(label):
                 for i in m.minimal_positions:
                     c = m.constituents[i]
-                    n += count(c, target) if lib.is_complex(c) else c == target
-            counts[(label, target)] = n
-        return n
+                    if lib.is_complex(c):
+                        out.update(counts(c))
+                    else:
+                        out[c] += 1
+        return out
 
-    return count
+    return counts
 
 
 def _bounded_ambiguity(lib: PlanLibrary) -> bool:
-    count = _chain_counter(lib)
-    for o in sorted(lib.basic):
-        goal_total = 0
-        for c in sorted(lib.complex_actions):
-            n = count(c, o)
-            if n > _MAX_CHAINS_PER_LABEL:
-                return False
-            if c in lib.goals:
-                goal_total += n
-        if goal_total > _MAX_CHAINS_PER_GOAL_SUM:
-            return False
-    return True
+    counts = _chain_counts(lib)
+    if any(n > _MAX_CHAINS_PER_LABEL for c in lib.complex_actions for n in counts(c).values()):
+        return False
+    per_goal_sum: Counter[str] = Counter()
+    for g in lib.goals:
+        per_goal_sum.update(counts(g))
+    return all(n <= _MAX_CHAINS_PER_GOAL_SUM for n in per_goal_sum.values())
 
 
 def _complete_plan(lib: PlanLibrary, label: str, rng: random.Random) -> PlanNode:

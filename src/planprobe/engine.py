@@ -17,8 +17,7 @@ candidate whose answer is forced, since asking it could prune nothing:
     (a) every live hypothesis holds a plan refinable from the candidate.
         Some live hypothesis refines to the truth, so the answer is True,
         and a True answer keeps the hypotheses matching the candidate,
-        which is all of them. This rests on that premise, so it is off when
-        the loop is run with check_premise=False.
+        which is all of them.
     (b) the candidate refines to a plan already answered True. Its answer
         is then True too, and every live hypothesis already matches it.
 
@@ -33,6 +32,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
 from .errors import OracleInconsistencyError, PolicyError
+from .library import bit_selectors
 from .plans import (
     Hypothesis,
     Plan,
@@ -63,18 +63,10 @@ def query_answer(oracle: QueryOracle, plan: Plan) -> bool:
     return any(is_refinement(plan, t) for t in oracle.truth.plans)
 
 
-# Selector bytes for itertools.compress: bit j of a mask becomes byte j.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_selectors(mask: int) -> bytes:
-    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
-
-
 def restrict(items: Sequence[T], alive: int, mask: int) -> Iterator[T]:
     """The items whose bit is set in mask, in order, where items[k] belongs
     to the k-th lowest set bit of alive (as a set's hypotheses do)."""
-    return compress(items, compress(_bit_selectors(mask & alive), _bit_selectors(alive)))
+    return compress(items, compress(bit_selectors(mask & alive), bit_selectors(alive)))
 
 
 def _shape_key(root: PlanNode) -> tuple:
@@ -192,7 +184,7 @@ class RelationTable:
 
     def rows(self, alive: int) -> Iterator[tuple[int, ...]]:
         """Plan ids of each hypothesis in alive, in h0 order."""
-        return compress(self.per_hyp, _bit_selectors(alive))
+        return compress(self.per_hyp, bit_selectors(alive))
 
     def closed_ids(self, closed: set[PlanNode]) -> set[int]:
         """Ids of the closed keys that name a plan in the table, up to
@@ -218,32 +210,16 @@ def relations(hset: HypothesisSet) -> tuple[RelationTable, int]:
     return RelationTable(hset), (1 << len(hset)) - 1
 
 
-def _kept(table: RelationTable, alive: int, plan: Plan, answer: bool) -> int:
-    """The pruning rule as a mask: True keeps the live hypotheses with a plan
-    matching the query, False those with no plan refinable from it."""
-    t = table.intern(plan)
-    return alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
-
-
-def survivors_if_true(hset: HypothesisSet, plan: Plan) -> list[Hypothesis]:
-    """Hypotheses with at least one plan matching the queried plan."""
-    table, alive = relations(hset)
-    return list(restrict(hset.hypotheses, alive, _kept(table, alive, plan, True)))
-
-
-def survivors_if_false(hset: HypothesisSet, plan: Plan) -> list[Hypothesis]:
-    """Hypotheses with no plan refinable from the queried plan."""
-    table, alive = relations(hset)
-    return list(restrict(hset.hypotheses, alive, _kept(table, alive, plan, False)))
-
-
 def update(hset: HypothesisSet, plan: Plan, answer: bool) -> HypothesisSet:
-    """Apply the pruning rule for the given answer and renormalize. An empty
-    result means the oracle contradicted the set (truncated input or an
-    untruthful oracle) and raises OracleInconsistencyError. The result
-    shares the input's relation table."""
+    """Apply the pruning rule for the given answer and renormalize: True
+    keeps the hypotheses with a plan matching the query, False those with no
+    plan refinable from it. An empty result means the oracle contradicted
+    the set (truncated input or an untruthful oracle) and raises
+    OracleInconsistencyError. The result shares the input's relation
+    table."""
     table, alive = relations(hset)
-    kept = _kept(table, alive, plan, answer)
+    t = table.intern(plan)
+    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
     if not kept:
         raise OracleInconsistencyError(
             f"update with answer={answer} removed every hypothesis"
@@ -321,26 +297,23 @@ def run_query_loop(
     h0: HypothesisSet,
     oracle: QueryOracle,
     policy: Policy,
-    check_premise: bool = True,
 ) -> tuple[HypothesisSet, ProbeTrace]:
     """Iteratively query plans chosen by the policy and prune until one
     hypothesis remains or no question is left open. Performs at most as
     many queries as there are distinct plans in h0, up to marks.
 
-    Requires an untruncated set and, unless check_premise is disabled, that
-    some hypothesis can be refined to the oracle's truth (the guarantee that
-    pruning can never empty the set).
+    Requires an untruncated set and that some hypothesis can be refined to
+    the oracle's truth (the guarantee that pruning can never empty the set).
 
     Before each select, the candidates whose answer is forced are closed
-    unasked, by rules (a) and (b) of the module docstring; rule (a) applies
-    only with check_premise.
+    unasked, by rules (a) and (b) of the module docstring.
 
     Every set the loop holds and hands to the policy shares one
     RelationTable built for h0.
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
-    if check_premise and not any(hypothesis_refines(h, oracle.truth) for h in h0.hypotheses):
+    if not any(hypothesis_refines(h, oracle.truth) for h in h0.hypotheses):
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
@@ -367,14 +340,12 @@ def run_query_loop(
             ]
             settle(by_answer)
         open_ids = list(table.candidates(alive, closed))
-        by_premise = []
-        if check_premise:
-            by_premise = [
-                t for t in open_ids
-                if not alive & ~table.label_owners[table.plans[t].root.label]
-                and not alive & ~table.refine(t, alive)
-            ]
-            settle(by_premise)
+        by_premise = [
+            t for t in open_ids
+            if not alive & ~table.label_owners[table.plans[t].root.label]
+            and not alive & ~table.refine(t, alive)
+        ]
+        settle(by_premise)
         if len(open_ids) == len(by_premise):
             break
         plan = policy.select(current, closed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import LibrarySyntaxError, LibraryValidationError
 
@@ -27,38 +28,45 @@ PRIOR_TOLERANCE = 1e-9
 # of 1000 (a 330-step chain already exhausted it in `sprp --verify`).
 MAX_GRAMMAR_DEPTH = 200
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_selectors(mask: int) -> bytes:
+    """Selector bytes for itertools.compress: bit i of mask becomes byte i."""
+    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+
 
 def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tuple[frozenset[int], ...]:
     """Predecessor sets per constituent index under the transitive closure of
-    the ordering pairs. Rejects out-of-range, reflexive, and cyclic orders."""
-    direct: list[set[int]] = [set() for _ in range(n)]
+    the ordering pairs. Rejects out-of-range, reflexive, and cyclic orders.
+    Iterative, so an ordering chain of any length closes without deep
+    recursion: constituents are taken in topological order, and each passes
+    its predecessor bitmask, plus its own bit, on to its direct successors."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n  # direct predecessors not yet taken
     for pair in order:
         i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise LibraryValidationError(f"{where}: ordering pair {pair} out of range for {n} children")
         if i == j:
             raise LibraryValidationError(f"{where}: cyclic ordering constraint (pair {pair})")
-        direct[j].add(i)
-    closed: list[frozenset[int] | None] = [None] * n
-    visiting: set[int] = set()
-
-    def close(j: int) -> frozenset[int]:
-        if closed[j] is not None:
-            return closed[j]
-        if j in visiting:
-            raise LibraryValidationError(f"{where}: cyclic ordering constraint")
-        visiting.add(j)
-        acc: set[int] = set()
-        for i in direct[j]:
-            acc.add(i)
-            acc |= close(i)
-        visiting.discard(j)
-        if j in acc:
-            raise LibraryValidationError(f"{where}: cyclic ordering constraint")
-        closed[j] = frozenset(acc)
-        return closed[j]
-
-    return tuple(close(j) for j in range(n))
+        successors[i].append(j)
+        waiting[j] += 1
+    masks = [0] * n
+    ready = [j for j in range(n) if not waiting[j]]
+    taken = 0
+    while ready:
+        i = ready.pop()
+        taken += 1
+        passed = masks[i] | 1 << i
+        for j in successors[i]:
+            masks[j] |= passed
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    if taken < n:
+        raise LibraryValidationError(f"{where}: cyclic ordering constraint")
+    return tuple(frozenset(compress(range(n), bit_selectors(mask))) for mask in masks)
 
 
 @dataclass(frozen=True)
@@ -278,10 +286,8 @@ def _expect(cond: bool, message: str) -> None:
         raise LibrarySyntaxError(message)
 
 
-def _string_list(doc: dict, key: str, required: bool = True) -> list[str]:
-    if key not in doc:
-        _expect(not required, f"missing key {key!r}")
-        return []
+def _string_list(doc: dict, key: str) -> list[str]:
+    _expect(key in doc, f"missing key {key!r}")
     value = doc[key]
     _expect(isinstance(value, list), f"{key!r} must be a list")
     for item in value:

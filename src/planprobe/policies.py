@@ -24,8 +24,6 @@ from .plans import Plan, PlanNode
 from .recognizer import HypothesisSet
 from .engine import RelationTable, relations, restrict
 
-POLICY_KINDS = ("random", "mph", "mpp", "entropy")
-
 
 def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
     return random.Random(f"{seed}:{len(closed)}")
@@ -123,6 +121,7 @@ _SELECTORS = {
     "mpp": select_mpp,
     "entropy": select_min_entropy,
 }
+POLICY_KINDS = tuple(_SELECTORS)
 
 
 @dataclass(frozen=True)

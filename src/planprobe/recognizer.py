@@ -48,7 +48,6 @@ WEIGHT_TOLERANCE = 1e-9
 @dataclass(frozen=True)
 class RecognizerConfig:
     max_hypotheses: int | None = None
-    new_plan_allowed: bool = True
 
     def __post_init__(self):
         if self.max_hypotheses is not None and self.max_hypotheses < 1:
@@ -225,7 +224,7 @@ def _step(
     priors, known = lib.goal_priors, memo.nodes.get
     # a new plan for a goal starts the same way in every hypothesis
     fresh: list[tuple[str, list[tuple[Plan, tuple[float, ...]]]]] = []
-    for goal in lib.goals if cfg.new_plan_allowed else ():
+    for goal in lib.goals:
         starts = [(Plan(sub), memo(sub)[2]) for sub in grafts(goal)]
         if starts:
             fresh.append((goal, starts))

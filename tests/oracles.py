@@ -550,14 +550,13 @@ def explain_step(
                     for chain in _chains_to(lib, node.label, action, chain_cache):
                         grown = _attach_chain(plan, path, chain, index)
                         emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
-        if cfg.new_plan_allowed:
-            used_goals = {p.root.label for p in h.plans}
-            for goal in lib.goals:
-                if goal in used_goals:
-                    continue
-                for chain in _chains_to(lib, goal, action, chain_cache):
-                    fresh = _attach_chain(Plan(PlanNode(goal)), (), chain, index)
-                    emit(h.plans + (fresh,))
+        used_goals = {p.root.label for p in h.plans}
+        for goal in lib.goals:
+            if goal in used_goals:
+                continue
+            for chain in _chains_to(lib, goal, action, chain_cache):
+                fresh = _attach_chain(Plan(PlanNode(goal)), (), chain, index)
+                emit(h.plans + (fresh,))
 
     if not merged:
         raise UnexplainableObservationError(index, action)

@@ -10,7 +10,7 @@ from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_librar
 from planprobe.plans import hypothesis_to_dict
 from planprobe.recognizer import recognize
 
-from .test_library import chain_library_doc
+from .test_library import chain_library_doc, long_order_library_doc
 
 
 @pytest.fixture
@@ -103,6 +103,17 @@ def test_library_at_depth_limit_recognizes_and_verifies(tmp_path, capsys):
                  "--policy", "entropy", "--seed", "0", "--verify"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_long_ordering_chain_recognizes_and_cycle_exits_1_with_one_line(tmp_path, capsys):
+    _, obs = _chain_files(tmp_path, 1)
+    lib = tmp_path / "order.library.json"
+    lib.write_text(json.dumps(long_order_library_doc(1500)))
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 0
+    assert json.loads(capsys.readouterr().out)["hypothesis_count"] == 1
+    lib.write_text(json.dumps(long_order_library_doc(1500, cyclic=True)))
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == "error: method 'm': cyclic ordering constraint\n"
 
 
 def _nested_truth(levels: int) -> str:

@@ -109,8 +109,9 @@ class TestGenInstance:
 
 
 class TestChainCounts:
-    """The generator's ambiguity check counts chains instead of building
-    them; each count must equal the number of chains chains_to builds."""
+    """The generator's ambiguity check counts chains per label instead of
+    building them; each count, zero where no chain exists, must equal the
+    number of chains chains_to builds."""
 
     @staticmethod
     def _libraries():
@@ -124,10 +125,11 @@ class TestChainCounts:
     def test_count_equals_number_of_chains_for_every_pair(self):
         most = 0
         for lib in self._libraries():
-            count = domains._chain_counter(lib)
+            counts = domains._chain_counts(lib)
             for label in sorted(lib.complex_actions):
+                assert set(counts(label)) <= lib.basic
                 for target in sorted(lib.basic):
-                    n = count(label, target)
+                    n = counts(label)[target]
                     assert n == len(lib.chains_to(label, target)), (label, target)
                     most = max(most, n)
         assert most > domains._MAX_CHAINS_PER_GOAL_SUM

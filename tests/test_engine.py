@@ -168,14 +168,6 @@ class TestRunQueryLoop:
         with pytest.raises(OracleInconsistencyError):
             run_query_loop(quartet.hset, QueryOracle(lone_truth), Policy("random", 0))
 
-    def test_premise_bypass_hits_inconsistency_mid_run(self, quartet):
-        # with the precondition check disabled, pruning against an
-        # unrelated truth eventually empties the set and the update raises
-        lone_truth = Hypothesis((quartet.complete_main,))
-        with pytest.raises(OracleInconsistencyError):
-            run_query_loop(quartet.hset, QueryOracle(lone_truth), Policy("random", 2),
-                           check_premise=False)
-
     def test_policy_contract_enforced(self, quartet):
         class Stubborn:
             kind = "stubborn"

@@ -66,6 +66,28 @@ def test_order_closure_predecessors():
     assert m.minimal_positions == (0,)
 
 
+def long_order_library_doc(n: int, cyclic: bool = False) -> dict:
+    """Goal g with one method of n constituents ordered in descending index
+    order: n-1 before n-2, ..., 1 before 0. With `cyclic`, 0 also comes
+    before n-1, which closes an n-step ordering cycle."""
+    order = [[i + 1, i] for i in range(n - 1)] + ([[0, n - 1]] if cyclic else [])
+    method = {"id": "m", "head": "g", "children": ["a"] * n, "order": order}
+    return {"basic": ["a"], "complex": ["g"], "goals": ["g"], "methods": [method]}
+
+
+def test_long_ordering_chain_closes_without_recursion():
+    lib = parse_library(json.dumps(long_order_library_doc(1500)))
+    (m,) = lib.methods
+    assert m.predecessors[0] == frozenset(range(1, 1500))
+    assert m.predecessors[1498] == frozenset({1499})
+    assert m.minimal_positions == (1499,)
+
+
+def test_long_ordering_cycle_rejected():
+    with pytest.raises(LibraryValidationError, match=r"^method 'm': cyclic ordering constraint$"):
+        parse_library(json.dumps(long_order_library_doc(1500, cyclic=True)))
+
+
 def test_methods_for_chemistry():
     lib = parse_library(CHEMISTRY_TEXT)
     ms = lib.methods_for("InvestigateReaction")

@@ -1,12 +1,11 @@
 """Differential test: the query loop that names plans up to marks and closes
 forced answers unasked, against the root-keyed loop in oracles.py.
 
-On the instances of test_relation_table.py, under every policy and with the
-premise check on and off, the final set must equal the root-keyed loop's
-and the exhaustive filter. Before every select, each closed plan must have
-been asked (up to marks) or be forced, and each open candidate must be
-forced by neither rule; the plan asked must be open. A plan is forced by
-(a), only with the premise checked, when every live hypothesis holds a plan
+On the instances of test_relation_table.py, under every policy, the final
+set must equal the root-keyed loop's and the exhaustive filter. Before every
+select, each closed plan must have been asked (up to marks) or be forced,
+and each open candidate must be forced by neither rule; the plan asked must
+be open. A plan is forced by (a) when every live hypothesis holds a plan
 refinable from it, and by (b) when it refines to a plan answered True.
 """
 
@@ -24,16 +23,15 @@ from .test_relation_table import INSTANCES
 class Audited:
     """Policy that checks, at each select, which plans the loop closed."""
 
-    def __init__(self, kind: str, seed: int, truth, check_premise: bool):
+    def __init__(self, kind: str, seed: int, truth):
         self.kind = kind
         self.policy = Policy(kind, seed)
         self.oracle = QueryOracle(truth)
-        self.check_premise = check_premise
         self.answered: list[tuple[Plan, bool]] = []
         self.settled: list[int] = []  # plans closed unasked, at each select
 
     def forced(self, hset, p: Plan) -> tuple[bool, bool]:
-        by_premise = self.check_premise and all(
+        by_premise = all(
             any(is_refinement(p, q) for q in h.plans) for h in hset.hypotheses)
         by_answer = any(answer and is_refinement(p, q) for q, answer in self.answered)
         return by_premise, by_answer
@@ -54,19 +52,17 @@ class Audited:
         return plan
 
 
-@pytest.mark.parametrize("check_premise", [True, False], ids=["premise", "no_premise"])
 @pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
-def test_only_open_questions_and_same_final_set(name, h0, truth, check_premise):
+def test_only_open_questions_and_same_final_set(name, h0, truth):
     expected = {hypothesis_key(h) for h in brute_force_final_set(h0, truth).hypotheses}
     for kind in POLICY_KINDS:
-        policy = Audited(kind, len(h0), truth, check_premise)
-        final, trace = run_query_loop(h0, QueryOracle(truth), policy, check_premise=check_premise)
+        policy = Audited(kind, len(h0), truth)
+        final, trace = run_query_loop(h0, QueryOracle(truth), policy)
         assert [s.plan for s in trace.steps] == [q for q, _ in policy.answered]
         counted = 0
         for step, settled in zip(trace.steps, policy.settled):
             counted += step.settled_by_premise + step.settled_by_answer
             assert counted == settled
-            assert check_premise or step.settled_by_premise == 0
         old_final, _ = oracles.root_key_query_loop(h0, truth, kind, len(h0))
         assert {hypothesis_key(h) for h in final.hypotheses} == expected
         assert {hypothesis_key(h) for h in old_final.hypotheses} == expected

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from planprobe.domains import GenParams, gen_instance
-from planprobe.engine import candidate_plans, survivors_if_false, survivors_if_true, update
+from planprobe.engine import candidate_plans, update
 from planprobe.errors import PolicyError
 from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import Hypothesis, Plan, PlanNode, hypothesis_key
@@ -18,6 +18,8 @@ from planprobe.policies import (
     select_random,
 )
 from planprobe.recognizer import HypothesisSet, recognize
+
+from . import oracles
 
 
 def _two_hypothesis_set(quartet, w1, w2):
@@ -178,12 +180,11 @@ class TestSelectMinEntropy:
         shared = Plan(PlanNode("G1"))
         p = cumulative_plan_prob(quartet.hset, shared)
         assert p == pytest.approx(1.0)
-        survivors = survivors_if_true(quartet.hset, shared)
-        assert len(survivors) == len(quartet.hset)
+        assert len(update(quartet.hset, shared, True)) == len(quartet.hset)
 
     def test_hypothetical_updates_equal_engine_updates(self, quartet):
         for t in candidate_plans(quartet.hset, set()):
-            for answer, survivor_fn in ((True, survivors_if_true), (False, survivors_if_false)):
+            for answer, survivor_fn in ((True, oracles.survivors_if_true), (False, oracles.survivors_if_false)):
                 survivors = survivor_fn(quartet.hset, t)
                 if survivors:
                     out = update(quartet.hset, t, answer)
@@ -198,8 +199,8 @@ class TestSelectMinEntropy:
                 return -sum(
                     (h.weight / total) * math.log2(h.weight / total) for h in hyps
                 ) if len(hyps) > 1 else 0.0
-            return p * ent(survivors_if_true(quartet.hset, t)) + \
-                (1 - p) * ent(survivors_if_false(quartet.hset, t))
+            return p * ent(oracles.survivors_if_true(quartet.hset, t)) + \
+                (1 - p) * ent(oracles.survivors_if_false(quartet.hset, t))
 
         scores = {t.root: expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
         pick = select_min_entropy(quartet.hset, set(), seed=0)

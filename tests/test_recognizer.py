@@ -269,20 +269,6 @@ class TestCapAndConfig:
         capped = recognize(inst.library, list(inst.observations), RecognizerConfig(max_hypotheses=cap))
         assert capped.truncated and len(capped) <= cap
 
-    def test_new_plans_disabled(self):
-        lib = PlanLibrary(
-            basic=frozenset({"a", "b"}),
-            complex_actions=frozenset({"g", "h"}),
-            methods=(
-                RefinementMethod("mg", "g", ("a",)),
-                RefinementMethod("mh", "h", ("b",)),
-            ),
-            goals=("g", "h"),
-        )
-        assert len(recognize(lib, ["a", "b"])) == 1
-        with pytest.raises(UnexplainableObservationError):
-            recognize(lib, ["a", "b"], RecognizerConfig(new_plan_allowed=False))
-
     def test_one_plan_per_goal(self):
         for seed in range(10):
             inst = gen_instance(GenParams(seed=seed, obs_len=5))

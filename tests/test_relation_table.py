@@ -5,8 +5,8 @@ At every question of a loop under each policy, the set the loop holds (which
 shares the loop's relation table) and the same set without a table (which
 gets a one-off table) must both agree exactly with the reference set that
 the list-based update rules produce: hypotheses and weights, candidate
-plans in order, survivor lists for both answers, plan scores compared with
-==, and the selected plan.
+plans in order, the update of each candidate under both answers, plan
+scores compared with ==, and the selected plan.
 """
 
 from dataclasses import replace
@@ -20,10 +20,9 @@ from planprobe.engine import (
     query_answer,
     relations,
     run_query_loop,
-    survivors_if_false,
-    survivors_if_true,
     update,
 )
+from planprobe.errors import OracleInconsistencyError
 from planprobe.policies import POLICY_KINDS, Policy, cumulative_plan_prob
 from planprobe.recognizer import HypothesisSet, recognize
 
@@ -57,6 +56,19 @@ def _instances():
 INSTANCES = _instances()
 
 
+def _assert_updates_match(view, ref, plan):
+    """update of view by plan gives the reference's hypotheses and weights
+    under both answers, or raises where the reference raises."""
+    for answer in (True, False):
+        try:
+            want = oracles.update(ref, plan, answer)
+        except OracleInconsistencyError:
+            with pytest.raises(OracleInconsistencyError):
+                update(view, plan, answer)
+        else:
+            assert update(view, plan, answer).hypotheses == want.hypotheses
+
+
 class Checked:
     """Policy that, before answering each select of run_query_loop, checks
     the loop's set against the reference set advanced by the list-based
@@ -78,8 +90,7 @@ class Checked:
         for view in (hset, plain):
             assert candidate_plans(view, closed) == expected
             for t in expected:
-                assert survivors_if_true(view, t) == oracles.survivors_if_true(ref, t)
-                assert survivors_if_false(view, t) == oracles.survivors_if_false(ref, t)
+                _assert_updates_match(view, ref, t)
                 assert cumulative_plan_prob(view, t) == oracles.cumulative_plan_prob(ref, t)
             picked = self.policy.select(view, closed)
             assert picked == oracles.SELECTORS[self.kind](ref, closed, self.policy.seed)
@@ -113,7 +124,6 @@ def test_sibling_branches_share_one_table():
         for branch, ref in branches + branches:
             assert branch.hypotheses == ref.hypotheses
             for t in oracles.candidate_plans(h0, set()):
-                assert survivors_if_true(branch, t) == oracles.survivors_if_true(ref, t)
-                assert survivors_if_false(branch, t) == oracles.survivors_if_false(ref, t)
+                _assert_updates_match(branch, ref, t)
         checked += 1
     assert checked >= 40
