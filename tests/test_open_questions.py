@@ -7,13 +7,19 @@ select, each closed plan must have been asked (up to marks) or be forced,
 and each open candidate must be forced by neither rule; the plan asked must
 be open. A plan is forced by (a) when every live hypothesis holds a plan
 refinable from it, and by (b) when it refines to a plan answered True.
+
+The no_premise cases break the premise on the same instances: the agent
+also pursues a goal that no hypothesis holds, so no hypothesis refines to
+the truth. The loop must refuse before its first question, under every
+policy.
 """
 
 import pytest
 
 from planprobe.engine import QueryOracle, query_answer, run_query_loop
+from planprobe.errors import OracleInconsistencyError
 from planprobe.experiment import brute_force_final_set
-from planprobe.plans import Plan, hypothesis_key, is_refinement
+from planprobe.plans import Hypothesis, Plan, PlanNode, hypothesis_key, is_refinement
 from planprobe.policies import POLICY_KINDS, Policy
 
 from . import oracles
@@ -52,8 +58,19 @@ class Audited:
         return plan
 
 
+@pytest.mark.parametrize("premise", [True, False], ids=["premise", "no_premise"])
 @pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
-def test_only_open_questions_and_same_final_set(name, h0, truth):
+def test_only_open_questions_and_same_final_set(name, h0, truth, premise):
+    if not premise:
+        # the extra plan's label is no goal of the library, so no
+        # hypothesis of h0 can pair with it
+        truth = Hypothesis(truth.plans + (Plan(PlanNode("goal outside the library")),))
+        for kind in POLICY_KINDS:
+            policy = Audited(kind, len(h0), truth)
+            with pytest.raises(OracleInconsistencyError, match="no hypothesis can be refined"):
+                run_query_loop(h0, QueryOracle(truth), policy)
+            assert policy.answered == []
+        return
     expected = {hypothesis_key(h) for h in brute_force_final_set(h0, truth).hypotheses}
     for kind in POLICY_KINDS:
         policy = Audited(kind, len(h0), truth)
