@@ -16,7 +16,6 @@ from .errors import (
 from .library import PlanLibrary, RefinementMethod, parse_library, serialize_library
 from .plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     apply_method,
     describes,

@@ -22,7 +22,6 @@ from .errors import GenerationError
 from .library import PlanLibrary, RefinementMethod
 from .plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     describes,
     is_complete,
@@ -82,7 +81,7 @@ class Instance:
         validate_hypothesis(self.library, self.truth)
         for plan in self.truth.plans:
             if not is_complete(plan, self.library):
-                raise GenerationError(f"truth plan rooted at {plan.root.label!r} is incomplete")
+                raise GenerationError(f"truth plan rooted at {plan.label!r} is incomplete")
         if not describes(self.truth, self.observations):
             raise GenerationError("truth does not describe the observation sequence")
 
@@ -187,8 +186,8 @@ def _count_leaves(node: PlanNode) -> int:
 
 
 def _emit_observations(
-    lib: PlanLibrary, plans: list[Plan], obs_len: int, rng: random.Random
-) -> tuple[list[Plan], list[str]]:
+    lib: PlanLibrary, plans: list[PlanNode], obs_len: int, rng: random.Random
+) -> tuple[list[PlanNode], list[str]]:
     """Mark a legal execution prefix of length obs_len. The first picks touch
     every plan once so no true plan stays unobserved."""
     observations: list[str] = []
@@ -225,8 +224,8 @@ def gen_instance(params: GenParams) -> Instance:
         for _ in range(_MAX_TRUTH_TRIES):
             want = 2 if (params.num_goals >= 2 and params.obs_len >= 2 and rng.random() < 0.35) else 1
             goal_names = rng.sample(list(lib.goals), want)
-            plans = [Plan(_complete_plan(lib, g, rng)) for g in goal_names]
-            if sum(_count_leaves(p.root) for p in plans) < params.obs_len:
+            plans = [_complete_plan(lib, g, rng) for g in goal_names]
+            if sum(_count_leaves(p) for p in plans) < params.obs_len:
                 continue
             marked, observations = _emit_observations(lib, plans, params.obs_len, rng)
             truth = Hypothesis(tuple(marked), 1.0)
@@ -254,31 +253,27 @@ def builtin_chemistry() -> dict[str, Instance]:
     react, either by mixing each pair or by mixing everything in one flask
     (where the first pour pair still shows up as a pair mix)."""
     lib = _chem_library()
-    pairwise = Plan(
-        PlanNode(
-            "InvestigateReaction",
-            method="strategy_pairwise",
-            children=(
-                PlanNode(
-                    "Pairwise",
-                    method="run_pairwise",
-                    children=tuple(PlanNode(m) for m in lib.method("run_pairwise").constituents),
-                ),
+    pairwise = PlanNode(
+        "InvestigateReaction",
+        method="strategy_pairwise",
+        children=(
+            PlanNode(
+                "Pairwise",
+                method="run_pairwise",
+                children=tuple(PlanNode(m) for m in lib.method("run_pairwise").constituents),
             ),
-        )
+        ),
     )
-    fourway = Plan(
-        PlanNode(
-            "InvestigateReaction",
-            method="strategy_fourway",
-            children=(
-                PlanNode(
-                    "FourWay",
-                    method="run_fourway",
-                    children=(PlanNode("mix_AB"), PlanNode("mix_ABCD")),
-                ),
+    fourway = PlanNode(
+        "InvestigateReaction",
+        method="strategy_fourway",
+        children=(
+            PlanNode(
+                "FourWay",
+                method="run_fourway",
+                children=(PlanNode("mix_AB"), PlanNode("mix_ABCD")),
             ),
-        )
+        ),
     )
     return {
         "pairwise_first_mix": Instance(
@@ -313,16 +308,16 @@ class QuartetFixture:
     h2: Hypothesis
     h3: Hypothesis
     h4: Hypothesis
-    p1: Plan
-    p2: Plan
-    p3: Plan
-    p4: Plan
-    partner1: Plan
-    partner2: Plan
-    partner3: Plan
-    partner4: Plan
-    complete_main: Plan
-    complete_partner: Plan
+    p1: PlanNode
+    p2: PlanNode
+    p3: PlanNode
+    p4: PlanNode
+    partner1: PlanNode
+    partner2: PlanNode
+    partner3: PlanNode
+    partner4: PlanNode
+    complete_main: PlanNode
+    complete_partner: PlanNode
     truth: Hypothesis = field(init=False)
 
     def __post_init__(self):
@@ -345,58 +340,52 @@ def builtin_quartet() -> QuartetFixture:
         goals=("G1", "G2"),
     )
 
-    def g1(x_expanded: bool, y_expanded: bool, alt: bool = False) -> Plan:
+    def g1(x_expanded: bool, y_expanded: bool, alt: bool = False) -> PlanNode:
         x = PlanNode("X", method="mx", children=(PlanNode("o3", observed=2), PlanNode("a"))) \
             if x_expanded else PlanNode("X")
         y_mark = 2 if y_expanded and not x_expanded else None
         y = PlanNode("Y", method="my", children=(PlanNode("o3", observed=y_mark), PlanNode("b"))) \
             if y_expanded else PlanNode("Y")
         if alt:
-            return Plan(PlanNode("G1", method="malt", children=(PlanNode("o1", observed=0), y, x)))
-        return Plan(PlanNode("G1", method="mg", children=(PlanNode("o1", observed=0), x, y)))
+            return PlanNode("G1", method="malt", children=(PlanNode("o1", observed=0), y, x))
+        return PlanNode("G1", method="mg", children=(PlanNode("o1", observed=0), x, y))
 
-    def g2_open() -> Plan:
-        return Plan(PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), PlanNode("Z"))))
+    def g2_open() -> PlanNode:
+        return PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), PlanNode("Z")))
 
-    def g2_deep() -> Plan:
+    def g2_deep() -> PlanNode:
         z = PlanNode("Z", method="mz", children=(PlanNode("o3", observed=2), PlanNode("d")))
-        return Plan(PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), z)))
+        return PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), z))
 
     p1 = g1(x_expanded=True, y_expanded=False)
     p2 = g1(x_expanded=False, y_expanded=False)
     p3 = g1(x_expanded=False, y_expanded=True)
     p4 = g1(x_expanded=False, y_expanded=False, alt=True)
     partner1 = g2_open()
-    partner2 = Plan(
-        PlanNode(
-            "G2",
-            method="mp2",
-            children=(PlanNode("o2", observed=1), PlanNode("o3", observed=2), PlanNode("e")),
-        )
+    partner2 = PlanNode(
+        "G2",
+        method="mp2",
+        children=(PlanNode("o2", observed=1), PlanNode("o3", observed=2), PlanNode("e")),
     )
     partner3 = g2_open()
     partner4 = g2_deep()
 
-    complete_main = Plan(
-        PlanNode(
-            "G1",
-            method="mg",
-            children=(
-                PlanNode("o1", observed=0),
-                PlanNode("X", method="mx", children=(PlanNode("o3", observed=2), PlanNode("a"))),
-                PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b"))),
-            ),
-        )
+    complete_main = PlanNode(
+        "G1",
+        method="mg",
+        children=(
+            PlanNode("o1", observed=0),
+            PlanNode("X", method="mx", children=(PlanNode("o3", observed=2), PlanNode("a"))),
+            PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b"))),
+        ),
     )
-    complete_partner = Plan(
-        PlanNode(
-            "G2",
-            method="mp",
-            children=(
-                PlanNode("o2", observed=1),
-                PlanNode("Z", method="mz", children=(PlanNode("o3"), PlanNode("d"))),
-            ),
-        )
+    complete_partner = PlanNode(
+        "G2",
+        method="mp",
+        children=(
+            PlanNode("o2", observed=1),
+            PlanNode("Z", method="mz", children=(PlanNode("o3"), PlanNode("d"))),
+        ),
     )
 
     h1 = Hypothesis((p1, partner1), 0.25)

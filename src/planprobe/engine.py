@@ -32,10 +32,8 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
 from .errors import OracleInconsistencyError, PolicyError
-from .library import bit_selectors
 from .plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     hypothesis_refines,
     is_refinement,
@@ -50,6 +48,13 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_selectors(mask: int) -> bytes:
+    """Selector bytes for itertools.compress: bit i of mask becomes byte i."""
+    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+
 
 @dataclass(frozen=True)
 class QueryOracle:
@@ -58,7 +63,7 @@ class QueryOracle:
     truth: Hypothesis
 
 
-def query_answer(oracle: QueryOracle, plan: Plan) -> bool:
+def query_answer(oracle: QueryOracle, plan: PlanNode) -> bool:
     """True iff some plan of the oracle's truth is a refinement of `plan`."""
     return any(is_refinement(plan, t) for t in oracle.truth.plans)
 
@@ -94,7 +99,7 @@ class RelationTable:
 
     Plans are interned up to observation marks: every plan with one
     _shape_key gets one int id, in first-occurrence order, and the key is
-    computed once per distinct root node. per_hyp[i] lists hypothesis i's
+    computed once per distinct plan. per_hyp[i] lists hypothesis i's
     plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
     lists the ids per root label and label_owners holds the mask of
     hypotheses with a plan of each root label. The columns refine(t) and
@@ -109,7 +114,7 @@ class RelationTable:
         self.hypotheses = h0.hypotheses
         self.ids: dict[PlanNode, int] = {}
         self._by_shape: dict[tuple, int] = {}
-        self.plans: list[Plan] = []
+        self.plans: list[PlanNode] = []
         self.owners: list[int] = []
         self.by_label: dict[str, list[int]] = {}
         self.label_owners: dict[str, int] = {}
@@ -120,8 +125,7 @@ class RelationTable:
             for p in h.plans:
                 t = self.intern(p)
                 self.owners[t] |= bit
-                label = p.root.label
-                self.label_owners[label] = self.label_owners.get(label, 0) | bit
+                self.label_owners[p.label] = self.label_owners.get(p.label, 0) | bit
                 row.append(t)
             per_hyp.append(tuple(row))
         self.per_hyp = tuple(per_hyp)
@@ -129,29 +133,19 @@ class RelationTable:
         self._refine: dict[int, tuple[int, int]] = {}
         self._match: dict[int, tuple[int, int]] = {}
 
-    def lookup(self, root: PlanNode) -> int | None:
-        """Id of the plan with root's shape, or None if none is interned."""
-        t = self.ids.get(root)
-        if t is None:
-            t = self._by_shape.get(_shape_key(root))
-            if t is not None:
-                self.ids[root] = t
-        return t
-
-    def intern(self, plan: Plan) -> int:
+    def intern(self, plan: PlanNode) -> int:
         """Id of plan's shape, added (with no owners) if new."""
-        root = plan.root
-        t = self.ids.get(root)
+        t = self.ids.get(plan)
         if t is None:
-            t = self._by_shape.setdefault(_shape_key(root), len(self.plans))
-            self.ids[root] = t
+            t = self._by_shape.setdefault(_shape_key(plan), len(self.plans))
+            self.ids[plan] = t
             if t == len(self.plans):
                 self.plans.append(plan)
                 self.owners.append(0)
-                self.by_label.setdefault(root.label, []).append(t)
+                self.by_label.setdefault(plan.label, []).append(t)
         return t
 
-    def plan(self, t: int, alive: int) -> Plan:
+    def plan(self, t: int, alive: int) -> PlanNode:
         """The plan of id t held by the first hypothesis in alive that holds
         one (the first interned plan of id t if none does)."""
         mask = self.owners[t] & alive
@@ -174,7 +168,7 @@ class RelationTable:
         if alive & ~covered:
             query = self.plans[t]
             owners = self.owners
-            for q in self.by_label[query.root.label]:
+            for q in self.by_label[query.label]:
                 # plans owned in covered were evaluated when it was filled
                 mask = owners[q]
                 if mask & alive and not mask & covered and related(query, self.plans[q]):
@@ -187,9 +181,9 @@ class RelationTable:
         return compress(self.per_hyp, bit_selectors(alive))
 
     def closed_ids(self, closed: set[PlanNode]) -> set[int]:
-        """Ids of the closed keys that name a plan in the table, up to
-        marks."""
-        return {t for t in map(self.lookup, closed) if t is not None}
+        """Ids of the closed plans, up to marks (one the table lacks is
+        interned with no owners)."""
+        return set(map(self.intern, closed))
 
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
         """Ids of the not-yet-closed plans of the live hypotheses, in
@@ -210,7 +204,7 @@ def relations(hset: HypothesisSet) -> tuple[RelationTable, int]:
     return RelationTable(hset), (1 << len(hset)) - 1
 
 
-def update(hset: HypothesisSet, plan: Plan, answer: bool) -> HypothesisSet:
+def update(hset: HypothesisSet, plan: PlanNode, answer: bool) -> HypothesisSet:
     """Apply the pruning rule for the given answer and renormalize: True
     keeps the hypotheses with a plan matching the query, False those with no
     plan refinable from it. An empty result means the oracle contradicted
@@ -229,7 +223,7 @@ def update(hset: HypothesisSet, plan: Plan, answer: bool) -> HypothesisSet:
     return replace(out, relations=(table, kept))
 
 
-def candidate_plans(hset: HypothesisSet, closed: set[PlanNode]) -> list[Plan]:
+def candidate_plans(hset: HypothesisSet, closed: set[PlanNode]) -> list[PlanNode]:
     """Distinct not-yet-closed plans across the set, up to observation
     marks, in first-occurrence order. Plans appearing in several hypotheses
     are listed once, as held by the first of them."""
@@ -244,7 +238,7 @@ class TraceStep:
     premise rule (a) and by the answered-True rule (b) of the module
     docstring."""
 
-    plan: Plan
+    plan: PlanNode
     answer: bool
     remaining: int
     settled_by_premise: int = 0
@@ -317,24 +311,24 @@ def run_query_loop(
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
-    # closed holds a root per asked or settled id; asked and settled split it
+    # closed holds a plan per asked or settled id; asked and settled split it
     closed: set[PlanNode] = set()
     asked: set[int] = set()
     settled: set[int] = set()
-    last_true: Plan | None = None
+    last_true: PlanNode | None = None
     table, alive = relations(h0)
     current = replace(h0, relations=(table, alive))
 
     def settle(ids: list[int]) -> None:
         settled.update(ids)
-        closed.update(table.plans[t].root for t in ids)
+        closed.update(table.plans[t] for t in ids)
 
     while len(current) > 1:
         _, alive = current.relations
         by_answer = []
         if last_true is not None:
             by_answer = [
-                t for t in table.by_label[last_true.root.label]
+                t for t in table.by_label[last_true.label]
                 if table.owners[t] & alive and t not in asked and t not in settled
                 and is_refinement(table.plans[t], last_true)
             ]
@@ -342,24 +336,24 @@ def run_query_loop(
         open_ids = list(table.candidates(alive, closed))
         by_premise = [
             t for t in open_ids
-            if not alive & ~table.label_owners[table.plans[t].root.label]
+            if not alive & ~table.label_owners[table.plans[t].label]
             and not alive & ~table.refine(t, alive)
         ]
         settle(by_premise)
         if len(open_ids) == len(by_premise):
             break
         plan = policy.select(current, closed)
-        t = table.lookup(plan.root)
+        t = table.intern(plan)
         if t in asked:
             raise PolicyError(f"policy {policy.kind!r} returned an already-queried plan")
         if t in settled:
             raise PolicyError(f"policy {policy.kind!r} returned a settled plan, whose answer is already known")
-        if t is None or not table.owners[t] & alive:
+        if not table.owners[t] & alive:
             raise PolicyError(f"policy {policy.kind!r} returned a plan outside the hypothesis set")
         answer = query_answer(oracle, plan)
         current = update(current, plan, answer)
         asked.add(t)
-        closed.add(plan.root)
+        closed.add(plan)
         trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
         last_true = plan if answer else None
     return current, trace

@@ -14,8 +14,8 @@ A library file is a JSON document with top-level keys:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .errors import LibrarySyntaxError, LibraryValidationError
 
@@ -28,17 +28,10 @@ PRIOR_TOLERANCE = 1e-9
 # of 1000 (a 330-step chain already exhausted it in `sprp --verify`).
 MAX_GRAMMAR_DEPTH = 200
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def bit_selectors(mask: int) -> bytes:
-    """Selector bytes for itertools.compress: bit i of mask becomes byte i."""
-    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
-
-
-def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tuple[frozenset[int], ...]:
-    """Predecessor sets per constituent index under the transitive closure of
-    the ordering pairs. Rejects out-of-range, reflexive, and cyclic orders.
+def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tuple[int, ...]:
+    """Predecessor bitmask per constituent index (bit j stands for
+    constituent j) under the transitive closure of the ordering pairs.
+    Rejects out-of-range, reflexive, and cyclic orders.
     Iterative, so an ordering chain of any length closes without deep
     recursion: constituents are taken in topological order, and each passes
     its predecessor bitmask, plus its own bit, on to its direct successors."""
@@ -66,7 +59,7 @@ def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tup
                 ready.append(j)
     if taken < n:
         raise LibraryValidationError(f"{where}: cyclic ordering constraint")
-    return tuple(frozenset(compress(range(n), bit_selectors(mask))) for mask in masks)
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,8 @@ class RefinementMethod:
     head: str
     constituents: tuple[str, ...]
     order: frozenset[tuple[int, int]] = frozenset()
-    predecessors: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
+    # bitmask of each constituent's ordering predecessors, transitively closed
+    predecessors: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # constituent indices with no ordering predecessor
     minimal_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -175,8 +169,10 @@ class PlanLibrary:
                     raise LibraryValidationError(f"goal prior for non-goal {g!r}")
                 if p < 0:
                     raise LibraryValidationError(f"negative goal prior for {g!r}")
+                if not math.isfinite(p):
+                    raise LibraryValidationError(f"goal prior for {g!r} is not finite")
             total = sum(self.goal_priors.get(g, 0.0) for g in self.goals)
-            if abs(total - 1.0) > PRIOR_TOLERANCE:
+            if not abs(total - 1.0) <= PRIOR_TOLERANCE:
                 raise LibraryValidationError(f"goal priors sum to {total}, expected 1")
             object.__setattr__(
                 self, "goal_priors", {g: self.goal_priors.get(g, 0.0) for g in self.goals}

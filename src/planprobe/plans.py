@@ -1,7 +1,8 @@
 """Plan trees, the refinement and match relations, and hypothesis structure.
 
-Plans are immutable labeled trees. An inner node records which refinement
-method expanded it; its children follow the method's constituent order.
+Plans are immutable labeled trees, and a plan is its root PlanNode. An inner
+node records which refinement method expanded it; its children follow the
+method's constituent order.
 Unexpanded complex nodes and unobserved basic leaves form the open frontier,
 the part of the plan the agent has yet to carry out.
 
@@ -25,7 +26,8 @@ Path = tuple[int, ...]
 
 
 class PlanNode:
-    """Immutable tree node. Hash is computed once at construction."""
+    """Immutable tree node, and as a root a whole plan. Hash is computed
+    once at construction."""
 
     __slots__ = ("label", "method", "children", "observed", "_hash")
 
@@ -77,24 +79,14 @@ class PlanNode:
     def expanded(self) -> bool:
         return self.method is not None
 
-
-@dataclass(frozen=True)
-class Plan:
-    """A plan tree. complete() holds when every leaf is a basic action."""
-
-    root: PlanNode
-
     def node_at(self, path: Path) -> PlanNode:
-        node = self.root
+        node = self
         for i in path:
             try:
                 node = node.children[i]
             except IndexError:
                 raise PlanError(f"no node at path {path}") from None
         return node
-
-    def __hash__(self) -> int:
-        return hash(self.root)
 
 
 @dataclass(frozen=True)
@@ -103,27 +95,23 @@ class Hypothesis:
     observations seen so far. The empty hypothesis (no plans) is only valid
     as the recognition seed before any observation arrives."""
 
-    plans: tuple[Plan, ...]
+    plans: tuple[PlanNode, ...]
     weight: float = 1.0
 
 
-def _iter_nodes(node: PlanNode, path: Path = ()) -> Iterator[tuple[Path, PlanNode]]:
+def iter_nodes(node: PlanNode, path: Path = ()) -> Iterator[tuple[Path, PlanNode]]:
+    """Preorder (path, node) traversal."""
     yield path, node
     for i, child in enumerate(node.children):
-        yield from _iter_nodes(child, path + (i,))
+        yield from iter_nodes(child, path + (i,))
 
 
-def iter_nodes(plan: Plan) -> Iterator[tuple[Path, PlanNode]]:
-    """Preorder (path, node) traversal."""
-    return _iter_nodes(plan.root)
-
-
-def is_complete(plan: Plan, lib: PlanLibrary) -> bool:
+def is_complete(plan: PlanNode, lib: PlanLibrary) -> bool:
     """Every leaf is a basic action."""
     return all(node.expanded or lib.is_basic(node.label) for _, node in iter_nodes(plan))
 
 
-def open_frontier(plan: Plan, lib: PlanLibrary) -> list[Path]:
+def open_frontier(plan: PlanNode, lib: PlanLibrary) -> list[Path]:
     """Unexpanded complex nodes plus unobserved basic leaves, left to right."""
     out: list[Path] = []
     for path, node in iter_nodes(plan):
@@ -144,7 +132,7 @@ def _replace(node: PlanNode, path: Path, replacement: PlanNode) -> PlanNode:
     return PlanNode(node.label, node.method, children, node.observed)
 
 
-def apply_method(plan: Plan, path: Path, method: RefinementMethod) -> Plan:
+def apply_method(plan: PlanNode, path: Path, method: RefinementMethod) -> PlanNode:
     """Expand the unexpanded complex node at `path` with `method`, returning a
     new plan. The input plan is never mutated."""
     node = plan.node_at(path)
@@ -159,17 +147,17 @@ def apply_method(plan: Plan, path: Path, method: RefinementMethod) -> Plan:
         method=method.id,
         children=tuple(PlanNode(c) for c in method.constituents),
     )
-    return Plan(_replace(plan.root, path, expanded))
+    return _replace(plan, path, expanded)
 
 
-def observe_leaf(plan: Plan, path: Path, index: int) -> Plan:
+def observe_leaf(plan: PlanNode, path: Path, index: int) -> PlanNode:
     """Annotate the pending leaf at `path` with an observation index."""
     node = plan.node_at(path)
     if node.expanded:
         raise PlanError(f"node {node.label!r} at {path} is not a leaf")
     if node.observed is not None:
         raise PlanError(f"leaf {node.label!r} at {path} already observed at {node.observed}")
-    return Plan(_replace(plan.root, path, PlanNode(node.label, observed=index)))
+    return _replace(plan, path, PlanNode(node.label, observed=index))
 
 
 def _refines(u: PlanNode, v: PlanNode) -> bool:
@@ -186,11 +174,11 @@ def _refines(u: PlanNode, v: PlanNode) -> bool:
     )
 
 
-def is_refinement(p: Plan, q: Plan) -> bool:
+def is_refinement(p: PlanNode, q: PlanNode) -> bool:
     """True iff q can be obtained from p by expanding frontier nodes only
     (reflexive: the empty expansion sequence counts). The relation is
     structural: observation marks are ignored."""
-    return _refines(p.root, q.root)
+    return _refines(p, q)
 
 
 def _match_nodes(u: PlanNode, v: PlanNode) -> bool:
@@ -205,12 +193,12 @@ def _match_nodes(u: PlanNode, v: PlanNode) -> bool:
     )
 
 
-def matches(p: Plan, q: Plan) -> bool:
+def matches(p: PlanNode, q: PlanNode) -> bool:
     """True iff p and q have a common refinement. Wherever both plans are
     expanded they must agree on the method; wherever one is still open the
     other side supplies the witness. Symmetric; observation marks are
     ignored."""
-    return _match_nodes(p.root, q.root)
+    return _match_nodes(p, q)
 
 
 def hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
@@ -222,10 +210,10 @@ def hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
     label, so each g-plan can only pair with h's plan of its label."""
     if len(h.plans) != len(g.plans):
         return False
-    by_label = {p.root.label: p for p in h.plans}
+    by_label = {p.label: p for p in h.plans}
     paired: set[str] = set()
     for q in g.plans:
-        label = q.root.label
+        label = q.label
         p = by_label.get(label)
         if p is None or label in paired or not is_refinement(p, q):
             return False
@@ -249,7 +237,7 @@ def describes(h: Hypothesis, obs: Sequence[str]) -> bool:
     return all(seen.get(i) == label for i, label in enumerate(obs))
 
 
-def validate_plan(lib: PlanLibrary, plan: Plan) -> None:
+def validate_plan(lib: PlanLibrary, plan: PlanNode) -> None:
     """Check every node against the library; raises PlanError on violation."""
     seen_marks: set[int] = set()
     for path, node in iter_nodes(plan):
@@ -280,8 +268,8 @@ def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
     seen_marks: set[int] = set()
     for plan in h.plans:
         validate_plan(lib, plan)
-        if plan.root.label not in lib.goals:
-            raise PlanError(f"plan root {plan.root.label!r} is not a goal")
+        if plan.label not in lib.goals:
+            raise PlanError(f"plan root {plan.label!r} is not a goal")
         for _, node in iter_nodes(plan):
             if node.observed is not None:
                 if node.observed in seen_marks:
@@ -289,7 +277,7 @@ def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
                 seen_marks.add(node.observed)
 
 
-def plan_to_dict(plan: Plan) -> dict:
+def plan_to_dict(plan: PlanNode) -> dict:
     """Nested {label, method?, observed?, children?} records."""
 
     def encode(node: PlanNode) -> dict:
@@ -302,10 +290,10 @@ def plan_to_dict(plan: Plan) -> dict:
             out["children"] = [encode(c) for c in node.children]
         return out
 
-    return encode(plan.root)
+    return encode(plan)
 
 
-def plan_from_dict(doc: dict) -> Plan:
+def plan_from_dict(doc: dict) -> PlanNode:
     def decode(record: dict) -> PlanNode:
         if not isinstance(record, dict) or "label" not in record:
             raise PlanError(f"bad plan record: {record!r}")
@@ -317,10 +305,10 @@ def plan_from_dict(doc: dict) -> Plan:
             observed=record.get("observed"),
         )
 
-    return Plan(decode(doc))
+    return decode(doc)
 
 
-def plan_digest(plan: Plan) -> str:
+def plan_digest(plan: PlanNode) -> str:
     """Short stable identifier of a plan for query traces."""
     blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
@@ -341,7 +329,8 @@ def hypothesis_from_dict(doc: dict) -> Hypothesis:
 
 
 def hypothesis_key(h: Hypothesis) -> frozenset[PlanNode]:
-    """Order-insensitive identity of a hypothesis: the set of its plan roots,
-    the key the recognizer merges on. Exact when the plans are pairwise
-    distinct, as in every recognized hypothesis (one plan per goal)."""
-    return frozenset(p.root for p in h.plans)
+    """Order-insensitive identity of a hypothesis: the set of its plans
+    (each plan is its root PlanNode), the key the recognizer merges on.
+    Exact when the plans are pairwise distinct, as in every recognized
+    hypothesis (one plan per goal)."""
+    return frozenset(h.plans)

@@ -8,7 +8,7 @@ Four strategies for picking which plan to ask about next:
               hypotheses it can be refined into
     entropy   the plan minimizing the expected entropy of the pruned set
 
-All selectors are pure functions of (hypothesis set, closed keys, seed):
+All selectors are pure functions of (hypothesis set, closed plans, seed):
 ties are broken by a PRNG derived from the seed and the number of closed
 plans, so repeated runs make identical choices.
 """
@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PolicyError
-from .plans import Plan, PlanNode
+from .plans import PlanNode
 from .recognizer import HypothesisSet
 from .engine import RelationTable, relations, restrict
 
@@ -29,7 +29,7 @@ def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
     return random.Random(f"{seed}:{len(closed)}")
 
 
-def cumulative_plan_prob(hset: HypothesisSet, plan: Plan) -> float:
+def cumulative_plan_prob(hset: HypothesisSet, plan: PlanNode) -> float:
     """Total weight of the hypotheses containing some plan refinable from
     `plan`."""
     table, alive = relations(hset)
@@ -65,12 +65,12 @@ def _open_candidates(
     return table, alive, candidates
 
 
-def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
+def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
     table, alive, candidates = _open_candidates(hset, closed)
     return table.plan(_rng(seed, closed).choice(candidates), alive)
 
 
-def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
+def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
     """Pick a not-yet-closed plan from the heaviest hypothesis; when that
     one is exhausted, walk down the weight ranking."""
     table, alive = relations(hset)
@@ -88,7 +88,7 @@ def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     return table.plan(rng.choice(rng.choice(tied)), alive)
 
 
-def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
+def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
     table, alive, candidates = _open_candidates(hset, closed)
     weights = [h.weight for h in hset.hypotheses]
     scored = [(sum(restrict(weights, alive, table.refine(t, alive))), t) for t in candidates]
@@ -97,7 +97,7 @@ def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
     return table.plan(_rng(seed, closed).choice(tied), alive)
 
 
-def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> Plan:
+def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
     """Pick the plan whose expected post-update entropy is smallest, where
     the two hypothetical updates use exactly the engine's pruning rules and
     survivor weights are renormalized before measuring."""
@@ -135,5 +135,5 @@ class Policy:
         if self.kind not in _SELECTORS:
             raise PolicyError(f"unknown policy kind {self.kind!r} (expected one of {POLICY_KINDS})")
 
-    def select(self, hset: HypothesisSet, closed: set[PlanNode]) -> Plan:
+    def select(self, hset: HypothesisSet, closed: set[PlanNode]) -> PlanNode:
         return _SELECTORS[self.kind](hset, closed, self.seed)

@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import PlanError, UnexplainableObservationError
 from .library import Chain, PlanLibrary
-from .plans import (
-    Hypothesis,
-    Path,
-    Plan,
-    PlanNode,
-    _replace,
-)
+from .plans import Hypothesis, Path, PlanNode, _replace
 
 if TYPE_CHECKING:
     from .engine import RelationTable
@@ -70,7 +64,7 @@ class HypothesisSet:
     def __post_init__(self):
         if self.hypotheses:
             total = sum(h.weight for h in self.hypotheses)
-            if abs(total - 1.0) > WEIGHT_TOLERANCE:
+            if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
                 raise ValueError(f"hypothesis weights sum to {total}, expected 1")
 
     def __len__(self) -> int:
@@ -98,15 +92,15 @@ class HypothesisSet:
 
 @dataclass
 class _PlanMemo:
-    """What one recognition run knows about each plan node it has met,
-    keyed by the node itself, marks included: whether its subtree is fully
-    observed, its enabled frontier as (path relative to the node, node)
-    pairs in left-to-right order, and the weight factors of its expanded
-    nodes in preorder; plus one tuple of blank constituent nodes per method,
-    shared by every chain subtree built. Plans are persistent trees, so a
-    grown plan shares every subtree off its attachment path with the plan
-    it grew from, and only the nodes on that path and in the grafted chain
-    are new here."""
+    """What one recognition run knows about each plan node it has met (a
+    plan is its root node), keyed by the node itself, marks included:
+    whether its subtree is fully observed, its enabled frontier as (path
+    relative to the node, node) pairs in left-to-right order, and the weight
+    factors of its expanded nodes in preorder; plus one tuple of blank
+    constituent nodes per method, shared by every chain subtree built. Plans
+    are persistent trees, so a grown plan shares every subtree off its
+    attachment path with the plan it grew from, and only the nodes on that
+    path and in the grafted chain are new here."""
 
     lib: PlanLibrary
     nodes: dict[PlanNode, tuple] = field(default_factory=dict)
@@ -124,14 +118,16 @@ class _PlanMemo:
             hit = (full, targets, ())
         else:
             # a constituent is enabled when all its ordering predecessors
-            # root fully observed subtrees; a disabled one holds no target
+            # root fully observed subtrees (bits of done); a disabled one
+            # holds no target
             kids = [self(c) for c in node.children]
+            done = sum(1 << j for j, kid in enumerate(kids) if kid[0])
             predecessors = lib.method(node.method).predecessors
             factors = (1.0 / len(lib.methods_for(node.label)),)
             targets = []
             for i, (_, below, fs) in enumerate(kids):
                 factors += fs
-                if below and all(kids[j][0] for j in predecessors[i]):
+                if below and not predecessors[i] & ~done:
                     targets.extend(((i, *path), n) for path, n in below)
             hit = (all(k[0] for k in kids), tuple(targets), factors)
         self.nodes[node] = hit
@@ -158,21 +154,21 @@ def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
     memo = _PlanMemo(lib)
     w = 1.0
     for plan in h.plans:
-        w = prod(memo(plan.root)[2], start=w * lib.goal_priors[plan.root.label])
+        w = prod(memo(plan)[2], start=w * lib.goal_priors[plan.label])
     return w
 
 
-def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list[Path]:
+def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list[Path]:
     """Frontier nodes whose ordering predecessors, at every ancestor level,
     all root fully observed subtrees. Left-to-right order."""
-    return [path for path, _ in _PlanMemo(lib)(plan.root)[1]]
+    return [path for path, _ in _PlanMemo(lib)(plan)[1]]
 
 
 def _step(
     lib: PlanLibrary,
     cfg: RecognizerConfig,
     memo: _PlanMemo,
-    hypotheses: Iterable[tuple[Plan, ...]],
+    hypotheses: Iterable[tuple[PlanNode, ...]],
     index: int,
     action: str,
     truncated: bool,
@@ -186,16 +182,16 @@ def _step(
     left to right exactly as hypothesis_weight forms it; it never reads the
     parent's weight, so no intermediate set needs normalizing. Successors
     with the same plans merge by adding weights. Their merge key is the set
-    of their plan roots, which is plans.hypothesis_key: a hypothesis holds at
-    most one plan per goal (a new plan starts only for an unused goal, and a
-    grown plan keeps its root label), so its roots are distinct and the set
-    stands for the multiset."""
+    of their plans, which is plans.hypothesis_key: a hypothesis holds at most
+    one plan per goal (a new plan starts only for an unused goal, and a grown
+    plan keeps its root label), so its plans are distinct and the set stands
+    for the multiset."""
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, f"{action} ({kind} action)")
     leaf = PlanNode(action, observed=index)
     chain_roots: dict[str, list[PlanNode]] = {}
-    grown_of: dict[PlanNode, list[tuple[Plan, tuple[float, ...]]]] = {}
+    grown_of: dict[PlanNode, list[tuple[PlanNode, tuple[float, ...]]]] = {}
 
     def grafts(label: str) -> list[PlanNode]:
         """The subtree of every chain from an open `label` node down to the
@@ -205,7 +201,7 @@ def _step(
             hit = chain_roots[label] = [memo.graft(c, leaf) for c in lib.chains_to(label, action)]
         return hit
 
-    def grow(root: PlanNode) -> list[tuple[Plan, tuple[float, ...]]]:
+    def grow(root: PlanNode) -> list[tuple[PlanNode, tuple[float, ...]]]:
         """Every way the plan at `root` absorbs the action, each made by one
         path copy, with the grown plans' weight factors."""
         out = []
@@ -218,20 +214,21 @@ def _step(
             if subtrees and node.observed is not None:
                 raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
             out.extend(_replace(root, path, sub) for sub in subtrees)
-        grown = grown_of[root] = [(Plan(g), memo(g)[2]) for g in out]
+        grown = grown_of[root] = [(g, memo(g)[2]) for g in out]
         return grown
 
     priors, known = lib.goal_priors, memo.nodes.get
     # a new plan for a goal starts the same way in every hypothesis
-    fresh: list[tuple[str, list[tuple[Plan, tuple[float, ...]]]]] = []
+    fresh: list[tuple[str, list[tuple[PlanNode, tuple[float, ...]]]]] = []
     for goal in lib.goals:
-        starts = [(Plan(sub), memo(sub)[2]) for sub in grafts(goal)]
+        starts = [(sub, memo(sub)[2]) for sub in grafts(goal)]
         if starts:
             fresh.append((goal, starts))
 
     merged: dict[frozenset[PlanNode], list] = {}
 
-    def emit(key: frozenset[PlanNode], plans: tuple[Plan, ...], weight: float) -> None:
+    def emit(plans: tuple[PlanNode, ...], weight: float) -> None:
+        key = frozenset(plans)
         prev = merged.get(key)
         if prev is None:
             merged[key] = [plans, weight]
@@ -239,33 +236,31 @@ def _step(
             prev[1] += weight
 
     for plans in hypotheses:
-        roots = [p.root for p in plans]
-        parts = [(priors[r.label], (known(r) or memo(r))[2]) for r in roots]
+        parts = [(priors[r.label], (known(r) or memo(r))[2]) for r in plans]
         # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
         prefix = [1.0]
         for prior, fs in parts:
             prefix.append(prod(fs, start=prefix[-1] * prior))
-        for i, root in enumerate(roots):
+        for i, root in enumerate(plans):
             grown = grown_of.get(root)
             if grown is None:
                 grown = grow(root)
             if not grown:
                 continue
-            others = roots[:i] + roots[i + 1:]
             start, rest = prefix[i] * parts[i][0], parts[i + 1:]
             for g, gfs in grown:
                 w = prod(gfs, start=start)
                 for prior, fs in rest:
                     w = prod(fs, start=w * prior)
-                emit(frozenset((*others, g.root)), plans[:i] + (g,) + plans[i + 1:], w)
+                emit(plans[:i] + (g,) + plans[i + 1:], w)
         if fresh:
-            used_goals = {r.label for r in roots}
+            used_goals = {r.label for r in plans}
             for goal, starts in fresh:
                 if goal in used_goals:
                     continue
                 head = prefix[-1] * priors[goal]
                 for p, fs in starts:
-                    emit(frozenset((*roots, p.root)), plans + (p,), prod(fs, start=head))
+                    emit(plans + (p,), prod(fs, start=head))
 
     if not merged:
         raise UnexplainableObservationError(index, action, truncated)

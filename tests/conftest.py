@@ -6,7 +6,7 @@ import pytest
 
 from planprobe.domains import builtin_chemistry, builtin_quartet
 from planprobe.library import PlanLibrary, RefinementMethod
-from planprobe.plans import Plan, PlanNode, observe_leaf, open_frontier
+from planprobe.plans import PlanNode, observe_leaf, open_frontier
 
 
 @pytest.fixture
@@ -34,10 +34,10 @@ def minimal_lib():
     )
 
 
-def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mark_p: float = 0.4) -> Plan:
+def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mark_p: float = 0.4) -> PlanNode:
     """Random partial plan from a random goal: expand open complex nodes with
     probability expand_p, then observe a random subset of basic leaves."""
-    plan = Plan(PlanNode(rng.choice(lib.goals)))
+    plan = PlanNode(rng.choice(lib.goals))
     while True:
         open_complex = [
             path for path in open_frontier(plan, lib)
@@ -61,7 +61,7 @@ def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mar
     return plan
 
 
-def random_expansion(lib: PlanLibrary, plan: Plan, rng: random.Random, steps: int) -> Plan:
+def random_expansion(lib: PlanLibrary, plan: PlanNode, rng: random.Random, steps: int) -> PlanNode:
     """Apply up to `steps` random method applications to open complex nodes."""
     from planprobe.plans import apply_method
 

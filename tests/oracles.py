@@ -29,7 +29,6 @@ from planprobe.errors import OracleInconsistencyError, UnexplainableObservationE
 from planprobe.library import PlanLibrary
 from planprobe.plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     apply_method,
     is_refinement,
@@ -45,11 +44,11 @@ from planprobe.recognizer import HypothesisSet, RecognizerConfig
 Tup = tuple  # (label, method_id | None, tuple[Tup, ...], observed | None)
 
 
-def to_tuple(plan: Plan) -> Tup:
+def to_tuple(plan: PlanNode) -> Tup:
     def conv(node: PlanNode) -> Tup:
         return (node.label, node.method, tuple(conv(c) for c in node.children), node.observed)
 
-    return conv(plan.root)
+    return conv(plan)
 
 
 def strip_marks(t: Tup) -> Tup:
@@ -119,7 +118,7 @@ def complete_refinements(lib: PlanLibrary, t: Tup) -> set[Tup]:
     return set(rec(t))
 
 
-def matches_oracle(lib: PlanLibrary, p: Plan, q: Plan) -> bool:
+def matches_oracle(lib: PlanLibrary, p: PlanNode, q: PlanNode) -> bool:
     """Common complete refinement exists."""
     return bool(
         complete_refinements(lib, to_tuple(p)) & complete_refinements(lib, to_tuple(q))
@@ -145,7 +144,7 @@ def _expand_once(lib: PlanLibrary, t: Tup) -> list[Tup]:
     return out
 
 
-def refinement_oracle(lib: PlanLibrary, p: Plan, q: Plan) -> bool:
+def refinement_oracle(lib: PlanLibrary, p: PlanNode, q: PlanNode) -> bool:
     """Breadth-first search for an expansion sequence turning p into q."""
     start = strip_marks(to_tuple(p))
     goal = strip_marks(to_tuple(q))
@@ -302,36 +301,36 @@ def hypothesis_set_signature(hset) -> set[tuple[str, ...]]:
 # occurrence in the set; with key=plan_root the selectors read as they did
 # before the loop dropped marks.
 
-def survivors_if_true(hset, plan: Plan) -> list:
+def survivors_if_true(hset, plan: PlanNode) -> list:
     return [h for h in hset.hypotheses if any(matches(p, plan) for p in h.plans)]
 
 
-def survivors_if_false(hset, plan: Plan) -> list:
+def survivors_if_false(hset, plan: PlanNode) -> list:
     return [h for h in hset.hypotheses if not any(is_refinement(plan, p) for p in h.plans)]
 
 
-def update(hset, plan: Plan, answer: bool):
+def update(hset, plan: PlanNode, answer: bool):
     survivors = survivors_if_true(hset, plan) if answer else survivors_if_false(hset, plan)
     if not survivors:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
     return HypothesisSet.normalized(survivors, hset.observation_count, hset.truncated)
 
 
-def plan_shape(plan: Plan) -> Tup:
+def plan_shape(plan: PlanNode) -> Tup:
     """A plan's identity as a question: its tree with marks dropped."""
     return strip_marks(to_tuple(plan))
 
 
-def plan_root(plan: Plan) -> PlanNode:
+def plan_root(plan: PlanNode) -> PlanNode:
     """A plan's identity as a question before the loop dropped marks."""
-    return plan.root
+    return plan
 
 
-def candidate_plans(hset, closed: set, key=plan_shape) -> list[Plan]:
+def candidate_plans(hset, closed: set, key=plan_shape) -> list[PlanNode]:
     """The plans of the set once per key, skipping the keys of the closed
-    roots, in first-occurrence order."""
-    seen = {key(Plan(r)) for r in closed}
-    out: list[Plan] = []
+    plans, in first-occurrence order."""
+    seen = {key(r) for r in closed}
+    out: list[PlanNode] = []
     for h in hset.hypotheses:
         for p in h.plans:
             k = key(p)
@@ -341,7 +340,7 @@ def candidate_plans(hset, closed: set, key=plan_shape) -> list[Plan]:
     return out
 
 
-def cumulative_plan_prob(hset, plan: Plan) -> float:
+def cumulative_plan_prob(hset, plan: PlanNode) -> float:
     return sum(h.weight for h in hset.hypotheses if any(is_refinement(plan, p) for p in h.plans))
 
 
@@ -361,11 +360,11 @@ def _entropy_of_weights(weights: list[float]) -> float:
     return e
 
 
-def select_random(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+def select_random(hset, closed: set, seed: int, key=plan_shape) -> PlanNode:
     return _rng(seed, closed).choice(candidate_plans(hset, closed, key))
 
 
-def select_mph(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+def select_mph(hset, closed: set, seed: int, key=plan_shape) -> PlanNode:
     # a chosen plan is named by its key's first occurrence in the set
     first = {key(p): p for p in candidate_plans(hset, closed, key)}
     open_by_hyp = []
@@ -379,13 +378,13 @@ def select_mph(hset, closed: set, seed: int, key=plan_shape) -> Plan:
     return rng.choice(rng.choice(tied))
 
 
-def select_mpp(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+def select_mpp(hset, closed: set, seed: int, key=plan_shape) -> PlanNode:
     scored = [(cumulative_plan_prob(hset, t), t) for t in candidate_plans(hset, closed, key)]
     best = max(score for score, _ in scored)
     return _rng(seed, closed).choice([t for score, t in scored if score == best])
 
 
-def select_min_entropy(hset, closed: set, seed: int, key=plan_shape) -> Plan:
+def select_min_entropy(hset, closed: set, seed: int, key=plan_shape) -> PlanNode:
     scored = []
     for t in candidate_plans(hset, closed, key):
         p_true = cumulative_plan_prob(hset, t)
@@ -414,7 +413,7 @@ def root_key_query_loop(h0, truth: Hypothesis, kind: str, seed: int):
         plan = SELECTORS[kind](current, closed, seed, plan_root)
         answer = any(is_refinement(plan, t) for t in truth.plans)
         current = update(current, plan, answer)
-        closed.add(plan.root)
+        closed.add(plan)
     return current, len(closed)
 
 
@@ -430,19 +429,19 @@ def root_key_query_loop(h0, truth: Hypothesis, kind: str, seed: int):
 def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
     w = 1.0
     for plan in h.plans:
-        w *= lib.goal_priors[plan.root.label]
+        w *= lib.goal_priors[plan.label]
         for _, node in iter_nodes(plan):
             if node.expanded:
                 w *= 1.0 / len(lib.methods_for(node.label))
     return w
 
 
-def weight_factors(lib: PlanLibrary, plan: Plan) -> tuple[float, ...]:
+def weight_factors(lib: PlanLibrary, plan: PlanNode) -> tuple[float, ...]:
     """The root goal's prior, then, for every expanded node in preorder, one
     over the number of methods for its label: the whole-tree walk the
     recognizer's node memo replaced."""
-    out = [lib.goal_priors[plan.root.label]]
-    stack = [plan.root]
+    out = [lib.goal_priors[plan.label]]
+    stack = [plan]
     while stack:
         node = stack.pop()
         if node.method is not None:
@@ -464,7 +463,7 @@ def _fully_observed(lib: PlanLibrary, node: PlanNode, memo: dict[int, bool]) -> 
     return result
 
 
-def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list:
+def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list:
     out: list = []
     memo: dict[int, bool] = {}
 
@@ -476,11 +475,11 @@ def enabled_expansion_targets(lib: PlanLibrary, plan: Plan) -> list:
         method = lib.method(node.method)
         for i, child in enumerate(node.children):
             child_enabled = enabled and all(
-                _fully_observed(lib, node.children[j], memo) for j in method.predecessors[i]
+                _fully_observed(lib, node.children[j], memo) for j in _preds_closure(method.order, i)
             )
             walk(child, path + (i,), child_enabled)
 
-    walk(plan.root, (), True)
+    walk(plan, (), True)
     return out
 
 
@@ -503,7 +502,7 @@ def _chains_to(lib: PlanLibrary, label: str, target: str, cache: dict) -> tuple:
     return result
 
 
-def _attach_chain(plan: Plan, path: tuple, chain: tuple, index: int) -> Plan:
+def _attach_chain(plan: PlanNode, path: tuple, chain: tuple, index: int) -> PlanNode:
     for method, pos in chain:
         plan = apply_method(plan, path, method)
         path = path + (pos,)
@@ -511,7 +510,7 @@ def _attach_chain(plan: Plan, path: tuple, chain: tuple, index: int) -> Plan:
 
 
 def _hypothesis_multiset(h: Hypothesis) -> frozenset:
-    return frozenset(Counter(p.root for p in h.plans).items())
+    return frozenset(Counter(h.plans).items())
 
 
 def explain_step(
@@ -529,7 +528,7 @@ def explain_step(
 
     merged: dict[frozenset, Hypothesis] = {}
 
-    def emit(plans: tuple[Plan, ...]) -> None:
+    def emit(plans: tuple[PlanNode, ...]) -> None:
         h = Hypothesis(plans, hypothesis_weight(lib, Hypothesis(plans)))
         key = _hypothesis_multiset(h)
         prev = merged.get(key)
@@ -550,12 +549,12 @@ def explain_step(
                     for chain in _chains_to(lib, node.label, action, chain_cache):
                         grown = _attach_chain(plan, path, chain, index)
                         emit(h.plans[:plan_idx] + (grown,) + h.plans[plan_idx + 1:])
-        used_goals = {p.root.label for p in h.plans}
+        used_goals = {p.label for p in h.plans}
         for goal in lib.goals:
             if goal in used_goals:
                 continue
             for chain in _chains_to(lib, goal, action, chain_cache):
-                fresh = _attach_chain(Plan(PlanNode(goal)), (), chain, index)
+                fresh = _attach_chain(PlanNode(goal), (), chain, index)
                 emit(h.plans + (fresh,))
 
     if not merged:
@@ -599,7 +598,7 @@ def matching_hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
 # ------------------------------------------------------ digest identity
 
 # The hypothesis identity as it read before plans.hypothesis_key became the
-# set of plan roots: the sorted, truncated SHA-1 digests of each plan's JSON.
+# set of plans: the sorted, truncated SHA-1 digests of each plan's JSON.
 
 def digest_hypothesis_key(h: Hypothesis) -> tuple[str, ...]:
     blobs = (json.dumps(plan_to_dict(p), sort_keys=True, separators=(",", ":")) for p in h.plans)

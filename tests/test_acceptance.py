@@ -23,7 +23,6 @@ from planprobe.errors import UnexplainableObservationError
 from planprobe.experiment import ExperimentSpec, brute_force_final_set, mean_decay_curves, run_experiment
 from planprobe.plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     hypothesis_key,
     hypothesis_refines,
@@ -106,8 +105,8 @@ def test_criterion_2_relation_oracles():
         plans, seen = [], set()
         for h in hset.hypotheses:
             for p in h.plans:
-                if p.root not in seen:
-                    seen.add(p.root)
+                if p not in seen:
+                    seen.add(p)
                     plans.append(p)
         plans = plans[:24]
         for p in plans:
@@ -143,7 +142,7 @@ def test_criterion_4_chemistry_fixture():
     inst = builtin_chemistry()["pairwise_first_mix"]
     hset = recognize(inst.library, ["mix_AB"])
     assert len(hset) == 2
-    roots = {h.plans[0].root.method for h in hset.hypotheses}
+    roots = {h.plans[0].method for h in hset.hypotheses}
     assert roots == {"strategy_pairwise", "strategy_fourway"}
     print("\nACCEPTANCE 4 PASS -- one pair-mix observation yields exactly the two strategies")
 
@@ -227,7 +226,7 @@ def test_criterion_9_property_suites():
 
     for i in range(1000):  # refinement reflexivity + transitivity
         lib = libs[i % len(libs)]
-        p = Plan(PlanNode(rng.choice(lib.goals)))
+        p = PlanNode(rng.choice(lib.goals))
         q = random_expansion(lib, p, rng, rng.randint(0, 3))
         r = random_expansion(lib, q, rng, rng.randint(0, 3))
         assert is_refinement(p, p) and is_refinement(r, r)
@@ -273,7 +272,7 @@ def test_criterion_9_property_suites():
         seed = det % 17
         a = Policy(kind, seed).select(hset, set())
         b = Policy(kind, seed).select(hset, set())
-        assert a.root == b.root
+        assert a == b
         det += 1
 
     print("\nACCEPTANCE 9 PASS -- 5 property suites x 1000 randomized cases")

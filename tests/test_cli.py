@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -114,6 +115,21 @@ def test_long_ordering_chain_recognizes_and_cycle_exits_1_with_one_line(tmp_path
     lib.write_text(json.dumps(long_order_library_doc(1500, cyclic=True)))
     assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
     assert capsys.readouterr().err == "error: method 'm': cyclic ordering constraint\n"
+
+
+@pytest.mark.parametrize("prior", [math.nan, math.inf])
+def test_non_finite_goal_prior_exits_1_with_one_line(tmp_path, capsys, prior):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({
+        "basic": ["a"], "complex": ["g", "h"], "goals": ["g", "h"],
+        "goal_priors": {"g": prior, "h": 1.0},
+        "methods": [{"id": "mg", "head": "g", "children": ["a"]},
+                    {"id": "mh", "head": "h", "children": ["a"]}],
+    }))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("a\n")
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == "error: goal prior for 'g' is not finite\n"
 
 
 def _nested_truth(levels: int) -> str:

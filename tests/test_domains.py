@@ -160,7 +160,7 @@ class TestChemistry:
         inst = chem["fourway_all_mix"]
         hset = recognize(inst.library, ["mix_ABCD"])
         assert len(hset) == 1
-        assert hset.hypotheses[0].plans[0].root.method == "strategy_fourway"
+        assert hset.hypotheses[0].plans[0].method == "strategy_fourway"
 
     def test_strategy_resolves_in_one_query(self, chem):
         for name in ("pairwise_first_mix", "fourway_all_mix"):
@@ -175,7 +175,7 @@ class TestChemistry:
         inst = chem["pairwise_two_mixes"]
         hset = recognize(inst.library, list(inst.observations))
         assert len(hset) == 1
-        assert hset.hypotheses[0].plans[0].root.method == "strategy_pairwise"
+        assert hset.hypotheses[0].plans[0].method == "strategy_pairwise"
 
 
 class TestQuartet:

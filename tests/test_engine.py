@@ -14,7 +14,6 @@ from planprobe.errors import OracleInconsistencyError, PolicyError
 from planprobe.experiment import brute_force_final_set
 from planprobe.plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     hypothesis_key,
     hypothesis_refines,
@@ -109,13 +108,13 @@ class TestCandidatePlans:
         assert len(plans) == 7  # partner1 and partner3 coincide
 
     def test_closed_removed(self, quartet):
-        closed = {quartet.p1.root}
+        closed = {quartet.p1}
         plans = candidate_plans(quartet.hset, closed)
         assert len(plans) == 6
-        assert all(p.root != quartet.p1.root for p in plans)
+        assert all(p != quartet.p1 for p in plans)
 
     def test_all_closed_empty(self, quartet):
-        closed = {p.root for p in candidate_plans(quartet.hset, set())}
+        closed = set(candidate_plans(quartet.hset, set()))
         assert candidate_plans(quartet.hset, closed) == []
 
 
@@ -153,7 +152,7 @@ class TestRunQueryLoop:
             while len(current) > 1 and candidate_plans(current, closed):
                 plan = policy.select(current, closed)
                 current = update(current, plan, query_answer(oracle, plan))
-                closed.add(plan.root)
+                closed.add(plan)
                 assert refiners <= {hypothesis_key(h) for h in current.hypotheses}
 
     def test_truncated_input_rejected(self, quartet):
@@ -197,10 +196,10 @@ class TestRunQueryLoop:
 
     def test_mark_variant_of_asked_plan_rejected(self, quartet):
         # p3 with its observation mark dropped is still the question p3
-        unmarked = Plan(PlanNode("G1", method="mg", children=(
+        unmarked = PlanNode("G1", method="mg", children=(
             PlanNode("o1", observed=0), PlanNode("X"),
-            PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b"))))))
-        assert unmarked.root != quartet.p3.root
+            PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b")))))
+        assert unmarked != quartet.p3
 
         class AsksP3Twice:
             kind = "stub"

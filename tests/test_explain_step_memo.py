@@ -232,11 +232,11 @@ def test_node_memo_matches_whole_tree_walks(name, lib, observations, sizes):
         hset = oracles.explain_step(lib, hset, action)
         for plan in {p for h in hset.hypotheses for p in h.plans}:
             want = oracles.enabled_expansion_targets(lib, plan)
-            _, targets, factors = memo(plan.root)
+            _, targets, factors = memo(plan)
             assert [path for path, _ in targets] == want
             assert [node for _, node in targets] == [plan.node_at(path) for path in want]
             assert enabled_expansion_targets(lib, plan) == want
-            assert (lib.goal_priors[plan.root.label],) + factors == oracles.weight_factors(lib, plan)
+            assert (lib.goal_priors[plan.label],) + factors == oracles.weight_factors(lib, plan)
 
 
 def test_unexplainable_observation_raises_like_reference():

@@ -1,5 +1,5 @@
-"""Differential test: plans.hypothesis_key (the set of plan roots, the key
-the recognizer merges on) against the digest identity it replaced, kept in
+"""Differential test: plans.hypothesis_key (the set of plans, the key the
+recognizer merges on) against the digest identity it replaced, kept in
 oracles.py.
 
 On the instances of test_relation_table.py, both keys must split h0, the

@@ -19,7 +19,7 @@ import pytest
 from planprobe.engine import QueryOracle, query_answer, run_query_loop
 from planprobe.errors import OracleInconsistencyError
 from planprobe.experiment import brute_force_final_set
-from planprobe.plans import Hypothesis, Plan, PlanNode, hypothesis_key, is_refinement
+from planprobe.plans import Hypothesis, PlanNode, hypothesis_key, is_refinement
 from planprobe.policies import POLICY_KINDS, Policy
 
 from . import oracles
@@ -33,10 +33,10 @@ class Audited:
         self.kind = kind
         self.policy = Policy(kind, seed)
         self.oracle = QueryOracle(truth)
-        self.answered: list[tuple[Plan, bool]] = []
+        self.answered: list[tuple[PlanNode, bool]] = []
         self.settled: list[int] = []  # plans closed unasked, at each select
 
-    def forced(self, hset, p: Plan) -> tuple[bool, bool]:
+    def forced(self, hset, p: PlanNode) -> tuple[bool, bool]:
         by_premise = all(
             any(is_refinement(p, q) for q in h.plans) for h in hset.hypotheses)
         by_answer = any(answer and is_refinement(p, q) for q, answer in self.answered)
@@ -47,8 +47,8 @@ class Audited:
         assert len(closed) >= len(asked)
         self.settled.append(len(closed) - len(asked))
         for root in closed:
-            if oracles.plan_shape(Plan(root)) not in asked:
-                assert any(self.forced(hset, Plan(root)))
+            if oracles.plan_shape(root) not in asked:
+                assert any(self.forced(hset, root))
         for p in oracles.candidate_plans(hset, closed):
             assert not any(self.forced(hset, p))
         plan = self.policy.select(hset, closed)
@@ -64,7 +64,7 @@ def test_only_open_questions_and_same_final_set(name, h0, truth, premise):
     if not premise:
         # the extra plan's label is no goal of the library, so no
         # hypothesis of h0 can pair with it
-        truth = Hypothesis(truth.plans + (Plan(PlanNode("goal outside the library")),))
+        truth = Hypothesis(truth.plans + (PlanNode("goal outside the library"),))
         for kind in POLICY_KINDS:
             policy = Audited(kind, len(h0), truth)
             with pytest.raises(OracleInconsistencyError, match="no hypothesis can be refined"):

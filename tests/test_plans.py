@@ -7,7 +7,6 @@ from planprobe.domains import GenParams, gen_instance
 from planprobe.errors import PlanError
 from planprobe.plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     apply_method,
     describes,
@@ -33,7 +32,7 @@ class TestOpenFrontier:
         inst = chem["pairwise_first_mix"]
         hset = recognize(inst.library, ["mix_AB"])
         fourway = next(
-            h.plans[0] for h in hset.hypotheses if h.plans[0].root.method == "strategy_fourway"
+            h.plans[0] for h in hset.hypotheses if h.plans[0].method == "strategy_fourway"
         )
         frontier = open_frontier(fourway, inst.library)
         assert [fourway.node_at(p).label for p in frontier] == ["mix_ABCD"]
@@ -45,7 +44,7 @@ class TestOpenFrontier:
         assert open_frontier(plan, inst.library) == []
 
     def test_single_complex_root(self, chem_lib):
-        plan = Plan(PlanNode("InvestigateReaction"))
+        plan = PlanNode("InvestigateReaction")
         assert open_frontier(plan, chem_lib) == [()]
 
     def test_left_to_right_order(self, quartet):
@@ -56,25 +55,28 @@ class TestOpenFrontier:
 
 class TestApplyMethod:
     def test_minimal(self, minimal_lib):
-        plan = Plan(PlanNode("g"))
+        plan = PlanNode("g")
         grown = apply_method(plan, (), minimal_lib.methods_for("g")[0])
-        assert grown.root.method == "m"
-        assert [c.label for c in grown.root.children] == ["a"]
+        assert grown.method == "m"
+        assert [c.label for c in grown.children] == ["a"]
 
-    def test_input_unchanged(self, minimal_lib):
-        plan = Plan(PlanNode("g"))
-        key_before = plan.root
-        apply_method(plan, (), minimal_lib.methods_for("g")[0])
-        assert plan.root == key_before
+    def test_input_unchanged(self, quartet):
+        for plan, edit in (
+            (quartet.p2, lambda p: apply_method(p, (1,), quartet.library.method("mx"))),
+            (quartet.p1, lambda p: observe_leaf(p, (1, 1), 3)),
+        ):
+            before = plan_to_dict(plan)
+            edit(plan)
+            assert plan_to_dict(plan) == before
 
     def test_expanding_p2_reproduces_p1_structure(self, quartet):
         grown = apply_method(quartet.p2, (1,), quartet.library.method("mx"))
         stripped_p1 = plan_from_dict(_strip_marks(plan_to_dict(quartet.p1)))
         stripped_grown = plan_from_dict(_strip_marks(plan_to_dict(grown)))
-        assert stripped_grown.root == stripped_p1.root
+        assert stripped_grown == stripped_p1
 
     def test_double_expansion_rejected(self, minimal_lib):
-        plan = apply_method(Plan(PlanNode("g")), (), minimal_lib.methods_for("g")[0])
+        plan = apply_method(PlanNode("g"), (), minimal_lib.methods_for("g")[0])
         with pytest.raises(PlanError, match="already expanded"):
             apply_method(plan, (), minimal_lib.methods_for("g")[0])
 
@@ -112,7 +114,7 @@ class TestRefinement:
         libs = [gen_instance(GenParams(seed=s, obs_len=3)).library for s in range(4)]
         for i in range(1000):
             lib = libs[i % len(libs)]
-            p = Plan(PlanNode(rng.choice(lib.goals)))
+            p = PlanNode(rng.choice(lib.goals))
             q = random_expansion(lib, p, rng, rng.randint(0, 3))
             r = random_expansion(lib, q, rng, rng.randint(0, 3))
             assert is_refinement(p, q) and is_refinement(q, r)
@@ -196,10 +198,10 @@ class TestHypothesisRefines:
 
 class TestCanonicalKey:
     def test_deep_copy_equal(self, quartet):
-        assert quartet.p1.root == copy.deepcopy(quartet.p1).root
+        assert quartet.p1 == copy.deepcopy(quartet.p1)
 
     def test_distinct_plans_differ(self, quartet):
-        assert quartet.p1.root != quartet.p3.root
+        assert quartet.p1 != quartet.p3
 
     def test_no_collisions_on_random_plans(self):
         rng = random.Random(29)
@@ -208,9 +210,9 @@ class TestCanonicalKey:
         n = 100_000
         for i in range(n):
             p = random_plan(libs[i % len(libs)], rng, expand_p=0.4)
-            buckets.setdefault(p.root, p)
+            buckets.setdefault(p, p)
         for key, plan in buckets.items():
-            assert key == plan.root
+            assert key == plan
         # equal keys were merged; re-verify a sample pairwise by structure
         sample = list(buckets.values())[:200]
         for i, p in enumerate(sample):
@@ -237,7 +239,7 @@ class TestDescribes:
 
 class TestValidation:
     def test_children_must_follow_method(self, quartet):
-        bad = Plan(PlanNode("G1", method="mg", children=(PlanNode("o1"), PlanNode("Y"), PlanNode("X"))))
+        bad = PlanNode("G1", method="mg", children=(PlanNode("o1"), PlanNode("Y"), PlanNode("X")))
         with pytest.raises(PlanError, match="do not follow"):
             validate_plan(quartet.library, bad)
 
@@ -246,15 +248,13 @@ class TestValidation:
             PlanNode("X", method="mx", children=(PlanNode("o3"), PlanNode("a")), observed=1)
 
     def test_duplicate_marks_rejected(self, quartet):
-        bad = Plan(
-            PlanNode("G2", method="mp2",
-                     children=(PlanNode("o2", observed=1), PlanNode("o3", observed=1), PlanNode("e")))
-        )
+        bad = PlanNode("G2", method="mp2",
+                       children=(PlanNode("o2", observed=1), PlanNode("o3", observed=1), PlanNode("e")))
         with pytest.raises(PlanError, match="duplicate observation index"):
             validate_plan(quartet.library, bad)
 
     def test_non_goal_root_rejected(self, quartet):
-        h = Hypothesis((Plan(PlanNode("X")),))
+        h = Hypothesis((PlanNode("X"),))
         with pytest.raises(PlanError, match="not a goal"):
             validate_hypothesis(quartet.library, h)
 
@@ -267,18 +267,16 @@ class TestValidation:
 def test_relations_ignore_observation_marks(quartet):
     # shift p1's o1 mark: p1 still refines to complete_main
     shifted = observe_leaf(
-        Plan(PlanNode("G1", method="mg",
-                      children=(PlanNode("o1"), quartet.p1.root.children[1], PlanNode("Y")))),
+        PlanNode("G1", method="mg",
+                 children=(PlanNode("o1"), quartet.p1.children[1], PlanNode("Y"))),
         (0,), 7,
     )
     assert is_refinement(shifted, quartet.complete_main)
     # and p3 with its o1 mark moved still matches p1
-    p3_shifted = Plan(
-        PlanNode("G1", method="mg",
-                 children=(PlanNode("o1", observed=5),
-                           PlanNode("X"),
-                           quartet.p3.root.children[2]))
-    )
+    p3_shifted = PlanNode("G1", method="mg",
+                          children=(PlanNode("o1", observed=5),
+                                    PlanNode("X"),
+                                    quartet.p3.children[2]))
     assert matches(quartet.p1, p3_shifted)
 
 
@@ -292,4 +290,4 @@ def test_serialization_round_trip():
 
 def test_is_complete(chem, minimal_lib):
     assert is_complete(chem["pairwise_first_mix"].truth.plans[0], chem["pairwise_first_mix"].library)
-    assert not is_complete(Plan(PlanNode("g")), minimal_lib)
+    assert not is_complete(PlanNode("g"), minimal_lib)

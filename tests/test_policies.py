@@ -7,7 +7,7 @@ from planprobe.domains import GenParams, gen_instance
 from planprobe.engine import candidate_plans, update
 from planprobe.errors import PolicyError
 from planprobe.library import PlanLibrary, RefinementMethod
-from planprobe.plans import Hypothesis, Plan, PlanNode, hypothesis_key
+from planprobe.plans import Hypothesis, PlanNode, hypothesis_key
 from planprobe.policies import (
     Policy,
     cumulative_plan_prob,
@@ -33,11 +33,11 @@ class TestCumulativePlanProb:
         assert cumulative_plan_prob(quartet.hset, quartet.p2) == pytest.approx(0.75)
 
     def test_plan_in_every_hypothesis(self, quartet):
-        shared = Plan(PlanNode("G1"))
+        shared = PlanNode("G1")
         assert cumulative_plan_prob(quartet.hset, shared) == pytest.approx(1.0)
 
     def test_unrelated_plan_zero(self, quartet):
-        lone = Plan(PlanNode("Z"))
+        lone = PlanNode("Z")
         assert cumulative_plan_prob(quartet.hset, lone) == pytest.approx(0.0)
 
 
@@ -62,10 +62,10 @@ class TestEntropy:
 
 class TestSelectRandom:
     def test_single_candidate(self, quartet):
-        closed = {p.root for p in candidate_plans(quartet.hset, set())
-                  if p.root != quartet.p2.root}
+        closed = {p for p in candidate_plans(quartet.hset, set())
+                  if p != quartet.p2}
         pick = select_random(quartet.hset, closed, seed=0)
-        assert pick.root == quartet.p2.root
+        assert pick == quartet.p2
 
     def test_same_seed_same_sequence(self, quartet):
         def draw_sequence(seed):
@@ -74,8 +74,8 @@ class TestSelectRandom:
             hset = quartet.hset
             for _ in range(4):
                 p = select_random(hset, closed, seed)
-                out.append(p.root)
-                closed.add(p.root)
+                out.append(p)
+                closed.add(p)
             return out
 
         assert draw_sequence(9) == draw_sequence(9)
@@ -83,20 +83,20 @@ class TestSelectRandom:
     def test_uniform_over_seeds_chi_square(self, quartet):
         # 7 distinct candidate plans; add one more via a fresh bare plan to
         # get 8 buckets, matching a uniform chi-square with df = 7
-        extra = Hypothesis((Plan(PlanNode("G1")), quartet.partner2), 0.0)
+        extra = Hypothesis((PlanNode("G1"), quartet.partner2), 0.0)
         hset = HypothesisSet.normalized(list(quartet.hset.hypotheses) + [extra], 3)
         candidates = candidate_plans(hset, set())
         assert len(candidates) == 8
-        counts = {p.root: 0 for p in candidates}
+        counts = {p: 0 for p in candidates}
         n = 10_000
         for seed in range(n):
-            counts[select_random(hset, set(), seed).root] += 1
+            counts[select_random(hset, set(), seed)] += 1
         expected = n / 8
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 30  # p ~ 1e-4 at 7 degrees of freedom
 
     def test_no_candidates_raises(self, quartet):
-        closed = {p.root for p in candidate_plans(quartet.hset, set())}
+        closed = set(candidate_plans(quartet.hset, set()))
         with pytest.raises(PolicyError):
             select_random(quartet.hset, closed, 0)
 
@@ -105,41 +105,41 @@ class TestSelectMph:
     def test_heaviest_hypothesis_wins(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.7, 0.3)
         pick = select_mph(hset, set(), seed=0)
-        keys = {p.root for p in quartet.h1.plans}
-        assert pick.root in keys
+        keys = set(quartet.h1.plans)
+        assert pick in keys
 
     def test_fallback_when_exhausted(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.7, 0.3)
-        closed = {p.root for p in quartet.h1.plans}
+        closed = set(quartet.h1.plans)
         pick = select_mph(hset, closed, seed=0)
-        assert pick.root in {p.root for p in quartet.h4.plans}
+        assert pick in quartet.h4.plans
 
     def test_equal_weights_uniform_over_seeds(self, quartet):
         hset = _two_hypothesis_set(quartet, 0.5, 0.5)
         # close everything except one plan per hypothesis
-        closed = {p.root for p in (quartet.partner1, quartet.partner4)}
-        hits = {quartet.p1.root: 0, quartet.p4.root: 0}
+        closed = {quartet.partner1, quartet.partner4}
+        hits = {quartet.p1: 0, quartet.p4: 0}
         n = 2000
         for seed in range(n):
-            hits[select_mph(hset, closed, seed).root] += 1
+            hits[select_mph(hset, closed, seed)] += 1
         for count in hits.values():
             assert abs(count - n / 2) < 150  # ~4.5 sigma
 
 
 class TestSelectMpp:
     def test_quartet_argmax(self, quartet):
-        scores = {t.root: cumulative_plan_prob(quartet.hset, t)
+        scores = {t: cumulative_plan_prob(quartet.hset, t)
                   for t in candidate_plans(quartet.hset, set())}
         best = max(scores.values())
         assert best == pytest.approx(0.75)
-        assert scores[quartet.p2.root] == pytest.approx(best)
+        assert scores[quartet.p2] == pytest.approx(best)
         pick = select_mpp(quartet.hset, set(), seed=0)
-        assert scores[pick.root] == pytest.approx(best)
+        assert scores[pick] == pytest.approx(best)
 
     def test_single_hypothesis_all_equal(self, quartet):
         hset = HypothesisSet.normalized([quartet.h1], 3)
         pick = select_mpp(hset, set(), seed=3)
-        assert pick.root in {p.root for p in quartet.h1.plans}
+        assert pick in quartet.h1.plans
         assert cumulative_plan_prob(hset, pick) == pytest.approx(1.0)
 
 
@@ -157,10 +157,10 @@ class TestSelectMinEntropy:
             ),
             goals=("gA", "gB", "gC"),
         )
-        shared = Plan(PlanNode("gC", method="c1", children=(PlanNode("w", observed=1),)))
+        shared = PlanNode("gC", method="c1", children=(PlanNode("w", observed=1),))
 
         def one(goal, method, leaf):
-            return Plan(PlanNode(goal, method=method, children=(PlanNode(leaf, observed=0),)))
+            return PlanNode(goal, method=method, children=(PlanNode(leaf, observed=0),))
 
         hset = HypothesisSet.normalized(
             [
@@ -174,10 +174,10 @@ class TestSelectMinEntropy:
         # shared plan splits 2/2: expected entropy 1.0; every other candidate
         # splits 1/3: 0.25 * 0 + 0.75 * log2(3) ~ 1.19
         pick = select_min_entropy(hset, set(), seed=0)
-        assert pick.root == shared.root
+        assert pick == shared
 
     def test_uninformative_plan_scores_current_entropy(self, quartet):
-        shared = Plan(PlanNode("G1"))
+        shared = PlanNode("G1")
         p = cumulative_plan_prob(quartet.hset, shared)
         assert p == pytest.approx(1.0)
         assert len(update(quartet.hset, shared, True)) == len(quartet.hset)
@@ -202,9 +202,9 @@ class TestSelectMinEntropy:
             return p * ent(oracles.survivors_if_true(quartet.hset, t)) + \
                 (1 - p) * ent(oracles.survivors_if_false(quartet.hset, t))
 
-        scores = {t.root: expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
+        scores = {t: expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
         pick = select_min_entropy(quartet.hset, set(), seed=0)
-        assert scores[pick.root] == pytest.approx(min(scores.values()))
+        assert scores[pick] == pytest.approx(min(scores.values()))
 
 
 class TestPolicyObject:
@@ -218,10 +218,10 @@ class TestPolicyObject:
         for seed in range(12):
             inst = gen_instance(GenParams(seed=seed, obs_len=4))
             hset = recognize(inst.library, list(inst.observations))
-            keys = {p.root for p in candidate_plans(hset, set())}
+            keys = set(candidate_plans(hset, set()))
             for kind in ("random", "mph", "mpp", "entropy"):
                 pick = Policy(kind, rng.randint(0, 99)).select(hset, set())
-                assert pick.root in keys
+                assert pick in keys
                 cases += 1
         assert cases == 48
 
@@ -234,7 +234,7 @@ class TestPolicyObject:
                 for pseed in range(8):
                     a = Policy(kind, pseed).select(hset, set())
                     b = Policy(kind, pseed).select(hset, set())
-                    assert a.root == b.root
+                    assert a == b
                     cases += 1
         assert cases == 256
 
@@ -245,5 +245,5 @@ class TestPolicyObject:
         b = HypothesisSet.normalized(scaled, 3)
         for kind in ("random", "mph", "mpp", "entropy"):
             for seed in range(6):
-                assert Policy(kind, seed).select(a, set()).root == \
-                       Policy(kind, seed).select(b, set()).root
+                assert Policy(kind, seed).select(a, set()) == \
+                       Policy(kind, seed).select(b, set())

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -8,7 +9,6 @@ from planprobe.errors import PlanError, UnexplainableObservationError
 from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod, parse_library, serialize_library
 from planprobe.plans import (
     Hypothesis,
-    Plan,
     PlanNode,
     describes,
     is_complete,
@@ -85,7 +85,7 @@ class TestEnabledTargets:
     def test_chemistry_open_leaves_enabled(self, chem):
         inst = chem["pairwise_first_mix"]
         hset = recognize(inst.library, ["mix_AB"])
-        pairwise = next(h.plans[0] for h in hset.hypotheses if h.plans[0].root.method == "strategy_pairwise")
+        pairwise = next(h.plans[0] for h in hset.hypotheses if h.plans[0].method == "strategy_pairwise")
         labels = {pairwise.node_at(p).label for p in enabled_expansion_targets(inst.library, pairwise)}
         assert labels == {"mix_AC", "mix_AD", "mix_BC", "mix_BD", "mix_CD"}
 
@@ -95,7 +95,7 @@ class TestRecognize:
         inst = chem["pairwise_first_mix"]
         hset = recognize(inst.library, ["mix_AB"])
         assert len(hset) == 2
-        assert {h.plans[0].root.method for h in hset.hypotheses} == {"strategy_pairwise", "strategy_fourway"}
+        assert {h.plans[0].method for h in hset.hypotheses} == {"strategy_pairwise", "strategy_fourway"}
 
     def test_minimal_single_hypothesis(self, minimal_lib):
         hset = recognize(minimal_lib, ["a"])
@@ -172,7 +172,7 @@ class TestRecognize:
             methods=(RefinementMethod("mg", "g", ("s", "x")), RefinementMethod("ms", "s", ("a",))),
             goals=("g",),
         )
-        plan = Plan(PlanNode("g", method="mg", children=(PlanNode("s", observed=0), PlanNode("x"))))
+        plan = PlanNode("g", method="mg", children=(PlanNode("s", observed=0), PlanNode("x")))
         hset = HypothesisSet((Hypothesis((plan,), 1.0),), 1)
         with pytest.raises(PlanError, match=re.escape("node 's' at (0,) is an observed leaf")):
             explain_step(lib, hset, "a")
@@ -243,7 +243,7 @@ class TestWeightModel:
             goals=("gA", "gB"),
         )
         hset = recognize(lib, ["x"])
-        by_goal = {h.plans[0].root.label: h.weight for h in hset.hypotheses}
+        by_goal = {h.plans[0].label: h.weight for h in hset.hypotheses}
         assert by_goal["gA"] == pytest.approx(1 / 3)
         assert by_goal["gB"] == pytest.approx(2 / 3)
 
@@ -257,6 +257,10 @@ class TestWeightModel:
         # plan 1: prior 0.5, G1 expanded (2 methods), X expanded (1 method)
         # plan 2: prior 0.5, G2 expanded (2 methods)
         assert w == pytest.approx(0.5 * 0.5 * 1.0 * 0.5 * 0.5)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights sum to nan"):
+            HypothesisSet((Hypothesis((), math.nan),), 0)
 
 
 class TestCapAndConfig:
@@ -274,7 +278,7 @@ class TestCapAndConfig:
             inst = gen_instance(GenParams(seed=seed, obs_len=5))
             hset = recognize(inst.library, list(inst.observations))
             for h in hset.hypotheses:
-                roots = [p.root.label for p in h.plans]
+                roots = [p.label for p in h.plans]
                 assert len(roots) == len(set(roots))
 
     def test_bad_cap_rejected(self):
