@@ -23,11 +23,15 @@ candidate whose answer is forced, since asking it could prune nothing:
 
 Both conditions persist as the set shrinks, so the final set is the one
 asking every question would give.
+
+The relations are read from a RelationTable that the set holds: relations
+builds it on a set's first use and update hands it on to the derived set,
+so every loop and selector over one h0 evaluates each column once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
@@ -180,15 +184,10 @@ class RelationTable:
         """Plan ids of each hypothesis in alive, in h0 order."""
         return compress(self.per_hyp, bit_selectors(alive))
 
-    def closed_ids(self, closed: set[PlanNode]) -> set[int]:
-        """Ids of the closed plans, up to marks (one the table lacks is
-        interned with no owners)."""
-        return set(map(self.intern, closed))
-
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
         """Ids of the not-yet-closed plans of the live hypotheses, in
         first-occurrence order."""
-        skip = self.closed_ids(closed)
+        skip = set(map(self.intern, closed))
         for row in self.rows(alive):
             for t in row:
                 if t not in skip:
@@ -197,11 +196,12 @@ class RelationTable:
 
 
 def relations(hset: HypothesisSet) -> tuple[RelationTable, int]:
-    """The relation table a set shares with the other sets of its query loop
-    and the set's live mask; a one-off table for any other set."""
-    if hset.relations is not None:
-        return hset.relations
-    return RelationTable(hset), (1 << len(hset)) - 1
+    """The set's relation table and its live mask. A set made by update
+    holds its parent's table; any other set builds its own on first use and
+    keeps it, so every loop and selector over one set shares one table."""
+    if hset.relations is None:
+        object.__setattr__(hset, "relations", (RelationTable(hset), (1 << len(hset)) - 1))
+    return hset.relations
 
 
 def update(hset: HypothesisSet, plan: PlanNode, answer: bool) -> HypothesisSet:
@@ -215,12 +215,10 @@ def update(hset: HypothesisSet, plan: PlanNode, answer: bool) -> HypothesisSet:
     t = table.intern(plan)
     kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
     if not kept:
-        raise OracleInconsistencyError(
-            f"update with answer={answer} removed every hypothesis"
-        )
-    survivors = list(restrict(hset.hypotheses, alive, kept))
-    out = HypothesisSet.normalized(survivors, hset.observation_count, hset.truncated)
-    return replace(out, relations=(table, kept))
+        raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
+    out = HypothesisSet.normalized(restrict(hset.hypotheses, alive, kept), hset.observation_count, hset.truncated)
+    object.__setattr__(out, "relations", (table, kept))
+    return out
 
 
 def candidate_plans(hset: HypothesisSet, closed: set[PlanNode]) -> list[PlanNode]:
@@ -302,8 +300,8 @@ def run_query_loop(
     Before each select, the candidates whose answer is forced are closed
     unasked, by rules (a) and (b) of the module docstring.
 
-    Every set the loop holds and hands to the policy shares one
-    RelationTable built for h0.
+    Every set the loop holds and hands to the policy shares h0's relation
+    table.
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
@@ -316,15 +314,14 @@ def run_query_loop(
     asked: set[int] = set()
     settled: set[int] = set()
     last_true: PlanNode | None = None
-    table, alive = relations(h0)
-    current = replace(h0, relations=(table, alive))
+    current = h0
 
     def settle(ids: list[int]) -> None:
         settled.update(ids)
         closed.update(table.plans[t] for t in ids)
 
     while len(current) > 1:
-        _, alive = current.relations
+        table, alive = relations(current)
         by_answer = []
         if last_true is not None:
             by_answer = [

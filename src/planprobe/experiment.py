@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .domains import GenParams, Instance, gen_instance
-from .engine import QueryOracle, relations, run_query_loop
+from .engine import QueryOracle, run_query_loop
 from .errors import PlanProbeError
 from .library import parse_library, serialize_library
 from .plans import (
@@ -39,8 +39,6 @@ def brute_force_final_set(h0: HypothesisSet, truth: Hypothesis) -> HypothesisSet
     can be refined to the truth. May be empty when the truth is unrelated to
     the set."""
     survivors = [h for h in h0.hypotheses if hypothesis_refines(h, truth)]
-    if not survivors:
-        return HypothesisSet((), h0.observation_count, h0.truncated)
     return HypothesisSet.normalized(survivors, h0.observation_count, h0.truncated)
 
 
@@ -158,9 +156,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         except PlanProbeError as e:
             result.failures.append(f"{instance_id}: {e}")
             continue
-        # one relation table for every policy's loop, so each column is
-        # evaluated once per instance
-        h0 = replace(h0, relations=relations(h0))
         expected_keys = None
         if spec.verify:
             expected_keys = {hypothesis_key(h) for h in brute_force_final_set(h0, instance.truth).hypotheses}

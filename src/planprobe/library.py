@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import LibrarySyntaxError, LibraryValidationError
@@ -319,7 +320,8 @@ def parse_library(text: str) -> PlanLibrary:
     for g, p in priors_doc.items():
         _expect(isinstance(g, str), "'goal_priors' keys must be strings")
         _expect(isinstance(p, (int, float)) and not isinstance(p, bool), f"goal prior for {g!r} must be a number")
-        priors[g] = float(p)
+        # float() overflows on a huge integer; inf is then rejected as not finite
+        priors[g] = float(p) if abs(p) <= sys.float_info.max else math.inf
 
     methods_doc = doc.get("methods")
     _expect(isinstance(methods_doc, list), "missing key 'methods'" if "methods" not in doc else "'methods' must be a list")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -294,16 +295,20 @@ def plan_to_dict(plan: PlanNode) -> dict:
 
 
 def plan_from_dict(doc: dict) -> PlanNode:
+    """Inverse of plan_to_dict: label a non-empty string, method a string,
+    observed an int (not a bool), children a list; PlanError otherwise."""
+
     def decode(record: dict) -> PlanNode:
-        if not isinstance(record, dict) or "label" not in record:
-            raise PlanError(f"bad plan record: {record!r}")
-        children = tuple(decode(c) for c in record.get("children", []))
-        return PlanNode(
-            record["label"],
-            method=record.get("method"),
-            children=children,
-            observed=record.get("observed"),
-        )
+        if not isinstance(record, dict) or not isinstance(record.get("label"), str) or not record["label"]:
+            raise PlanError(f"plan record needs a non-empty string label: {record!r}")
+        method, observed, children = record.get("method"), record.get("observed"), record.get("children", [])
+        if method is not None and not isinstance(method, str):
+            raise PlanError(f"plan method must be a string, got {method!r}")
+        if observed is not None and type(observed) is not int:
+            raise PlanError(f"observation index must be an integer, got {observed!r}")
+        if not isinstance(children, list):
+            raise PlanError(f"plan children must be a list, got {children!r}")
+        return PlanNode(record["label"], method, tuple(map(decode, children)), observed)
 
     return decode(doc)
 
@@ -322,10 +327,14 @@ def hypothesis_to_dict(h: Hypothesis, include_weight: bool = True) -> dict:
 
 
 def hypothesis_from_dict(doc: dict) -> Hypothesis:
-    if not isinstance(doc, dict) or "plans" not in doc:
-        raise PlanError("hypothesis record must contain 'plans'")
-    plans = tuple(plan_from_dict(p) for p in doc["plans"])
-    return Hypothesis(plans=plans, weight=float(doc.get("weight", 1.0)))
+    """Inverse of hypothesis_to_dict; plans must be a list and weight a
+    finite number, or PlanError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("plans"), list):
+        raise PlanError("hypothesis record must contain a list 'plans'")
+    weight = doc.get("weight", 1.0)
+    if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
+        raise PlanError(f"hypothesis weight must be a finite number, got {weight!r}")
+    return Hypothesis(tuple(map(plan_from_dict, doc["plans"])), float(weight))
 
 
 def hypothesis_key(h: Hypothesis) -> frozenset[PlanNode]:

@@ -74,7 +74,7 @@ def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNod
     """Pick a not-yet-closed plan from the heaviest hypothesis; when that
     one is exhausted, walk down the weight ranking."""
     table, alive = relations(hset)
-    skip = table.closed_ids(closed)
+    skip = set(map(table.intern, closed))
     open_by_hyp: list[tuple[float, list[int]]] = []
     for h, row in zip(hset.hypotheses, table.rows(alive)):
         pending = list(dict.fromkeys(t for t in row if t not in skip))

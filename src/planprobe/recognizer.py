@@ -52,14 +52,16 @@ class RecognizerConfig:
 class HypothesisSet:
     """Weighted hypotheses explaining the first observation_count
     observations. Weights are normalized; truncated marks a capped set whose
-    completeness guarantees no longer hold. A set derived by the query loop
-    carries the relation table it shares with the loop's other sets, and the
-    mask of its hypotheses over the table's order."""
+    completeness guarantees no longer hold. relations is the set's relation
+    table and the mask of its hypotheses over the table's order, held for
+    engine.relations: built on first use, and inherited by every set that
+    engine.update derives from this one. It is not an init field, so
+    dataclasses.replace never copies it onto other hypotheses."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
     truncated: bool = False
-    relations: tuple[RelationTable, int] | None = field(default=None, compare=False, repr=False)
+    relations: tuple[RelationTable, int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.hypotheses:
@@ -73,7 +75,7 @@ class HypothesisSet:
     @classmethod
     def normalized(
         cls,
-        hypotheses: tuple[Hypothesis, ...] | list[Hypothesis],
+        hypotheses: Iterable[Hypothesis],
         observation_count: int,
         truncated: bool = False,
     ) -> HypothesisSet:
@@ -273,12 +275,6 @@ def _step(
     return successors, truncated
 
 
-def _normalized(successors: list[list], observation_count: int, truncated: bool) -> HypothesisSet:
-    return HypothesisSet.normalized(
-        [Hypothesis(plans, w) for plans, w in successors], observation_count, truncated
-    )
-
-
 def explain_step(
     lib: PlanLibrary,
     hset: HypothesisSet,
@@ -299,7 +295,7 @@ def explain_step(
         lib, cfg or RecognizerConfig(), _PlanMemo(lib),
         (h.plans for h in hset.hypotheses), index, action, hset.truncated,
     )
-    return _normalized(successors, index + 1, truncated)
+    return HypothesisSet.normalized([Hypothesis(p, w) for p, w in successors], index + 1, truncated)
 
 
 def recognize(
@@ -326,4 +322,4 @@ def recognize(
         successors, truncated = _step(
             lib, cfg, memo, (plans for plans, _ in successors), index, action, truncated
         )
-    return _normalized(successors, len(observations), truncated)
+    return HypothesisSet.normalized([Hypothesis(p, w) for p, w in successors], len(observations), truncated)

@@ -132,6 +132,38 @@ def test_non_finite_goal_prior_exits_1_with_one_line(tmp_path, capsys, prior):
     assert capsys.readouterr().err == "error: goal prior for 'g' is not finite\n"
 
 
+def _malformed(kind: str, library: dict, truth: dict, action: str) -> tuple[str, dict]:
+    """The file ("library" or "truth") and its contents for one malformed
+    record: a truth file with a bad field, or a 401-digit goal prior."""
+    goal = truth["plans"][0]
+    bad = {
+        "weight-list": ("truth", dict(truth, weight=[1])),
+        "weight-huge": ("truth", dict(truth, weight=10 ** 400)),
+        "children-int": ("truth", {"plans": [dict(goal, children=5)]}),
+        "observed-str": ("truth", {"plans": [{"label": action, "observed": "x"}]}),
+        "plans-int": ("truth", {"plans": 5}),
+        "prior-huge": ("library", dict(library, goal_priors={g: 10 ** 400 for g in library["goals"][:1]})),
+    }
+    return bad[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["weight-list", "weight-huge", "children-int", "observed-str", "plans-int", "prior-huge"]
+)
+def test_malformed_record_exits_1_with_one_line(tmp_path, capsys, kind):
+    save_instance(gen_instance(GenParams(obs_len=5, seed=4)), tmp_path, "i")
+    paths = {name: tmp_path / f"i.{name}.json" for name in ("library", "truth")}
+    docs = {name: json.loads(path.read_text()) for name, path in paths.items()}
+    obs = tmp_path / "i.obs.txt"
+    name, doc = _malformed(kind, docs["library"], docs["truth"], obs.read_text().split()[0])
+    paths[name].write_text(json.dumps(doc))
+    args = ["--library", str(paths["library"]), "--obs", str(obs)]
+    command = ["recognize", *args] if name == "library" else ["sprp", *args, "--truth", str(paths["truth"])]
+    assert main(command) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _nested_truth(levels: int) -> str:
     """A truth file whose one plan is nested `levels` deep, c0 -> c1 -> ...,
     written as text because json.dumps cannot encode it."""

@@ -191,6 +191,14 @@ def test_non_finite_goal_prior_rejected(prior):
         )
 
 
+@pytest.mark.parametrize("prior", [10 ** 400, -(10 ** 400)], ids=["huge", "huge-negative"])
+def test_goal_prior_too_large_for_a_float_rejected(prior):
+    doc = json.loads(MINIMAL_TEXT)
+    doc["goal_priors"] = {"g": prior}
+    with pytest.raises(LibraryValidationError, match=r"^goal prior for 'g' is not finite$"):
+        parse_library(json.dumps(doc))
+
+
 def test_cyclic_grammar_rejected():
     doc = json.loads(MINIMAL_TEXT)
     doc["complex"].append("h")

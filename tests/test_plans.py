@@ -10,6 +10,7 @@ from planprobe.plans import (
     PlanNode,
     apply_method,
     describes,
+    hypothesis_from_dict,
     hypothesis_refines,
     is_complete,
     is_refinement,
@@ -291,3 +292,26 @@ def test_serialization_round_trip():
 def test_is_complete(chem, minimal_lib):
     assert is_complete(chem["pairwise_first_mix"].truth.plans[0], chem["pairwise_first_mix"].library)
     assert not is_complete(PlanNode("g"), minimal_lib)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"plans": 5},
+        {"plans": [], "weight": [1]},
+        {"plans": [], "weight": 10 ** 400},
+        {"plans": [], "weight": float("nan")},
+        {"plans": [], "weight": True},
+        {"plans": [{"label": "g", "method": "m", "children": 5}]},
+        {"plans": [{"label": "a", "observed": "x"}]},
+        {"plans": [{"label": "a", "observed": True}]},
+        {"plans": [{"label": ""}]},
+        {"plans": [{"label": 5}]},
+        {"plans": [{"label": "g", "method": 5, "children": [{"label": "a"}]}]},
+    ],
+    ids=["plans-int", "weight-list", "weight-huge", "weight-nan", "weight-bool", "children-int",
+         "observed-str", "observed-bool", "label-empty", "label-int", "method-int"],
+)
+def test_malformed_hypothesis_records_rejected(doc):
+    with pytest.raises(PlanError):
+        hypothesis_from_dict(doc)

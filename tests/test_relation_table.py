@@ -2,20 +2,20 @@
 list-based rules in oracles.py.
 
 At every question of a loop under each policy, the set the loop holds (which
-shares the loop's relation table) and the same set without a table (which
-gets a one-off table) must both agree exactly with the reference set that
-the list-based update rules produce: hypotheses and weights, candidate
-plans in order, the update of each candidate under both answers, plan
-scores compared with ==, and the selected plan.
+shares h0's relation table) and a new set of the same hypotheses (which
+builds its own table on first use) must both agree exactly with the
+reference set that the list-based update rules produce: hypotheses and
+weights, candidate plans in order, the update of each candidate under both
+answers, plan scores compared with ==, and the selected plan.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
+from planprobe import engine, experiment
 from planprobe.engine import (
     QueryOracle,
+    RelationTable,
     candidate_plans,
     query_answer,
     relations,
@@ -71,8 +71,8 @@ def _assert_updates_match(view, ref, plan):
 
 class Checked:
     """Policy that, before answering each select of run_query_loop, checks
-    the loop's set against the reference set advanced by the list-based
-    rules."""
+    the loop's set, and a new set of its hypotheses with its own table,
+    against the reference set advanced by the list-based rules."""
 
     def __init__(self, kind: str, seed: int, h0: HypothesisSet, truth):
         self.kind = kind
@@ -115,7 +115,8 @@ def test_sibling_branches_share_one_table():
     # branch must be extended, not reused as they are, on the other.
     checked = 0
     for _, h0, _ in INSTANCES:
-        base = replace(h0, relations=relations(h0))
+        # a new set, so its table starts empty whatever ran on h0 before
+        base = HypothesisSet(h0.hypotheses, h0.observation_count, h0.truncated)
         splits = [x for x in oracles.candidate_plans(h0, set())
                   if oracles.survivors_if_true(h0, x) and oracles.survivors_if_false(h0, x)]
         if not splits:
@@ -127,3 +128,35 @@ def test_sibling_branches_share_one_table():
                 _assert_updates_match(branch, ref, t)
         checked += 1
     assert checked >= 40
+
+
+def test_every_loop_over_one_h0_shares_its_table(monkeypatch):
+    # Every policy's loop, and every set update derives in it, holds the
+    # table that h0 built on first use.
+    shared = 0
+    for _, h0, truth in INSTANCES:
+        h0 = HypothesisSet(h0.hypotheses, h0.observation_count, h0.truncated)
+        table = relations(h0)[0]
+        for kind in POLICY_KINDS:
+            final, _ = run_query_loop(h0, QueryOracle(truth), Policy(kind, seed=len(h0)))
+            if len(final) > 1:
+                assert final.relations[0] is table
+                shared += 1
+    assert shared >= 40
+
+    # run_experiment builds one table per instance, not one per policy
+    built = []
+
+    class Counting(RelationTable):
+        def __init__(self, hset):
+            built.append(hset)
+            super().__init__(hset)
+
+    monkeypatch.setattr(engine, "RelationTable", Counting)
+    result = experiment.run_experiment(experiment.ExperimentSpec(obs_lens=(4,), reps=6, seed=5))
+    assert not result.failures
+    assert len(result.rows) == 6 * len(POLICY_KINDS)
+    # a loop over a single hypothesis asks nothing and needs no table
+    open_instances = [r for r in result.rows if r.policy == POLICY_KINDS[0] and r.h0_size > 1]
+    assert len(open_instances) >= 4
+    assert len(built) == len(open_instances)
