@@ -139,6 +139,8 @@ def _cmd_sprp(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise PlanProbeError("count must be >= 1")
     for i in range(args.count):
         params = _gen_params(args, obs_len=args.obs_len, seed=args.seed + i)
         save_instance(gen_instance(params), args.out, f"instance_{i:03d}")

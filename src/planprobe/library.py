@@ -5,7 +5,7 @@ A library file is a JSON document with top-level keys:
     basic        list of action names
     complex      list of action names
     goals        list of complex action names eligible as root intentions
-    goal_priors  optional map from goal name to probability (defaults uniform)
+    goal_priors  optional map from goal name to probability (uniform if absent)
     methods      list of records {id, head, children, order} where order is a
                  list of [i, j] index pairs meaning child i completes before
                  child j begins (0-based, order-preserving)
@@ -314,7 +314,7 @@ def parse_library(text: str) -> PlanLibrary:
             raise LibraryValidationError(f"duplicate action id {name!r}")
         declared.add(name)
 
-    priors_doc = doc.get("goal_priors") or {}
+    priors_doc = doc.get("goal_priors", {})
     _expect(isinstance(priors_doc, dict), "'goal_priors' must be an object")
     priors: dict[str, float] = {}
     for g, p in priors_doc.items():

@@ -97,19 +97,26 @@ def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNod
     return table.plan(_rng(seed, closed).choice(tied), alive)
 
 
+def _expected_entropy(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
+    """select_min_entropy's score for plan id `t`."""
+    refine = table.refine(t, alive)
+    p_true = sum(restrict(weights, alive, refine))
+    ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
+    ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
+    return p_true * ent_true + (1.0 - p_true) * ent_false
+
+
 def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
-    """Pick the plan whose expected post-update entropy is smallest, where
-    the two hypothetical updates use exactly the engine's pruning rules and
-    survivor weights are renormalized before measuring."""
+    """Pick the plan t with the smallest expected post-update entropy
+    R * H(True) + (1 - R) * H(False). R is t's refinement mass,
+    cumulative_plan_prob(hset, t). The True branch keeps the hypotheses
+    with a plan matching t and the False branch those with no plan
+    refinable from t, exactly as engine.update prunes; each entropy is taken
+    over the branch's survivors, renormalized. The True branch is weighed by
+    R, not by the match mass of the survivors it keeps."""
     table, alive, candidates = _open_candidates(hset, closed)
     weights = [h.weight for h in hset.hypotheses]
-    scored: list[tuple[float, int]] = []
-    for t in candidates:
-        refine = table.refine(t, alive)
-        p_true = sum(restrict(weights, alive, refine))
-        ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
-        ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
-        scored.append((p_true * ent_true + (1.0 - p_true) * ent_false, t))
+    scored = [(_expected_entropy(table, alive, weights, t), t) for t in candidates]
     best = min(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
     return table.plan(_rng(seed, closed).choice(tied), alive)

@@ -17,10 +17,11 @@ node that lives for the call: each node's fully-observed flag, enabled
 frontier and weight factors are computed once. A grown plan shares every
 subtree off its attachment path with its parent, so only the new nodes are
 computed. Each distinct plan is grown once per observation; each chain's
-subtree is built once per observation and attached with one path copy.
-Successor weights are products of plan factors and never read the parent's
-weight, so only the final set is normalized. explain_step is that step on
-its own.
+subtree is built once per observation and attached with one path copy, and
+a new plan for a goal is that goal's chain subtrees. Every successor is
+weighed from its own plans by the product hypothesis_weight forms, never
+from the parent's weight, so only the final set is normalized. explain_step
+is that step on its own.
 """
 
 from __future__ import annotations
@@ -147,17 +148,20 @@ class _PlanMemo:
         return node
 
 
-def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
-    """Unnormalized weight: per plan, its root goal's prior, then one over
-    the number of methods for each expanded node's label, in preorder;
-    multiplied plan by plan, one factor at a time. math.prod multiplies left
-    to right from `start`, so wherever a product over the same plans is
-    formed, it rounds the same way at every factor."""
-    memo = _PlanMemo(lib)
-    w = 1.0
-    for plan in h.plans:
-        w = prod(memo(plan)[2], start=w * lib.goal_priors[plan.label])
+def _weight(memo: _PlanMemo, plans: Iterable[PlanNode]) -> float:
+    """Per plan, its root goal's prior, then one over the number of methods
+    for each expanded node's label, in preorder; multiplied left to right,
+    one factor at a time."""
+    priors, w = memo.lib.goal_priors, 1.0
+    for plan in plans:
+        w = prod(memo(plan)[2], start=w * priors[plan.label])
     return w
+
+
+def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
+    """Unnormalized weight of `h`, the same product the recognizer gives
+    every successor it emits."""
+    return _weight(_PlanMemo(lib), h.plans)
 
 
 def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list[Path]:
@@ -180,20 +184,21 @@ def _step(
     [plans, weight] pairs with unnormalized weights, and whether the set is
     now truncated (`truncated` says an earlier cap already cut it).
 
-    A successor's weight is the product of its plans' weight factors, formed
-    left to right exactly as hypothesis_weight forms it; it never reads the
-    parent's weight, so no intermediate set needs normalizing. Successors
-    with the same plans merge by adding weights. Their merge key is the set
-    of their plans, which is plans.hypothesis_key: a hypothesis holds at most
-    one plan per goal (a new plan starts only for an unused goal, and a grown
-    plan keeps its root label), so its plans are distinct and the set stands
-    for the multiset."""
+    A grown plan takes its root's place; a new plan, one per chain from an
+    unused goal down to the action, is appended. Each successor is weighed
+    where it is emitted, by the product hypothesis_weight forms, and never
+    from the parent's weight, so no intermediate set needs normalizing.
+    Successors with the same plans merge by adding weights. Their merge key
+    is the set of their plans, which is plans.hypothesis_key: a hypothesis
+    holds at most one plan per goal (a new plan starts only for an unused
+    goal, and a grown plan keeps its root label), so its plans are distinct
+    and the set stands for the multiset."""
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, f"{action} ({kind} action)")
     leaf = PlanNode(action, observed=index)
     chain_roots: dict[str, list[PlanNode]] = {}
-    grown_of: dict[PlanNode, list[tuple[PlanNode, tuple[float, ...]]]] = {}
+    grown_of: dict[PlanNode, list[PlanNode]] = {}
 
     def grafts(label: str) -> list[PlanNode]:
         """The subtree of every chain from an open `label` node down to the
@@ -203,10 +208,10 @@ def _step(
             hit = chain_roots[label] = [memo.graft(c, leaf) for c in lib.chains_to(label, action)]
         return hit
 
-    def grow(root: PlanNode) -> list[tuple[PlanNode, tuple[float, ...]]]:
+    def grow(root: PlanNode) -> list[PlanNode]:
         """Every way the plan at `root` absorbs the action, each made by one
-        path copy, with the grown plans' weight factors."""
-        out = []
+        path copy."""
+        out = grown_of[root] = []
         for path, node in memo(root)[1]:
             if lib.is_basic(node.label):
                 if node.label == action:
@@ -216,53 +221,27 @@ def _step(
             if subtrees and node.observed is not None:
                 raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
             out.extend(_replace(root, path, sub) for sub in subtrees)
-        grown = grown_of[root] = [(g, memo(g)[2]) for g in out]
-        return grown
-
-    priors, known = lib.goal_priors, memo.nodes.get
-    # a new plan for a goal starts the same way in every hypothesis
-    fresh: list[tuple[str, list[tuple[PlanNode, tuple[float, ...]]]]] = []
-    for goal in lib.goals:
-        starts = [(sub, memo(sub)[2]) for sub in grafts(goal)]
-        if starts:
-            fresh.append((goal, starts))
+        return out
 
     merged: dict[frozenset[PlanNode], list] = {}
 
-    def emit(plans: tuple[PlanNode, ...], weight: float) -> None:
+    def emit(plans: tuple[PlanNode, ...]) -> None:
         key = frozenset(plans)
         prev = merged.get(key)
         if prev is None:
-            merged[key] = [plans, weight]
-        else:
-            prev[1] += weight
+            prev = merged[key] = [plans, 0.0]
+        prev[1] += _weight(memo, plans)
 
     for plans in hypotheses:
-        parts = [(priors[r.label], (known(r) or memo(r))[2]) for r in plans]
-        # prefix[i]: the product over plans[:i], formed as hypothesis_weight forms it
-        prefix = [1.0]
-        for prior, fs in parts:
-            prefix.append(prod(fs, start=prefix[-1] * prior))
         for i, root in enumerate(plans):
             grown = grown_of.get(root)
-            if grown is None:
-                grown = grow(root)
-            if not grown:
-                continue
-            start, rest = prefix[i] * parts[i][0], parts[i + 1:]
-            for g, gfs in grown:
-                w = prod(gfs, start=start)
-                for prior, fs in rest:
-                    w = prod(fs, start=w * prior)
-                emit(plans[:i] + (g,) + plans[i + 1:], w)
-        if fresh:
-            used_goals = {r.label for r in plans}
-            for goal, starts in fresh:
-                if goal in used_goals:
-                    continue
-                head = prefix[-1] * priors[goal]
-                for p, fs in starts:
-                    emit(plans + (p,), prod(fs, start=head))
+            for g in grow(root) if grown is None else grown:
+                emit(plans[:i] + (g,) + plans[i + 1:])
+        used_goals = {r.label for r in plans}
+        for goal in lib.goals:
+            if goal not in used_goals:
+                for start in grafts(goal):
+                    emit(plans + (start,))
 
     if not merged:
         raise UnexplainableObservationError(index, action, truncated)
@@ -287,9 +266,10 @@ def explain_step(
     hypothesis can absorb the action.
 
     One step of recognize with a fresh node memo: each distinct plan is
-    grown once and each node's frontier and weight factors computed once. The incoming weights
-    are not read, so explain_step(lib, recognize(lib, obs[:k]), obs[k])
-    equals recognize(lib, obs[:k + 1])."""
+    grown once, and each node's frontier and weight factors are computed
+    once. Each successor is weighed from its own plans and the incoming
+    weights are not read, so explain_step(lib, recognize(lib, obs[:k]),
+    obs[k]) equals recognize(lib, obs[:k + 1])."""
     index = hset.observation_count
     successors, truncated = _step(
         lib, cfg or RecognizerConfig(), _PlanMemo(lib),
@@ -310,8 +290,9 @@ def recognize(
 
     One node memo serves the whole fold, so a node carried over unchanged,
     in the same plan or in one grown from it, keeps its frontier and weight
-    factors from the step before, and only the final set is normalized. The result equals folding explain_step
-    over the observations."""
+    factors from the step before. Every step weighs its successors from
+    their plans alone, so only the final set is normalized, and the result
+    equals folding explain_step over the observations."""
     if not observations:
         raise PlanError("observation sequence is empty")
     cfg = cfg or RecognizerConfig()

@@ -132,6 +132,19 @@ def test_non_finite_goal_prior_exits_1_with_one_line(tmp_path, capsys, prior):
     assert capsys.readouterr().err == "error: goal prior for 'g' is not finite\n"
 
 
+@pytest.mark.parametrize("priors", [0, False, "", [], None], ids=["zero", "false", "empty-string", "empty-list", "null"])
+def test_falsy_non_object_goal_priors_exit_1_with_one_line(tmp_path, capsys, priors):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({
+        "basic": ["a"], "complex": ["g"], "goals": ["g"], "goal_priors": priors,
+        "methods": [{"id": "m", "head": "g", "children": ["a"]}],
+    }))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("a\n")
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == "error: 'goal_priors' must be an object\n"
+
+
 def _malformed(kind: str, library: dict, truth: dict, action: str) -> tuple[str, dict]:
     """The file ("library" or "truth") and its contents for one malformed
     record: a truth file with a bad field, or a 401-digit goal prior."""
@@ -262,6 +275,15 @@ def test_gen_writes_instances(tmp_path, capsys):
     assert len(list(out.glob("*.library.json"))) == 3
     assert len(list(out.glob("*.obs.txt"))) == 3
     assert len(list(out.glob("*.truth.json"))) == 3
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gen_count_below_one_exits_1_with_one_line(tmp_path, capsys, count):
+    out = tmp_path / "batch"
+    assert main(["gen", "--out", str(out), "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: count must be >= 1\n")
+    assert not out.exists()
 
 
 def test_gen_says_when_no_library_passes_the_ambiguity_bound(tmp_path, capsys):

@@ -199,6 +199,14 @@ def test_goal_prior_too_large_for_a_float_rejected(prior):
         parse_library(json.dumps(doc))
 
 
+@pytest.mark.parametrize("priors", [0, False, "", [], None], ids=["zero", "false", "empty-string", "empty-list", "null"])
+def test_falsy_non_object_goal_priors_rejected(priors):
+    doc = json.loads(MINIMAL_TEXT)
+    doc["goal_priors"] = priors
+    with pytest.raises(LibrarySyntaxError, match=r"^'goal_priors' must be an object$"):
+        parse_library(json.dumps(doc))
+
+
 def test_cyclic_grammar_rejected():
     doc = json.loads(MINIMAL_TEXT)
     doc["complex"].append("h")

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from planprobe.domains import GenParams, gen_instance
-from planprobe.engine import candidate_plans, update
+from planprobe.engine import candidate_plans, relations, update
 from planprobe.errors import PolicyError
 from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import Hypothesis, PlanNode, hypothesis_key
+from planprobe import policies
 from planprobe.policies import (
     Policy,
     cumulative_plan_prob,
@@ -205,6 +206,55 @@ class TestSelectMinEntropy:
         scores = {t: expected_entropy(t) for t in candidate_plans(quartet.hset, set())}
         pick = select_min_entropy(quartet.hset, set(), seed=0)
         assert scores[pick] == pytest.approx(min(scores.values()))
+
+    def test_quartet_scores_by_hand(self, quartet):
+        """Today's definition: R * H(True) + (1 - R) * H(False), with R the
+        refinement mass, the True branch the match set and the False branch
+        the hypotheses outside the refinement set, each renormalized. On the
+        uniform quartet every branch holds one or three hypotheses."""
+        third = math.log2(3)
+        want = {
+            # R = 1/4; True keeps three hypotheses, False the other three
+            "p1": third, "p3": third, "partner4": third,
+            # R = 3/4, True keeps those three and False one; or R = 1/4,
+            # True keeps one and False three
+            "p2": 0.75 * third, "p4": 0.75 * third,
+            "partner1": 0.75 * third, "partner2": 0.75 * third,
+        }
+        table, alive = relations(quartet.hset)
+        weights = [h.weight for h in quartet.hset.hypotheses]
+        ids = {name: table.intern(getattr(quartet, name)) for name in want}
+        assert set(table.candidates(alive, set())) == set(ids.values())
+        for name, score in want.items():
+            assert policies._expected_entropy(table, alive, weights, ids[name]) == pytest.approx(score, abs=1e-12)
+        picks = {table.intern(select_min_entropy(quartet.hset, set(), seed)) for seed in range(40)}
+        assert picks == {ids[name] for name in ("p2", "p4", "partner1", "partner2")}
+
+    def test_refinement_mass_weighs_the_true_branch(self, quartet):
+        """Weights 3:1:5:1 over h1..h4. Weighing p1's True branch by its
+        match mass M = 0.9 instead of R = 0.3 would rank it above partner1
+        and partner2, so the pick tells the two definitions apart."""
+        hset = HypothesisSet.normalized(
+            [Hypothesis(h.plans, w) for h, w in zip(quartet.hset.hypotheses, (3, 1, 5, 1))], 3
+        )
+
+        def ent(*ws):
+            return -sum(w / sum(ws) * math.log2(w / sum(ws)) for w in ws)
+
+        # p1: h1 refines it and h1, h2, h3 match it; False keeps h2, h3, h4
+        p1 = 0.3 * ent(3, 1, 5) + 0.7 * ent(1, 5, 1)
+        p1_by_match_mass = 0.9 * ent(3, 1, 5) + 0.1 * ent(1, 5, 1)
+        # partner1: h1, h3, h4 refine and match it, False keeps h2; partner2
+        # the other way round
+        partner = 0.9 * ent(3, 5, 1)
+        assert p1 < partner < p1_by_match_mass
+        table, alive = relations(hset)
+        weights = [h.weight for h in hset.hypotheses]
+        for name, score in (("p1", p1), ("partner1", partner), ("partner2", partner)):
+            t = table.intern(getattr(quartet, name))
+            assert policies._expected_entropy(table, alive, weights, t) == pytest.approx(score, abs=1e-12)
+        for seed in range(20):
+            assert table.intern(select_min_entropy(hset, set(), seed)) == table.intern(quartet.p1)
 
 
 class TestPolicyObject:
