@@ -27,11 +27,18 @@ asking every question would give.
 The relations are read from a RelationTable that the set holds: relations
 builds it on a set's first use and update hands it on to the derived set,
 so every loop and selector over one h0 evaluates each column once.
+
+No relation sees marks, so hypotheses holding the same plans up to marks (a
+mark-free class) are kept or dropped together by every answer, and the table
+reads one row per live class. Between questions the loop holds only the live
+mask and weights, renormalized at each answer as HypothesisSet.normalized
+does, and builds the final HypothesisSet once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
@@ -45,7 +52,7 @@ from .plans import (
     plan_digest,
     plan_to_dict,
 )
-from .recognizer import HypothesisSet
+from .recognizer import HypothesisSet, normalize
 
 if TYPE_CHECKING:
     from .policies import Policy
@@ -106,12 +113,18 @@ class RelationTable:
     computed once per distinct plan. per_hyp[i] lists hypothesis i's
     plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
     lists the ids per root label and label_owners holds the mask of
-    hypotheses with a plan of each root label. The columns refine(t) and
-    match(t) are filled on first use, evaluating the relation once per
-    distinct plan with t's root label (both relations reject any other) that
-    has an owner in the caller's live mask; a later call with hypotheses
-    outside every mask a column was filled for extends it. A column is
-    therefore exact on the bits of any live mask it is asked about.
+    hypotheses with a plan of each root label. Hypotheses with one set of
+    plan ids form a mark-free class; classes lists each one's members in h0
+    order, and reps masks their first members, the representatives. Every
+    column below is a union of owners masks, so a live mask derived from h0
+    by answers holds whole classes, and its representatives stand for them.
+
+    The columns refine(t) and match(t) are filled on first use, evaluating
+    the relation once per distinct plan with t's root label (both relations
+    reject any other) that has an owner in the caller's live mask; a later
+    call with hypotheses outside every mask a column was filled for extends
+    it. A column is therefore exact on the bits of any live mask it is
+    asked about.
     """
 
     def __init__(self, h0: HypothesisSet):
@@ -123,6 +136,7 @@ class RelationTable:
         self.by_label: dict[str, list[int]] = {}
         self.label_owners: dict[str, int] = {}
         per_hyp = []
+        classes: dict[frozenset[int], list[int]] = {}
         for i, h in enumerate(h0.hypotheses):
             bit = 1 << i
             row = []
@@ -132,7 +146,10 @@ class RelationTable:
                 self.label_owners[p.label] = self.label_owners.get(p.label, 0) | bit
                 row.append(t)
             per_hyp.append(tuple(row))
+            classes.setdefault(frozenset(row), []).append(i)
         self.per_hyp = tuple(per_hyp)
+        self.classes = list(classes.values())
+        self.reps = sum(1 << members[0] for members in self.classes)
         # plan id -> (column, union of the live masks it was filled for)
         self._refine: dict[int, tuple[int, int]] = {}
         self._match: dict[int, tuple[int, int]] = {}
@@ -180,48 +197,83 @@ class RelationTable:
             columns[t] = column, covered | alive
         return column
 
-    def rows(self, alive: int) -> Iterator[tuple[int, ...]]:
-        """Plan ids of each hypothesis in alive, in h0 order."""
-        return compress(self.per_hyp, bit_selectors(alive))
+    @cached_property
+    def ranked(self) -> dict[int, list[int]]:
+        """Each class's members by its representative, heaviest first by
+        h0's weights (equal weights in h0 order)."""
+        hyps = self.hypotheses
+        return {m[0]: sorted(m, key=lambda i: -hyps[i].weight) for m in self.classes}
 
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
         """Ids of the not-yet-closed plans of the live hypotheses, in
-        first-occurrence order."""
+        first-occurrence order. Only the representatives' rows are read: a
+        class's later members hold no id its representative lacks."""
         skip = set(map(self.intern, closed))
-        for row in self.rows(alive):
+        for row in compress(self.per_hyp, bit_selectors(alive & self.reps)):
             for t in row:
                 if t not in skip:
                     skip.add(t)
                     yield t
 
 
-def relations(hset: HypothesisSet) -> tuple[RelationTable, int]:
-    """The set's relation table and its live mask. A set made by update
-    holds its parent's table; any other set builds its own on first use and
-    keeps it, so every loop and selector over one set shares one table."""
+@dataclass(frozen=True)
+class LiveSet:
+    """What the query loop holds between questions: h0's relation table and
+    a live mask over h0, and the live hypotheses' weights in h0 order. It
+    reads like a HypothesisSet but builds Hypothesis objects only when asked
+    for them."""
+
+    relations: tuple[RelationTable, int]
+    weights: list[float]
+    observation_count: int
+    truncated: bool
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        table, alive = self.relations
+        plans = (h.plans for h in compress(table.hypotheses, bit_selectors(alive)))
+        return tuple(map(Hypothesis, plans, self.weights))
+
+    def to_set(self) -> HypothesisSet:
+        out = HypothesisSet(self.hypotheses, self.observation_count, self.truncated)
+        object.__setattr__(out, "relations", self.relations)
+        return out
+
+
+def relations(hset: HypothesisSet | LiveSet) -> tuple[RelationTable, int]:
+    """The set's relation table and its live mask. A set derived by update
+    or the query loop holds its parent's table; any other set builds its own
+    on first use and keeps it, so every loop and selector over one set
+    shares one table."""
     if hset.relations is None:
         object.__setattr__(hset, "relations", (RelationTable(hset), (1 << len(hset)) - 1))
     return hset.relations
 
 
-def update(hset: HypothesisSet, plan: PlanNode, answer: bool) -> HypothesisSet:
+def _pruned(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> LiveSet:
+    table, alive = relations(hset)
+    t = table.intern(plan)
+    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
+    if not kept:
+        raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
+    weights = normalize(list(restrict(hset.weights, alive, kept)))
+    return LiveSet((table, kept), weights, hset.observation_count, hset.truncated)
+
+
+def update(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> HypothesisSet:
     """Apply the pruning rule for the given answer and renormalize: True
     keeps the hypotheses with a plan matching the query, False those with no
     plan refinable from it. An empty result means the oracle contradicted
     the set (truncated input or an untruthful oracle) and raises
     OracleInconsistencyError. The result shares the input's relation
     table."""
-    table, alive = relations(hset)
-    t = table.intern(plan)
-    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
-    if not kept:
-        raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
-    out = HypothesisSet.normalized(restrict(hset.hypotheses, alive, kept), hset.observation_count, hset.truncated)
-    object.__setattr__(out, "relations", (table, kept))
-    return out
+    return _pruned(hset, plan, answer).to_set()
 
 
-def candidate_plans(hset: HypothesisSet, closed: set[PlanNode]) -> list[PlanNode]:
+def candidate_plans(hset: HypothesisSet | LiveSet, closed: set[PlanNode]) -> list[PlanNode]:
     """Distinct not-yet-closed plans across the set, up to observation
     marks, in first-occurrence order. Plans appearing in several hypotheses
     are listed once, as held by the first of them."""
@@ -300,8 +352,9 @@ def run_query_loop(
     Before each select, the candidates whose answer is forced are closed
     unasked, by rules (a) and (b) of the module docstring.
 
-    Every set the loop holds and hands to the policy shares h0's relation
-    table.
+    After the first answer the loop holds, and hands the policy, a LiveSet
+    sharing h0's relation table. It returns h0 when nothing was asked, and
+    otherwise the set that updating h0 by every answer would give.
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
@@ -348,9 +401,9 @@ def run_query_loop(
         if not table.owners[t] & alive:
             raise PolicyError(f"policy {policy.kind!r} returned a plan outside the hypothesis set")
         answer = query_answer(oracle, plan)
-        current = update(current, plan, answer)
+        current = _pruned(current, plan, answer)
         asked.add(t)
         closed.add(plan)
         trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
         last_true = plan if answer else None
-    return current, trace
+    return (current.to_set() if isinstance(current, LiveSet) else current), trace

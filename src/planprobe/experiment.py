@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -110,6 +111,8 @@ class ExperimentSpec:
                 raise PlanProbeError(f"unknown policy {p!r}")
         if self.reps < 1:
             raise PlanProbeError("reps must be >= 1")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise PlanProbeError("timeout must be finite and > 0")
 
 
 @dataclass(frozen=True)

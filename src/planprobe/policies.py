@@ -18,23 +18,23 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress, takewhile
 
 from .errors import PolicyError
 from .plans import PlanNode
 from .recognizer import HypothesisSet
-from .engine import RelationTable, relations, restrict
+from .engine import LiveSet, RelationTable, bit_selectors, relations, restrict
 
 
 def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
     return random.Random(f"{seed}:{len(closed)}")
 
 
-def cumulative_plan_prob(hset: HypothesisSet, plan: PlanNode) -> float:
+def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float:
     """Total weight of the hypotheses containing some plan refinable from
     `plan`."""
     table, alive = relations(hset)
-    refine = table.refine(table.intern(plan), alive)
-    return sum(h.weight for h in restrict(hset.hypotheses, alive, refine))
+    return sum(restrict(hset.weights, alive, table.refine(table.intern(plan), alive)))
 
 
 def _entropy_of_weights(weights: list[float]) -> float:
@@ -52,11 +52,11 @@ def _entropy_of_weights(weights: list[float]) -> float:
 def entropy(hset: HypothesisSet) -> float:
     """Shannon entropy (bits) of the hypothesis distribution; empty and
     singleton sets score 0."""
-    return _entropy_of_weights([h.weight for h in hset.hypotheses])
+    return _entropy_of_weights(hset.weights)
 
 
 def _open_candidates(
-    hset: HypothesisSet, closed: set[PlanNode]
+    hset: HypothesisSet | LiveSet, closed: set[PlanNode]
 ) -> tuple[RelationTable, int, list[int]]:
     table, alive = relations(hset)
     candidates = list(table.candidates(alive, closed))
@@ -65,32 +65,44 @@ def _open_candidates(
     return table, alive, candidates
 
 
-def select_random(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
+def select_random(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
     table, alive, candidates = _open_candidates(hset, closed)
     return table.plan(_rng(seed, closed).choice(candidates), alive)
 
 
-def select_mph(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
-    """Pick a not-yet-closed plan from the heaviest hypothesis; when that
-    one is exhausted, walk down the weight ranking."""
+def select_mph(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
+    """Pick a not-yet-closed plan from the heaviest hypothesis that still
+    has one: draw among the hypotheses tied at that weight (in set order),
+    then among the chosen one's open plans (in its plan order).
+
+    A class is open when its representative is. Renormalizing divides every
+    weight by one positive total, which never reorders two weights but can
+    make them equal, so the members tied at the top weight are a prefix of
+    each class's heaviest-first list, read with the set's own weights."""
     table, alive = relations(hset)
+    weights = hset.weights
     skip = set(map(table.intern, closed))
-    open_by_hyp: list[tuple[float, list[int]]] = []
-    for h, row in zip(hset.hypotheses, table.rows(alive)):
-        pending = list(dict.fromkeys(t for t in row if t not in skip))
-        if pending:
-            open_by_hyp.append((h.weight, pending))
-    if not open_by_hyp:
+    reps = alive & table.reps
+    open_classes = [table.ranked[r] for r in compress(range(reps.bit_length()), bit_selectors(reps))
+                    if any(t not in skip for t in table.per_hyp[r])]
+    if not open_classes:
         raise PolicyError("no candidate plans left to query")
-    best = max(w for w, _ in open_by_hyp)
-    tied = [pending for w, pending in open_by_hyp if w == best]
+
+    def weight(i: int) -> float:
+        return weights[(alive & ((1 << i) - 1)).bit_count()]
+
+    heads = [weight(members[0]) for members in open_classes]
+    best = max(heads)
+    tied = sorted(i for members, head in zip(open_classes, heads) if head == best
+                  for i in takewhile(lambda i: weight(i) == best, members))
     rng = _rng(seed, closed)
-    return table.plan(rng.choice(rng.choice(tied)), alive)
+    pending = list(dict.fromkeys(t for t in table.per_hyp[rng.choice(tied)] if t not in skip))
+    return table.plan(rng.choice(pending), alive)
 
 
-def select_mpp(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
+def select_mpp(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
     table, alive, candidates = _open_candidates(hset, closed)
-    weights = [h.weight for h in hset.hypotheses]
+    weights = hset.weights
     scored = [(sum(restrict(weights, alive, table.refine(t, alive))), t) for t in candidates]
     best = max(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
@@ -106,7 +118,7 @@ def _expected_entropy(table: RelationTable, alive: int, weights: list[float], t:
     return p_true * ent_true + (1.0 - p_true) * ent_false
 
 
-def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) -> PlanNode:
+def select_min_entropy(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
     """Pick the plan t with the smallest expected post-update entropy
     R * H(True) + (1 - R) * H(False). R is t's refinement mass,
     cumulative_plan_prob(hset, t). The True branch keeps the hypotheses
@@ -115,7 +127,7 @@ def select_min_entropy(hset: HypothesisSet, closed: set[PlanNode], seed: int) ->
     over the branch's survivors, renormalized. The True branch is weighed by
     R, not by the match mass of the survivors it keeps."""
     table, alive, candidates = _open_candidates(hset, closed)
-    weights = [h.weight for h in hset.hypotheses]
+    weights = hset.weights
     scored = [(_expected_entropy(table, alive, weights, t), t) for t in candidates]
     best = min(score for score, _ in scored)
     tied = [t for score, t in scored if score == best]
@@ -142,5 +154,5 @@ class Policy:
         if self.kind not in _SELECTORS:
             raise PolicyError(f"unknown policy kind {self.kind!r} (expected one of {POLICY_KINDS})")
 
-    def select(self, hset: HypothesisSet, closed: set[PlanNode]) -> PlanNode:
+    def select(self, hset: HypothesisSet | LiveSet, closed: set[PlanNode]) -> PlanNode:
         return _SELECTORS[self.kind](hset, closed, self.seed)

@@ -56,8 +56,9 @@ class HypothesisSet:
     completeness guarantees no longer hold. relations is the set's relation
     table and the mask of its hypotheses over the table's order, held for
     engine.relations: built on first use, and inherited by every set that
-    engine.update derives from this one. It is not an init field, so
-    dataclasses.replace never copies it onto other hypotheses."""
+    engine.update or the query loop derives from this one. It is not an
+    init field, so dataclasses.replace never copies it onto other
+    hypotheses."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
@@ -73,6 +74,10 @@ class HypothesisSet:
     def __len__(self) -> int:
         return len(self.hypotheses)
 
+    @property
+    def weights(self) -> list[float]:
+        return [h.weight for h in self.hypotheses]
+
     @classmethod
     def normalized(
         cls,
@@ -83,14 +88,18 @@ class HypothesisSet:
         hyps = tuple(hypotheses)
         if not hyps:
             return cls((), observation_count, truncated)
-        total = sum(h.weight for h in hyps)
-        if total <= 0:
-            raise ValueError("cannot normalize non-positive total weight")
-        return cls(
-            tuple(Hypothesis(h.plans, h.weight / total) for h in hyps),
-            observation_count,
-            truncated,
-        )
+        weights = normalize([h.weight for h in hyps])
+        return cls(tuple(map(Hypothesis, (h.plans for h in hyps), weights)), observation_count, truncated)
+
+
+def normalize(weights: list[float]) -> list[float]:
+    """Each weight divided by the left-to-right sum of all of them, which
+    must be positive. HypothesisSet.normalized and the query loop both
+    renormalize through this, so their weights agree bit for bit."""
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("cannot normalize non-positive total weight")
+    return [w / total for w in weights]
 
 
 @dataclass

@@ -6,14 +6,16 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused. Four sections at the end are the exception, because they serve as
+reused. Five sections at the end are the exception, because they serve as
 references for fast paths rather than as independent oracles: the
 list-based relation rules and the root-keyed query loop reuse the
 production relations and check the query loop's relation table and its
-forced answers, the per-hypothesis recognition step reuses the production
-plan editing and checks the recognizer's per-step plan memo, the matching
-search checks plans.hypothesis_refines, and the digest identity reuses the
-production serialization and checks plans.hypothesis_key.
+forced answers, the per-hypothesis query loop reuses the production
+relation table and checks the loop that walks one row per mark-free class,
+the per-hypothesis recognition step reuses the production plan editing and
+checks the recognizer's per-step plan memo, the matching search checks
+plans.hypothesis_refines, and the digest identity reuses the production
+serialization and checks plans.hypothesis_key.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import compress
 
+from planprobe.engine import ProbeTrace, TraceStep, bit_selectors, query_answer, relations, restrict
 from planprobe.errors import OracleInconsistencyError, UnexplainableObservationError
 from planprobe.library import PlanLibrary
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
     apply_method,
+    hypothesis_refines,
     is_refinement,
     iter_nodes,
     matches,
@@ -415,6 +420,118 @@ def root_key_query_loop(h0, truth: Hypothesis, kind: str, seed: int):
         current = update(current, plan, answer)
         closed.add(plan)
     return current, len(closed)
+
+
+# ------------------------------------------ per-hypothesis query loop
+
+# The query loop, update and selectors as they read before the loop walked
+# one row per mark-free class: every set the loop holds is a HypothesisSet
+# rebuilt and renormalized at each answer, and candidates and mph walk every
+# live row. They share the production relation table, whose
+# columns are exact on any live mask. table_query_loop takes a policy kind
+# and seed, and returns the final set and the trace.
+
+def table_update(hset, plan: PlanNode, answer: bool):
+    table, alive = relations(hset)
+    t = table.intern(plan)
+    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
+    if not kept:
+        raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
+    survivors = list(restrict(hset.hypotheses, alive, kept))
+    total = sum(h.weight for h in survivors)
+    out = HypothesisSet(tuple(Hypothesis(h.plans, h.weight / total) for h in survivors),
+                        hset.observation_count, hset.truncated)
+    object.__setattr__(out, "relations", (table, kept))
+    return out
+
+
+def table_candidates(table, alive: int, closed: set) -> list[int]:
+    skip = set(map(table.intern, closed))
+    out = []
+    for row in compress(table.per_hyp, bit_selectors(alive)):
+        for t in row:
+            if t not in skip:
+                skip.add(t)
+                out.append(t)
+    return out
+
+
+def table_select(kind: str, hset, closed: set, seed: int) -> PlanNode:
+    table, alive = relations(hset)
+    rng = _rng(seed, closed)
+    weights = [h.weight for h in hset.hypotheses]
+    if kind == "mph":
+        skip = set(map(table.intern, closed))
+        open_by_hyp = []
+        for w, row in zip(weights, compress(table.per_hyp, bit_selectors(alive))):
+            pending = list(dict.fromkeys(t for t in row if t not in skip))
+            if pending:
+                open_by_hyp.append((w, pending))
+        best = max(w for w, _ in open_by_hyp)
+        return table.plan(rng.choice(rng.choice([p for w, p in open_by_hyp if w == best])), alive)
+    candidates = table_candidates(table, alive, closed)
+    if kind == "random":
+        return table.plan(rng.choice(candidates), alive)
+
+    def score(t: int) -> float:
+        refine = table.refine(t, alive)
+        p_true = sum(restrict(weights, alive, refine))
+        if kind == "mpp":
+            return p_true
+        ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
+        ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
+        return p_true * ent_true + (1.0 - p_true) * ent_false
+
+    scores = [score(t) for t in candidates]
+    best = max(scores) if kind == "mpp" else min(scores)
+    return table.plan(rng.choice([t for t, x in zip(candidates, scores) if x == best]), alive)
+
+
+def table_query_loop(h0, oracle, kind: str, seed: int):
+    if h0.truncated:
+        raise ValueError("query loop requires an untruncated hypothesis set")
+    if not any(hypothesis_refines(h, oracle.truth) for h in h0.hypotheses):
+        raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
+    trace = ProbeTrace(initial_size=len(h0))
+    closed: set = set()
+    asked: set = set()
+    settled: set = set()
+    last_true = None
+    current = h0
+
+    def settle(ids: list) -> None:
+        settled.update(ids)
+        closed.update(table.plans[t] for t in ids)
+
+    while len(current) > 1:
+        table, alive = relations(current)
+        by_answer = []
+        if last_true is not None:
+            by_answer = [
+                t for t in table.by_label[last_true.label]
+                if table.owners[t] & alive and t not in asked and t not in settled
+                and is_refinement(table.plans[t], last_true)
+            ]
+            settle(by_answer)
+        open_ids = table_candidates(table, alive, closed)
+        by_premise = [
+            t for t in open_ids
+            if not alive & ~table.label_owners[table.plans[t].label]
+            and not alive & ~table.refine(t, alive)
+        ]
+        settle(by_premise)
+        if len(open_ids) == len(by_premise):
+            break
+        plan = table_select(kind, current, closed, seed)
+        t = table.intern(plan)
+        assert t not in asked and t not in settled and table.owners[t] & alive
+        answer = query_answer(oracle, plan)
+        current = table_update(current, plan, answer)
+        asked.add(t)
+        closed.add(plan)
+        trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
+        last_true = plan if answer else None
+    return current, trace
 
 
 # ------------------------------------------ per-hypothesis recognition step

@@ -1,0 +1,154 @@
+"""Differential test: the query loop that walks one row per mark-free class
+and renormalizes bare weights, against the per-hypothesis loop in
+oracles.py, which rebuilds a HypothesisSet at each answer.
+
+For every policy on the instances of test_relation_table.py, and for random
+and mph on the three largest h0 of the obs-9 batch, both loops must ask the
+same plan object at every step, get the same answer, and report the same
+remaining and settled counts; their final sets must be equal, weights
+compared with ==. A hand-built set pins the mph tie between mark variants
+whose weights differ in the last bit.
+
+The class data itself is checked on the same instances: one representative
+per distinct set of plan ids, and every column the loop reads all-or-nothing
+on each class. And no loop may tie h0 into a reference cycle.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from planprobe.engine import QueryOracle, relations, run_query_loop, update
+from planprobe.experiment import ExperimentSpec, _instances_for
+from planprobe.plans import Hypothesis, PlanNode
+from planprobe.policies import POLICY_KINDS, Policy
+from planprobe.recognizer import HypothesisSet, recognize
+
+from . import oracles
+from .test_relation_table import INSTANCES
+
+
+def _assert_same_run(h0, truth, kind: str, seed: int):
+    oracle = QueryOracle(truth)
+    want, want_trace = oracles.table_query_loop(h0, oracle, kind, seed)
+    got, trace = run_query_loop(h0, oracle, Policy(kind, seed))
+    assert len(trace.steps) == len(want_trace.steps)
+    for step, ref in zip(trace.steps, want_trace.steps):
+        assert step.plan is ref.plan
+        assert (step.answer, step.remaining, step.settled_by_premise, step.settled_by_answer) == \
+               (ref.answer, ref.remaining, ref.settled_by_premise, ref.settled_by_answer)
+    assert got.hypotheses == want.hypotheses  # plans and weights, exactly
+    return trace
+
+
+@pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
+def test_loop_equals_per_hypothesis_loop(name, h0, truth):
+    for kind in POLICY_KINDS:
+        _assert_same_run(h0, truth, kind, seed=len(h0))
+
+
+# the three largest h0 of ExperimentSpec(obs_lens=(9,), reps=20, seed=5)
+LARGE = {"L9_r013": 20184, "L9_r004": 2640, "L9_r016": 864}
+
+
+@pytest.mark.parametrize("stem", LARGE)
+def test_large_h0_loops_equal_per_hypothesis_loop(stem):
+    instances = dict(_instances_for(ExperimentSpec(obs_lens=(9,), reps=20, seed=5)))
+    inst = instances[stem]
+    h0 = recognize(inst.library, list(inst.observations))
+    assert len(h0) == LARGE[stem]
+    for kind in ("random", "mph"):
+        assert _assert_same_run(h0, inst.truth, kind, seed=7).query_count >= 2
+
+
+def _g(mark: int) -> PlanNode:
+    return PlanNode("g", "mg", (PlanNode("a", observed=mark),))
+
+
+def _h(mark: int) -> PlanNode:
+    return PlanNode("h", "mh", (PlanNode("b", observed=mark),))
+
+
+def test_mph_ties_read_the_current_weights():
+    # a1 and a2 are mark variants, one class, one ulp apart in h0. The first
+    # question (k, from the heaviest hypothesis) is answered False and drops
+    # k's hypothesis; renormalized, a1 and a2 are equal, so mph draws between
+    # them, and a2 lists its plans in the other order.
+    k = PlanNode("k")
+    hyps = (
+        Hypothesis((k,), 0.39612696222009075),
+        Hypothesis((_g(0), _h(1)), 0.20671821220562006),
+        Hypothesis((_h(0), _g(1)), 0.20671821220562003),
+        Hypothesis((PlanNode("z"),), 0.19043661336866918),
+    )
+    h0 = HypothesisSet(hyps, 2)
+    truth = Hypothesis((_g(0), _h(1)))
+    after_k = update(h0, k, False)
+    assert hyps[1].weight != hyps[2].weight
+    assert after_k.hypotheses[0].weight == after_k.hypotheses[1].weight
+    # without a2, a1 alone is at the top when the second question is drawn
+    alone = update(HypothesisSet.normalized([hyps[0], hyps[1], hyps[3]], 2), k, False)
+    differs = []
+    for seed in range(20):
+        trace = _assert_same_run(h0, truth, "mph", seed)
+        assert trace.steps[0].plan is k
+        if trace.steps[1].plan.label != Policy("mph", seed).select(alone, {k}).label:
+            differs.append(seed)
+    assert 1 in differs and len(differs) >= 5
+
+
+class Recording:
+    """Policy that records the live mask at each select."""
+
+    def __init__(self, kind: str, seed: int):
+        self.kind = kind
+        self.policy = Policy(kind, seed)
+        self.masks: list[int] = []
+
+    def select(self, hset, closed):
+        self.masks.append(relations(hset)[1])
+        return self.policy.select(hset, closed)
+
+
+@pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
+def test_classes_are_whole_under_every_column(name, h0, truth):
+    table, full = relations(h0)
+    first: dict[frozenset, int] = {}
+    for i, row in enumerate(table.per_hyp):
+        first.setdefault(frozenset(row), i)
+    assert table.reps == sum(1 << i for i in first.values())
+    assert table.reps.bit_count() == len(first)
+    classes = [sum(1 << i for i, row in enumerate(table.per_hyp) if frozenset(row) == key) for key in first]
+    assert sorted(sum(1 << i for i in members) for members in table.classes) == sorted(classes)
+
+    masks = {full}
+    for kind in POLICY_KINDS:
+        policy = Recording(kind, len(h0))
+        final, _ = run_query_loop(h0, QueryOracle(truth), policy)
+        masks.update(policy.masks)
+        masks.add(relations(final)[1] if final is not h0 else full)
+    for alive in masks:
+        for members in classes:
+            assert alive & members in (0, members)
+        for t in range(len(table.plans)):
+            for column in (table.refine(t, alive), table.match(t, alive)):
+                for members in classes:
+                    assert column & alive & members in (0, alive & members)
+
+
+def test_loops_leave_no_reference_cycle_to_h0():
+    # A table that held h0 while h0 holds the table would be freed only by
+    # the cyclic collector, so with it disabled h0 would outlive its loops.
+    gc.disable()
+    try:
+        for name, h0, truth in INSTANCES:
+            h0 = HypothesisSet(h0.hypotheses, h0.observation_count, h0.truncated)
+            for kind in POLICY_KINDS:
+                run_query_loop(h0, QueryOracle(truth), Policy(kind, 1))
+            assert relations(h0)[0].ranked  # the mph class lists, built on use
+            alive = weakref.ref(h0)
+            del h0
+            assert alive() is None, name
+    finally:
+        gc.enable()

@@ -286,6 +286,15 @@ def test_gen_count_below_one_exits_1_with_one_line(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_experiment_timeout_not_finite_and_positive_exits_1_with_one_line(tmp_path, capsys, timeout):
+    out = tmp_path / "exp"
+    assert main(["experiment", "--out", str(out), "--obs-len", "3", "--reps", "2", "--timeout", timeout]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: timeout must be finite and > 0\n")
+    assert not out.exists()
+
+
 def test_gen_says_when_no_library_passes_the_ambiguity_bound(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "batch"), "--depth", "150"]) == 1
     err = capsys.readouterr().err

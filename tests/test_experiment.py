@@ -93,7 +93,7 @@ class TestRunExperiment:
         assert result.rows[0].obs_len == 3
 
     def test_timeout_records_failures(self):
-        spec = ExperimentSpec(obs_lens=(3,), reps=2, seed=1, timeout=0.0)
+        spec = ExperimentSpec(obs_lens=(3,), reps=2, seed=1, timeout=1e-9)
         result = run_experiment(spec)
         assert len(result.failures) == 2
         assert all("timeout" in f for f in result.failures)
