@@ -48,22 +48,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+# the GenParams fields set by the library-shape flags of gen and experiment
+_SHAPE_FIELDS = ("num_goals", "branching", "depth", "num_basic", "order_density")
+
+
 def _gen_params(args, **fields) -> GenParams:
     """GenParams from the library-shape flags in args, plus the given fields."""
-    shape = ("num_goals", "branching", "depth", "num_basic", "order_density")
-    return GenParams(**{name: getattr(args, name) for name in shape}, **fields)
+    return GenParams(**{name: getattr(args, name) for name in _SHAPE_FIELDS}, **fields)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planprobe", description="Plan recognition with query-driven pruning")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the generator's library-shape flags, shared by gen and experiment
     shape = argparse.ArgumentParser(add_help=False)
-    for name in ("num_goals", "branching", "depth", "num_basic", "order_density"):
+    for name in _SHAPE_FIELDS:
         default = getattr(GenParams, name)
         shape.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
-    p_rec = sub.add_parser("recognize", parents=[], help="report hypotheses for an observation file")
+    p_rec = sub.add_parser("recognize", help="report hypotheses for an observation file")
     p_rec.add_argument("--library", required=True, type=Path)
     p_rec.add_argument("--obs", required=True, type=Path)
     p_rec.add_argument("--max-hypotheses", type=int, default=None)

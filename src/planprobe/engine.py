@@ -30,15 +30,15 @@ so every loop and selector over one h0 evaluates each column once.
 
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
-reads one row per live class. Between questions the loop holds only the live
-mask and weights, renormalized at each answer as HypothesisSet.normalized
-does, and builds the final HypothesisSet once.
+lists the open candidates, the only plans a selector reads, from one row per
+live class. Between questions the loop holds only the live mask and weights,
+renormalized at each answer as HypothesisSet.normalized does, and builds the
+final HypothesisSet once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
@@ -114,10 +114,11 @@ class RelationTable:
     plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
     lists the ids per root label and label_owners holds the mask of
     hypotheses with a plan of each root label. Hypotheses with one set of
-    plan ids form a mark-free class; classes lists each one's members in h0
-    order, and reps masks their first members, the representatives. Every
-    column below is a union of owners masks, so a live mask derived from h0
-    by answers holds whole classes, and its representatives stand for them.
+    plan ids form a mark-free class, and both owner maps are filled with
+    one mask per class; reps masks each class's first member in h0 order,
+    its representative. Every column below is a union of owners masks, so a
+    live mask derived from h0 by answers holds whole classes, and its
+    representatives stand for them.
 
     The columns refine(t) and match(t) are filled on first use, evaluating
     the relation once per distinct plan with t's root label (both relations
@@ -135,21 +136,17 @@ class RelationTable:
         self.owners: list[int] = []
         self.by_label: dict[str, list[int]] = {}
         self.label_owners: dict[str, int] = {}
-        per_hyp = []
+        self.per_hyp = tuple(tuple(map(self.intern, h.plans)) for h in h0.hypotheses)
         classes: dict[frozenset[int], list[int]] = {}
-        for i, h in enumerate(h0.hypotheses):
-            bit = 1 << i
-            row = []
-            for p in h.plans:
-                t = self.intern(p)
-                self.owners[t] |= bit
-                self.label_owners[p.label] = self.label_owners.get(p.label, 0) | bit
-                row.append(t)
-            per_hyp.append(tuple(row))
+        for i, row in enumerate(self.per_hyp):
             classes.setdefault(frozenset(row), []).append(i)
-        self.per_hyp = tuple(per_hyp)
-        self.classes = list(classes.values())
-        self.reps = sum(1 << members[0] for members in self.classes)
+        for ids, members in classes.items():
+            mask = sum(1 << i for i in members)
+            for t in ids:
+                self.owners[t] |= mask
+                label = self.plans[t].label
+                self.label_owners[label] = self.label_owners.get(label, 0) | mask
+        self.reps = sum(1 << members[0] for members in classes.values())
         # plan id -> (column, union of the live masks it was filled for)
         self._refine: dict[int, tuple[int, int]] = {}
         self._match: dict[int, tuple[int, int]] = {}
@@ -196,13 +193,6 @@ class RelationTable:
                     column |= mask
             columns[t] = column, covered | alive
         return column
-
-    @cached_property
-    def ranked(self) -> dict[int, list[int]]:
-        """Each class's members by its representative, heaviest first by
-        h0's weights (equal weights in h0 order)."""
-        hyps = self.hypotheses
-        return {m[0]: sorted(m, key=lambda i: -hyps[i].weight) for m in self.classes}
 
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
         """Ids of the not-yet-closed plans of the live hypotheses, in

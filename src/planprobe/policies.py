@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress, takewhile
+from itertools import compress
 
 from .errors import PolicyError
 from .plans import PlanNode
@@ -30,11 +30,17 @@ def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
     return random.Random(f"{seed}:{len(closed)}")
 
 
+def _refinement_mass(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
+    """Total weight of the live hypotheses holding a plan refinable from
+    plan id `t`."""
+    return sum(restrict(weights, alive, table.refine(t, alive)))
+
+
 def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float:
     """Total weight of the hypotheses containing some plan refinable from
     `plan`."""
     table, alive = relations(hset)
-    return sum(restrict(hset.weights, alive, table.refine(table.intern(plan), alive)))
+    return _refinement_mass(table, alive, hset.weights, table.intern(plan))
 
 
 def _entropy_of_weights(weights: list[float]) -> float:
@@ -65,56 +71,52 @@ def _open_candidates(
     return table, alive, candidates
 
 
-def select_random(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
+def _best(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int, score) -> PlanNode:
+    """Draw among the open candidates with the highest
+    score(table, alive, weights, t), tied in first-occurrence order."""
     table, alive, candidates = _open_candidates(hset, closed)
-    return table.plan(_rng(seed, closed).choice(candidates), alive)
+    weights = hset.weights
+    scores = [score(table, alive, weights, t) for t in candidates]
+    best = max(scores)
+    tied = [t for s, t in zip(scores, candidates) if s == best]
+    return table.plan(_rng(seed, closed).choice(tied), alive)
+
+
+def select_random(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
+    return _best(hset, closed, seed, lambda *_: 0.0)
 
 
 def select_mph(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
     """Pick a not-yet-closed plan from the heaviest hypothesis that still
-    has one: draw among the hypotheses tied at that weight (in set order),
-    then among the chosen one's open plans (in its plan order).
+    has one: among the live owners of the open candidates, draw among those
+    tied at the top weight (in set order), then among the chosen one's open
+    candidates (in its plan order).
 
-    A class is open when its representative is. Renormalizing divides every
-    weight by one positive total, which never reorders two weights but can
-    make them equal, so the members tied at the top weight are a prefix of
-    each class's heaviest-first list, read with the set's own weights."""
-    table, alive = relations(hset)
-    weights = hset.weights
-    skip = set(map(table.intern, closed))
-    reps = alive & table.reps
-    open_classes = [table.ranked[r] for r in compress(range(reps.bit_length()), bit_selectors(reps))
-                    if any(t not in skip for t in table.per_hyp[r])]
-    if not open_classes:
-        raise PolicyError("no candidate plans left to query")
-
-    def weight(i: int) -> float:
-        return weights[(alive & ((1 << i) - 1)).bit_count()]
-
-    heads = [weight(members[0]) for members in open_classes]
-    best = max(heads)
-    tied = sorted(i for members, head in zip(open_classes, heads) if head == best
-                  for i in takewhile(lambda i: weight(i) == best, members))
+    The ties are read from the set's own weights, not h0's: renormalizing
+    can make two weights equal that differed in the last bit."""
+    table, alive, candidates = _open_candidates(hset, closed)
+    held = 0
+    for t in candidates:
+        held |= table.owners[t]
+    held &= alive
+    weights = list(restrict(hset.weights, alive, held))
+    best = max(weights)
+    rows = compress(table.per_hyp, bit_selectors(held))
     rng = _rng(seed, closed)
-    pending = list(dict.fromkeys(t for t in table.per_hyp[rng.choice(tied)] if t not in skip))
-    return table.plan(rng.choice(pending), alive)
+    row = rng.choice([row for w, row in zip(weights, rows) if w == best])
+    open_ids = set(candidates)
+    return table.plan(rng.choice([t for t in dict.fromkeys(row) if t in open_ids]), alive)
 
 
 def select_mpp(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
-    table, alive, candidates = _open_candidates(hset, closed)
-    weights = hset.weights
-    scored = [(sum(restrict(weights, alive, table.refine(t, alive))), t) for t in candidates]
-    best = max(score for score, _ in scored)
-    tied = [t for score, t in scored if score == best]
-    return table.plan(_rng(seed, closed).choice(tied), alive)
+    return _best(hset, closed, seed, _refinement_mass)
 
 
 def _expected_entropy(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
     """select_min_entropy's score for plan id `t`."""
-    refine = table.refine(t, alive)
-    p_true = sum(restrict(weights, alive, refine))
+    p_true = _refinement_mass(table, alive, weights, t)
     ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
-    ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
+    ent_false = _entropy_of_weights(list(restrict(weights, alive, ~table.refine(t, alive))))
     return p_true * ent_true + (1.0 - p_true) * ent_false
 
 
@@ -126,12 +128,7 @@ def select_min_entropy(hset: HypothesisSet | LiveSet, closed: set[PlanNode], see
     refinable from t, exactly as engine.update prunes; each entropy is taken
     over the branch's survivors, renormalized. The True branch is weighed by
     R, not by the match mass of the survivors it keeps."""
-    table, alive, candidates = _open_candidates(hset, closed)
-    weights = hset.weights
-    scored = [(_expected_entropy(table, alive, weights, t), t) for t in candidates]
-    best = min(score for score, _ in scored)
-    tied = [t for score, t in scored if score == best]
-    return table.plan(_rng(seed, closed).choice(tied), alive)
+    return _best(hset, closed, seed, lambda *args: -_expected_entropy(*args))
 
 
 _SELECTORS = {
