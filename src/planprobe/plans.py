@@ -339,7 +339,7 @@ def hypothesis_from_dict(doc: dict) -> Hypothesis:
 
 def hypothesis_key(h: Hypothesis) -> frozenset[PlanNode]:
     """Order-insensitive identity of a hypothesis: the set of its plans
-    (each plan is its root PlanNode), the key the recognizer merges on.
-    Exact when the plans are pairwise distinct, as in every recognized
-    hypothesis (one plan per goal)."""
+    (each plan is its root PlanNode). Exact when the plans are pairwise
+    distinct, as in every recognized hypothesis (one plan per goal). No two
+    successors of a recognizer step share it (see recognizer._step)."""
     return frozenset(h.plans)

@@ -10,7 +10,7 @@ Four strategies for picking which plan to ask about next:
 
 All selectors are pure functions of (hypothesis set, closed plans, seed):
 ties are broken by a PRNG derived from the seed and the number of closed
-plans, so repeated runs make identical choices.
+plans and built only for a tie, so repeated runs make identical choices.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _best(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int, score
     scores = [score(table, alive, weights, t) for t in candidates]
     best = max(scores)
     tied = [t for s, t in zip(scores, candidates) if s == best]
-    return table.plan(_rng(seed, closed).choice(tied), alive)
+    return table.plan(tied[0] if len(tied) == 1 else _rng(seed, closed).choice(tied), alive)
 
 
 def select_random(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
@@ -102,10 +102,14 @@ def select_mph(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) 
     weights = list(restrict(hset.weights, alive, held))
     best = max(weights)
     rows = compress(table.per_hyp, bit_selectors(held))
-    rng = _rng(seed, closed)
-    row = rng.choice([row for w, row in zip(weights, rows) if w == best])
+    tied = [row for w, row in zip(weights, rows) if w == best]
     open_ids = set(candidates)
-    return table.plan(rng.choice([t for t in dict.fromkeys(row) if t in open_ids]), alive)
+    options = [t for t in dict.fromkeys(tied[0]) if t in open_ids]
+    if len(tied) > 1 or len(options) > 1:
+        # both draws are made, in order: a one-option choice still uses random bits
+        rng = _rng(seed, closed)
+        options = [rng.choice([t for t in dict.fromkeys(rng.choice(tied)) if t in open_ids])]
+    return table.plan(options[0], alive)
 
 
 def select_mpp(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:

@@ -20,8 +20,9 @@ computed. Each distinct plan is grown once per observation; each chain's
 subtree is built once per observation and attached with one path copy, and
 a new plan for a goal is that goal's chain subtrees. Every successor is
 weighed from its own plans by the product hypothesis_weight forms, never
-from the parent's weight, so only the final set is normalized. explain_step
-is that step on its own.
+from the parent's weight, so only the final set is normalized. No two
+successors are equal (see _step), so none are merged. explain_step is that
+step on its own.
 """
 
 from __future__ import annotations
@@ -58,25 +59,23 @@ class HypothesisSet:
     engine.relations: built on first use, and inherited by every set that
     engine.update or the query loop derives from this one. It is not an
     init field, so dataclasses.replace never copies it onto other
-    hypotheses."""
+    hypotheses. weights lists the hypotheses' weights, read once."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
     truncated: bool = False
     relations: tuple[RelationTable, int] | None = field(default=None, init=False, compare=False, repr=False)
+    weights: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", [h.weight for h in self.hypotheses])
         if self.hypotheses:
-            total = sum(h.weight for h in self.hypotheses)
+            total = sum(self.weights)
             if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
                 raise ValueError(f"hypothesis weights sum to {total}, expected 1")
 
     def __len__(self) -> int:
         return len(self.hypotheses)
-
-    @property
-    def weights(self) -> list[float]:
-        return [h.weight for h in self.hypotheses]
 
     @classmethod
     def normalized(
@@ -161,9 +160,9 @@ def _weight(memo: _PlanMemo, plans: Iterable[PlanNode]) -> float:
     """Per plan, its root goal's prior, then one over the number of methods
     for each expanded node's label, in preorder; multiplied left to right,
     one factor at a time."""
-    priors, w = memo.lib.goal_priors, 1.0
+    nodes, priors, w = memo.nodes, memo.lib.goal_priors, 1.0
     for plan in plans:
-        w = prod(memo(plan)[2], start=w * priors[plan.label])
+        w = prod((nodes.get(plan) or memo(plan))[2], start=w * priors[plan.label])
     return w
 
 
@@ -187,21 +186,25 @@ def _step(
     index: int,
     action: str,
     truncated: bool,
-) -> tuple[list[list], bool]:
+) -> tuple[list[tuple[tuple[PlanNode, ...], float]], bool]:
     """Extend every hypothesis, given by its plans, by observation `index`
-    in all distinct ways. Returns the merged and capped successors as
-    [plans, weight] pairs with unnormalized weights, and whether the set is
+    in all ways. Returns the capped successors as (plans, weight) pairs
+    with unnormalized weights, in emission order, and whether the set is
     now truncated (`truncated` says an earlier cap already cut it).
 
     A grown plan takes its root's place; a new plan, one per chain from an
     unused goal down to the action, is appended. Each successor is weighed
     where it is emitted, by the product hypothesis_weight forms, and never
     from the parent's weight, so no intermediate set needs normalizing.
-    Successors with the same plans merge by adding weights. Their merge key
-    is the set of their plans, which is plans.hypothesis_key: a hypothesis
-    holds at most one plan per goal (a new plan starts only for an unused
-    goal, and a grown plan keeps its root label), so its plans are distinct
-    and the set stands for the multiset."""
+
+    No two successors are equal, so none are merged, if the input is the
+    seed or some hypotheses of a set this step built, in which every
+    expanded node covers a mark. A successor holds the new mark in exactly
+    one plan, and undoing that attachment gives back one parent: a plan with
+    no other mark was started fresh; otherwise the grafted chain starts at
+    the ancestor nearest the root whose subtree holds no other mark, or, if
+    there is none, the mark was put on a pending leaf. Distinct attachments
+    to one parent give distinct plans, so no two parents share a successor."""
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, f"{action} ({kind} action)")
@@ -221,7 +224,7 @@ def _step(
         """Every way the plan at `root` absorbs the action, each made by one
         path copy."""
         out = grown_of[root] = []
-        for path, node in memo(root)[1]:
+        for path, node in (memo.nodes.get(root) or memo(root))[1]:
             if lib.is_basic(node.label):
                 if node.label == action:
                     out.append(_replace(root, path, leaf))
@@ -232,35 +235,40 @@ def _step(
             out.extend(_replace(root, path, sub) for sub in subtrees)
         return out
 
-    merged: dict[frozenset[PlanNode], list] = {}
-
-    def emit(plans: tuple[PlanNode, ...]) -> None:
-        key = frozenset(plans)
-        prev = merged.get(key)
-        if prev is None:
-            prev = merged[key] = [plans, 0.0]
-        prev[1] += _weight(memo, plans)
-
+    successors = []
     for plans in hypotheses:
         for i, root in enumerate(plans):
             grown = grown_of.get(root)
             for g in grow(root) if grown is None else grown:
-                emit(plans[:i] + (g,) + plans[i + 1:])
+                succ = plans[:i] + (g,) + plans[i + 1:]
+                successors.append((succ, _weight(memo, succ)))
         used_goals = {r.label for r in plans}
         for goal in lib.goals:
             if goal not in used_goals:
                 for start in grafts(goal):
-                    emit(plans + (start,))
+                    succ = plans + (start,)
+                    successors.append((succ, _weight(memo, succ)))
 
-    if not merged:
+    if not successors:
         raise UnexplainableObservationError(index, action, truncated)
 
-    successors = list(merged.values())
     if cfg.max_hypotheses is not None and len(successors) > cfg.max_hypotheses:
         successors.sort(key=lambda s: -s[1])
         del successors[cfg.max_hypotheses:]
         truncated = True
     return successors, truncated
+
+
+def _fold(lib: PlanLibrary, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
+    """_step folded from hset over the observations with one node memo; the
+    final successors normalized, each Hypothesis built once."""
+    cfg, memo, truncated = cfg or RecognizerConfig(), _PlanMemo(lib), hset.truncated
+    hypotheses = (h.plans for h in hset.hypotheses)
+    for index, action in enumerate(observations, hset.observation_count):
+        successors, truncated = _step(lib, cfg, memo, hypotheses, index, action, truncated)
+        hypotheses = (plans for plans, _ in successors)
+    plans, weights = zip(*successors)
+    return HypothesisSet(tuple(map(Hypothesis, plans, normalize(weights))), index + 1, truncated)
 
 
 def explain_step(
@@ -269,22 +277,17 @@ def explain_step(
     action: str,
     cfg: RecognizerConfig | None = None,
 ) -> HypothesisSet:
-    """Extend every hypothesis by one observation, in all distinct ways.
-    Structurally identical successors are merged (weights summed) and the
-    result normalized. Raises UnexplainableObservationError when no
-    hypothesis can absorb the action.
+    """Extend every hypothesis by one observation in all distinct ways, and
+    normalize; raise UnexplainableObservationError when none can absorb the
+    action. `hset` is the seed or some hypotheses, under any weights, of a
+    set that recognize or explain_step built: then no successors are equal.
 
     One step of recognize with a fresh node memo: each distinct plan is
     grown once, and each node's frontier and weight factors are computed
     once. Each successor is weighed from its own plans and the incoming
     weights are not read, so explain_step(lib, recognize(lib, obs[:k]),
     obs[k]) equals recognize(lib, obs[:k + 1])."""
-    index = hset.observation_count
-    successors, truncated = _step(
-        lib, cfg or RecognizerConfig(), _PlanMemo(lib),
-        (h.plans for h in hset.hypotheses), index, action, hset.truncated,
-    )
-    return HypothesisSet.normalized([Hypothesis(p, w) for p, w in successors], index + 1, truncated)
+    return _fold(lib, hset, [action], cfg)
 
 
 def recognize(
@@ -304,12 +307,4 @@ def recognize(
     equals folding explain_step over the observations."""
     if not observations:
         raise PlanError("observation sequence is empty")
-    cfg = cfg or RecognizerConfig()
-    memo = _PlanMemo(lib)
-    successors: list[list] = [[(), 1.0]]
-    truncated = False
-    for index, action in enumerate(observations):
-        successors, truncated = _step(
-            lib, cfg, memo, (plans for plans, _ in successors), index, action, truncated
-        )
-    return HypothesisSet.normalized([Hypothesis(p, w) for p, w in successors], len(observations), truncated)
+    return _fold(lib, HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)

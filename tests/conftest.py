@@ -34,6 +34,23 @@ def minimal_lib():
     )
 
 
+@pytest.fixture
+def shared_plans_lib():
+    """Two goals whose plans both absorb `x`, in several ways each."""
+    return PlanLibrary(
+        basic=frozenset({"x"}),
+        complex_actions=frozenset({"g", "h", "s"}),
+        methods=(
+            RefinementMethod("g1", "g", ("x", "s")),
+            RefinementMethod("g2", "g", ("s", "x")),
+            RefinementMethod("h1", "h", ("x", "x")),
+            RefinementMethod("s1", "s", ("x",)),
+            RefinementMethod("s2", "s", ("x", "x")),
+        ),
+        goals=("g", "h"),
+    )
+
+
 def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mark_p: float = 0.4) -> PlanNode:
     """Random partial plan from a random goal: expand open complex nodes with
     probability expand_p, then observe a random subset of basic leaves."""

@@ -350,6 +350,9 @@ def cumulative_plan_prob(hset, plan: PlanNode) -> float:
 
 
 def _rng(seed: int, closed: set) -> random.Random:
+    """The eager draw: every reference select builds its generator and
+    draws, tie or not. The policies build one only when a draw has two or
+    more options, and must still pick the same plans."""
     return random.Random(f"{seed}:{len(closed)}")
 
 

@@ -7,7 +7,9 @@ three largest h0 of the obs-9 batch, both loops must ask the same plan
 object at every step, get the same answer, and report the same remaining
 and settled counts; their final sets must be equal, weights compared with
 ==. A hand-built set pins the mph tie between mark variants
-whose weights differ in the last bit.
+whose weights differ in the last bit. Every select must also pick the plan
+of the reference selector, which builds its generator even when there is
+no tie to break.
 
 The class data itself is checked on the same instances: one representative
 per distinct set of plan ids, and every column the loop reads all-or-nothing
@@ -22,6 +24,7 @@ import pytest
 from planprobe.engine import QueryOracle, relations, run_query_loop, update
 from planprobe.experiment import ExperimentSpec, _instances_for
 from planprobe.plans import Hypothesis, PlanNode
+from planprobe import policies
 from planprobe.policies import POLICY_KINDS, Policy
 from planprobe.recognizer import HypothesisSet, recognize
 
@@ -96,6 +99,36 @@ def test_mph_ties_read_the_current_weights():
         if trace.steps[1].plan.label != Policy("mph", seed).select(alone, {k}).label:
             differs.append(seed)
     assert 1 in differs and len(differs) >= 5
+
+
+class EagerChecked:
+    """Policy that requires each select to pick the plan that the reference
+    selector, which draws eagerly, picks on the same set."""
+
+    def __init__(self, kind: str, seed: int):
+        self.kind = kind
+        self.seed = seed
+        self.policy = Policy(kind, seed)
+
+    def select(self, hset, closed):
+        plan = self.policy.select(hset, closed)
+        assert plan is oracles.table_select(self.kind, hset, closed, self.seed)
+        return plan
+
+
+def test_selects_pick_like_the_eager_draw(monkeypatch):
+    built = []
+    real = policies._rng
+    monkeypatch.setattr(policies, "_rng", lambda seed, closed: built.append(seed) or real(seed, closed))
+    for kind in POLICY_KINDS:
+        built.clear()
+        selects = 0
+        for name, h0, truth in INSTANCES:
+            for seed in range(3):
+                _, trace = run_query_loop(h0, QueryOracle(truth), EagerChecked(kind, seed))
+                selects += trace.query_count
+        # both paths ran: selects that built no generator, and selects that drew
+        assert 0 < len(built) < selects, kind
 
 
 class Recording:

@@ -17,7 +17,6 @@ import pytest
 
 from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
 from planprobe.errors import UnexplainableObservationError
-from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import Hypothesis
 from planprobe.recognizer import (
     HypothesisSet,
@@ -192,23 +191,13 @@ def test_cap_binds_and_drops_explanations_in_some_folds():
     assert info.value.truncated
 
 
-def test_shared_plans_across_hypotheses_merge_like_reference():
-    """Two goals whose plans both absorb `x`: after two observations the
-    hypotheses share plans, and successors that reach the same multiset of
-    plans from different parents must merge with the reference's weight."""
-    lib = PlanLibrary(
-        basic=frozenset({"x"}),
-        complex_actions=frozenset({"g", "h", "s"}),
-        methods=(
-            RefinementMethod("g1", "g", ("x", "s")),
-            RefinementMethod("g2", "g", ("s", "x")),
-            RefinementMethod("h1", "h", ("x", "x")),
-            RefinementMethod("s1", "s", ("x",)),
-            RefinementMethod("s2", "s", ("x", "x")),
-        ),
-        goals=("g", "h"),
-    )
-    final = _check_every_step(lib, ("x", "x", "x", "x"), None)
+def test_shared_plans_across_hypotheses_merge_like_reference(shared_plans_lib):
+    """After two observations of `x` the hypotheses share plans, and many
+    parents grow the same shared plan. Their successors still differ, since
+    each holds the new mark where its own parent took it, so the reference,
+    which merges successors with one multiset of plans, merges none, and
+    every step must equal it."""
+    final = _check_every_step(shared_plans_lib, ("x", "x", "x", "x"), None)
     assert len(final) > 1
 
 

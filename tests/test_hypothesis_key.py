@@ -1,19 +1,22 @@
-"""Differential test: plans.hypothesis_key (the set of plans, the key the
-recognizer merges on) against the digest identity it replaced, kept in
-oracles.py.
+"""Differential test: plans.hypothesis_key (the set of plans) against the
+digest identity it replaced, kept in oracles.py.
 
 On the instances of test_relation_table.py, both keys must split h0, the
 final set of every policy's query loop and the exhaustive filter into the
 same groups of hypotheses, and no two hypotheses of a recognized set may
-share a key.
+share a key. The recognizer merges no successors, because no two are equal:
+on generated instances, the built-in chemistry domain and a hand-built
+library, the keys of every set a step builds are pairwise distinct.
 """
 
 import pytest
 
+from planprobe.domains import GenParams, gen_instance
 from planprobe.engine import QueryOracle, run_query_loop
 from planprobe.experiment import brute_force_final_set
 from planprobe.plans import Hypothesis, hypothesis_key
 from planprobe.policies import POLICY_KINDS, Policy
+from planprobe.recognizer import HypothesisSet, explain_step, recognize
 
 from . import oracles
 from .test_relation_table import INSTANCES
@@ -51,3 +54,35 @@ def test_key_ignores_plan_order_and_weight(quartet):
     b = Hypothesis((quartet.partner1, quartet.p1), 0.5)
     assert hypothesis_key(a) == hypothesis_key(b)
     assert hypothesis_key(a) != hypothesis_key(quartet.h3)
+
+
+def _steps_with_distinct_keys(lib, observations) -> int:
+    """Fold explain_step from the seed, requiring pairwise distinct keys of
+    one plan per goal at every step, and recognize to give the last set.
+    Returns the number of hypotheses checked."""
+    hset = HypothesisSet((Hypothesis((), 1.0),), 0)
+    checked = 0
+    for action in observations:
+        hset = explain_step(lib, hset, action)
+        keys = {hypothesis_key(h) for h in hset.hypotheses}
+        assert len(keys) == len(hset)
+        assert all(len({p.label for p in h.plans}) == len(h.plans) for h in hset.hypotheses)
+        checked += len(hset)
+    assert recognize(lib, list(observations)).hypotheses == hset.hypotheses
+    return checked
+
+
+@pytest.mark.parametrize("obs_len", range(3, 10))
+def test_no_step_builds_two_equal_hypotheses(obs_len):
+    checked = sum(
+        _steps_with_distinct_keys(inst.library, inst.observations)
+        for inst in (gen_instance(GenParams(obs_len=obs_len, seed=8000 + 100 * obs_len + k)) for k in range(30))
+    )
+    assert checked >= 30 * obs_len
+
+
+def test_no_step_builds_two_equal_hypotheses_by_hand(chem, shared_plans_lib):
+    for inst in chem.values():
+        _steps_with_distinct_keys(inst.library, inst.observations)
+    # many parents grow one shared plan here, each at its own mark
+    assert _steps_with_distinct_keys(shared_plans_lib, ("x",) * 5) > 100
