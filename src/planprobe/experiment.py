@@ -109,6 +109,10 @@ class ExperimentSpec:
         for p in self.policies:
             if p not in POLICY_KINDS:
                 raise PlanProbeError(f"unknown policy {p!r}")
+        for name, values in (("policy", self.policies), ("obs length", self.obs_lens)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise PlanProbeError(f"{name} {repeated[0]!r} is repeated")
         if self.reps < 1:
             raise PlanProbeError("reps must be >= 1")
         if self.timeout is not None and not 0 < self.timeout < math.inf:

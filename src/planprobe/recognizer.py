@@ -18,11 +18,11 @@ frontier and weight factors are computed once. A grown plan shares every
 subtree off its attachment path with its parent, so only the new nodes are
 computed. Each distinct plan is grown once per observation; each chain's
 subtree is built once per observation and attached with one path copy, and
-a new plan for a goal is that goal's chain subtrees. Every successor is
-weighed from its own plans by the product hypothesis_weight forms, never
-from the parent's weight, so only the final set is normalized. No two
-successors are equal (see _step), so none are merged. explain_step is that
-step on its own.
+a new plan for a goal is that goal's chain subtrees. _step returns plans
+only; _fold weighs just the set it returns, by the product
+hypothesis_weight forms from each hypothesis's own plans, plus a capped
+step's successors to choose the ones it keeps. No two successors are equal
+(see _step), so none are merged. explain_step is that step on its own.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def _weight(memo: _PlanMemo, plans: Iterable[PlanNode]) -> float:
 
 
 def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
-    """Unnormalized weight of `h`, the same product the recognizer gives
-    every successor it emits."""
+    """Unnormalized weight of `h`, the same product the recognizer weighs
+    every hypothesis it keeps, or caps, by."""
     return _weight(_PlanMemo(lib), h.plans)
 
 
@@ -180,22 +180,17 @@ def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list[Path]:
 
 def _step(
     lib: PlanLibrary,
-    cfg: RecognizerConfig,
     memo: _PlanMemo,
     hypotheses: Iterable[tuple[PlanNode, ...]],
     index: int,
     action: str,
-    truncated: bool,
-) -> tuple[list[tuple[tuple[PlanNode, ...], float]], bool]:
+) -> list[tuple[PlanNode, ...]]:
     """Extend every hypothesis, given by its plans, by observation `index`
-    in all ways. Returns the capped successors as (plans, weight) pairs
-    with unnormalized weights, in emission order, and whether the set is
-    now truncated (`truncated` says an earlier cap already cut it).
+    in all ways. Returns the successors' plans in emission order, unweighed
+    and uncapped: _fold caps and weighs them.
 
     A grown plan takes its root's place; a new plan, one per chain from an
-    unused goal down to the action, is appended. Each successor is weighed
-    where it is emitted, by the product hypothesis_weight forms, and never
-    from the parent's weight, so no intermediate set needs normalizing.
+    unused goal down to the action, is appended.
 
     No two successors are equal, so none are merged, if the input is the
     seed or some hypotheses of a set this step built, in which every
@@ -240,35 +235,33 @@ def _step(
         for i, root in enumerate(plans):
             grown = grown_of.get(root)
             for g in grow(root) if grown is None else grown:
-                succ = plans[:i] + (g,) + plans[i + 1:]
-                successors.append((succ, _weight(memo, succ)))
+                successors.append(plans[:i] + (g,) + plans[i + 1:])
         used_goals = {r.label for r in plans}
         for goal in lib.goals:
             if goal not in used_goals:
                 for start in grafts(goal):
-                    succ = plans + (start,)
-                    successors.append((succ, _weight(memo, succ)))
-
-    if not successors:
-        raise UnexplainableObservationError(index, action, truncated)
-
-    if cfg.max_hypotheses is not None and len(successors) > cfg.max_hypotheses:
-        successors.sort(key=lambda s: -s[1])
-        del successors[cfg.max_hypotheses:]
-        truncated = True
-    return successors, truncated
+                    successors.append(plans + (start,))
+    return successors
 
 
 def _fold(lib: PlanLibrary, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
-    """_step folded from hset over the observations with one node memo; the
-    final successors normalized, each Hypothesis built once."""
-    cfg, memo, truncated = cfg or RecognizerConfig(), _PlanMemo(lib), hset.truncated
-    hypotheses = (h.plans for h in hset.hypotheses)
+    """_step folded from hset over the observations with one node memo.
+    A step with more successors than the cap weighs them all, keeps the
+    heaviest, ties in emission order, and marks the set truncated. No other
+    intermediate successor is weighed: one weight pass over the final set,
+    normalized, and each Hypothesis built once."""
+    cap, memo, truncated = (cfg or RecognizerConfig()).max_hypotheses, _PlanMemo(lib), hset.truncated
+    hypotheses = [h.plans for h in hset.hypotheses]
     for index, action in enumerate(observations, hset.observation_count):
-        successors, truncated = _step(lib, cfg, memo, hypotheses, index, action, truncated)
-        hypotheses = (plans for plans, _ in successors)
-    plans, weights = zip(*successors)
-    return HypothesisSet(tuple(map(Hypothesis, plans, normalize(weights))), index + 1, truncated)
+        hypotheses = _step(lib, memo, hypotheses, index, action)
+        if not hypotheses:
+            raise UnexplainableObservationError(index, action, truncated)
+        if cap is not None and len(hypotheses) > cap:
+            hypotheses.sort(key=lambda plans: -_weight(memo, plans))
+            del hypotheses[cap:]
+            truncated = True
+    weights = normalize([_weight(memo, plans) for plans in hypotheses])
+    return HypothesisSet(tuple(map(Hypothesis, hypotheses, weights)), index + 1, truncated)
 
 
 def explain_step(
@@ -284,9 +277,10 @@ def explain_step(
 
     One step of recognize with a fresh node memo: each distinct plan is
     grown once, and each node's frontier and weight factors are computed
-    once. Each successor is weighed from its own plans and the incoming
-    weights are not read, so explain_step(lib, recognize(lib, obs[:k]),
-    obs[k]) equals recognize(lib, obs[:k + 1])."""
+    once. The set returned, and under a binding cap every successor, is
+    weighed from its own plans and the incoming weights are not read, so
+    explain_step(lib, recognize(lib, obs[:k]), obs[k]) equals
+    recognize(lib, obs[:k + 1])."""
     return _fold(lib, hset, [action], cfg)
 
 
@@ -302,9 +296,10 @@ def recognize(
 
     One node memo serves the whole fold, so a node carried over unchanged,
     in the same plan or in one grown from it, keeps its frontier and weight
-    factors from the step before. Every step weighs its successors from
-    their plans alone, so only the final set is normalized, and the result
-    equals folding explain_step over the observations."""
+    factors from the step before. Only a step the cap binds weighs its
+    successors, and the final set is weighed once and normalized, each
+    hypothesis from its plans alone, so the result equals folding
+    explain_step over the observations."""
     if not observations:
         raise PlanError("observation sequence is empty")
     return _fold(lib, HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)

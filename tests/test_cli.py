@@ -295,6 +295,19 @@ def test_experiment_timeout_not_finite_and_positive_exits_1_with_one_line(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--policy", "random", "--policy", "random", "--policy", "mph"], "policy 'random' is repeated"),
+    (["--obs-len", "4", "--obs-len", "3"], "obs length 3 is repeated"),
+])
+def test_experiment_repeated_policy_or_obs_len_exits_1_with_one_line(tmp_path, capsys, flags, message):
+    # a repeated flag would run each instance twice and write duplicate rows
+    out = tmp_path / "exp"
+    assert main(["experiment", "--out", str(out), "--obs-len", "3", "--reps", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_gen_says_when_no_library_passes_the_ambiguity_bound(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "batch"), "--depth", "150"]) == 1
     err = capsys.readouterr().err

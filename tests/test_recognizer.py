@@ -266,12 +266,18 @@ class TestWeightModel:
 class TestCapAndConfig:
     def test_cap_keeps_heaviest(self):
         inst = gen_instance(GenParams(seed=2, obs_len=4))
-        full = recognize(inst.library, list(inst.observations))
-        if len(full) < 4:
-            pytest.skip("instance too small for a meaningful cap")
-        cap = max(2, len(full) // 2)
-        capped = recognize(inst.library, list(inst.observations), RecognizerConfig(max_hypotheses=cap))
-        assert capped.truncated and len(capped) <= cap
+        lib, obs = inst.library, list(inst.observations)
+        prefix = recognize(lib, obs[:-1])
+        full = explain_step(lib, prefix, obs[-1])
+        cap = len(full) // 2
+        capped = explain_step(lib, prefix, obs[-1], RecognizerConfig(max_hypotheses=cap))
+        assert not prefix.truncated and not full.truncated
+        assert capped.truncated and len(capped) == cap
+        # unnormalized products: normalizing can tie two weights that differ
+        ranked = sorted(full.hypotheses, key=lambda h: -hypothesis_weight(lib, h))
+        weights = [hypothesis_weight(lib, h) for h in ranked]
+        assert weights[cap - 1] == weights[cap], "the cut should split a tie, so emission order decides"
+        assert [h.plans for h in capped.hypotheses] == [h.plans for h in ranked[:cap]]
 
     def test_one_plan_per_goal(self):
         for seed in range(10):
