@@ -12,19 +12,18 @@ from .errors import (
     PlanProbeError,
     PolicyError,
     UnexplainableObservationError,
+    ZeroWeightError,
 )
 from .library import PlanLibrary, RefinementMethod, parse_library, serialize_library
 from .plans import (
     Hypothesis,
     PlanNode,
-    apply_method,
     describes,
     hypothesis_refines,
     is_complete,
     is_refinement,
     matches,
     observe_leaf,
-    open_frontier,
     plan_from_dict,
     plan_to_dict,
     validate_hypothesis,

@@ -120,12 +120,11 @@ class RelationTable:
     live mask derived from h0 by answers holds whole classes, and its
     representatives stand for them.
 
-    The columns refine(t) and match(t) are filled on first use, evaluating
-    the relation once per distinct plan with t's root label (both relations
-    reject any other) that has an owner in the caller's live mask; a later
-    call with hypotheses outside every mask a column was filled for extends
-    it. A column is therefore exact on the bits of any live mask it is
-    asked about.
+    The columns refine(t) and match(t) depend on h0 alone and are exact
+    over all of it. Each is filled once, on first use, evaluating the
+    relation once per distinct plan with t's root label (both relations
+    reject any other) that has an owner; every caller ANDs a column with its
+    own live mask.
     """
 
     def __init__(self, h0: HypothesisSet):
@@ -147,9 +146,8 @@ class RelationTable:
                 label = self.plans[t].label
                 self.label_owners[label] = self.label_owners.get(label, 0) | mask
         self.reps = sum(1 << members[0] for members in classes.values())
-        # plan id -> (column, union of the live masks it was filled for)
-        self._refine: dict[int, tuple[int, int]] = {}
-        self._match: dict[int, tuple[int, int]] = {}
+        self._refine: dict[int, int] = {}  # plan id -> column
+        self._match: dict[int, int] = {}
 
     def intern(self, plan: PlanNode) -> int:
         """Id of plan's shape, added (with no owners) if new."""
@@ -172,26 +170,24 @@ class RelationTable:
         i = (mask & -mask).bit_length() - 1
         return self.hypotheses[i].plans[self.per_hyp[i].index(t)]
 
-    def refine(self, t: int, alive: int) -> int:
+    def refine(self, t: int) -> int:
         """Hypotheses holding a plan refinable from plan t."""
-        return self._column(self._refine, is_refinement, t, alive)
+        return self._column(self._refine, is_refinement, t)
 
-    def match(self, t: int, alive: int) -> int:
+    def match(self, t: int) -> int:
         """Hypotheses holding a plan that has a common refinement with plan t
         (matches is symmetric)."""
-        return self._column(self._match, matches, t, alive)
+        return self._column(self._match, matches, t)
 
-    def _column(self, columns: dict, related, t: int, alive: int) -> int:
-        column, covered = columns.get(t, (0, 0))
-        if alive & ~covered:
-            query = self.plans[t]
-            owners = self.owners
+    def _column(self, columns: dict, related, t: int) -> int:
+        column = columns.get(t)
+        if column is None:
+            query, owners = self.plans[t], self.owners
+            column = 0
             for q in self.by_label[query.label]:
-                # plans owned in covered were evaluated when it was filled
-                mask = owners[q]
-                if mask & alive and not mask & covered and related(query, self.plans[q]):
-                    column |= mask
-            columns[t] = column, covered | alive
+                if owners[q] and related(query, self.plans[q]):
+                    column |= owners[q]
+            columns[t] = column
         return column
 
     def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
@@ -246,7 +242,7 @@ def relations(hset: HypothesisSet | LiveSet) -> tuple[RelationTable, int]:
 def _pruned(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> LiveSet:
     table, alive = relations(hset)
     t = table.intern(plan)
-    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
+    kept = alive & (table.match(t) if answer else ~table.refine(t))
     if not kept:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
     weights = normalize(list(restrict(hset.weights, alive, kept)))
@@ -377,7 +373,7 @@ def run_query_loop(
         by_premise = [
             t for t in open_ids
             if not alive & ~table.label_owners[table.plans[t].label]
-            and not alive & ~table.refine(t, alive)
+            and not alive & ~table.refine(t)
         ]
         settle(by_premise)
         if len(open_ids) == len(by_premise):

@@ -50,6 +50,11 @@ class OracleInconsistencyError(PlanProbeError):
     complete hypothesis set can never do."""
 
 
+class ZeroWeightError(PlanProbeError):
+    """Every hypothesis to be normalized has weight 0, as when only goals
+    with a prior of 0 explain the observations or survive an answer."""
+
+
 class PolicyError(PlanProbeError):
     """A query policy violated its contract (no candidates, or a closed/absent plan)."""
 

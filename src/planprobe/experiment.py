@@ -160,12 +160,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if h0.truncated:
                 raise PlanProbeError("hypothesis set truncated by cap; query loop skipped")
             oracle = QueryOracle(instance.truth)
+            expected_keys = None
+            if spec.verify:
+                expected_keys = {hypothesis_key(h) for h in brute_force_final_set(h0, instance.truth).hypotheses}
         except PlanProbeError as e:
             result.failures.append(f"{instance_id}: {e}")
             continue
-        expected_keys = None
-        if spec.verify:
-            expected_keys = {hypothesis_key(h) for h in brute_force_final_set(h0, instance.truth).hypotheses}
         for policy_kind in spec.policies:
             if spec.timeout is not None and time.monotonic() - started > spec.timeout:
                 result.failures.append(f"{instance_id}: timeout after {spec.timeout}s")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import PlanError
-from .library import PlanLibrary, RefinementMethod
+from .library import PlanLibrary
 
 Path = tuple[int, ...]
 
@@ -112,43 +112,12 @@ def is_complete(plan: PlanNode, lib: PlanLibrary) -> bool:
     return all(node.expanded or lib.is_basic(node.label) for _, node in iter_nodes(plan))
 
 
-def open_frontier(plan: PlanNode, lib: PlanLibrary) -> list[Path]:
-    """Unexpanded complex nodes plus unobserved basic leaves, left to right."""
-    out: list[Path] = []
-    for path, node in iter_nodes(plan):
-        if node.expanded:
-            continue
-        if lib.is_complex(node.label):
-            out.append(path)
-        elif node.observed is None:
-            out.append(path)
-    return out
-
-
 def _replace(node: PlanNode, path: Path, replacement: PlanNode) -> PlanNode:
     if not path:
         return replacement
     i = path[0]
     children = node.children[:i] + (_replace(node.children[i], path[1:], replacement),) + node.children[i + 1:]
     return PlanNode(node.label, node.method, children, node.observed)
-
-
-def apply_method(plan: PlanNode, path: Path, method: RefinementMethod) -> PlanNode:
-    """Expand the unexpanded complex node at `path` with `method`, returning a
-    new plan. The input plan is never mutated."""
-    node = plan.node_at(path)
-    if node.expanded:
-        raise PlanError(f"node {node.label!r} at {path} is already expanded (not on the frontier)")
-    if node.observed is not None:
-        raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
-    if method.head != node.label:
-        raise PlanError(f"method {method.id!r} expands {method.head!r}, not {node.label!r}")
-    expanded = PlanNode(
-        node.label,
-        method=method.id,
-        children=tuple(PlanNode(c) for c in method.constituents),
-    )
-    return _replace(plan, path, expanded)
 
 
 def observe_leaf(plan: PlanNode, path: Path, index: int) -> PlanNode:

@@ -33,7 +33,7 @@ def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
 def _refinement_mass(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
     """Total weight of the live hypotheses holding a plan refinable from
     plan id `t`."""
-    return sum(restrict(weights, alive, table.refine(t, alive)))
+    return sum(restrict(weights, alive, table.refine(t)))
 
 
 def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float:
@@ -119,8 +119,8 @@ def select_mpp(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) 
 def _expected_entropy(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
     """select_min_entropy's score for plan id `t`."""
     p_true = _refinement_mass(table, alive, weights, t)
-    ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
-    ent_false = _entropy_of_weights(list(restrict(weights, alive, ~table.refine(t, alive))))
+    ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t))))
+    ent_false = _entropy_of_weights(list(restrict(weights, alive, ~table.refine(t))))
     return p_true * ent_true + (1.0 - p_true) * ent_false
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import PlanError, UnexplainableObservationError
+from .errors import PlanError, UnexplainableObservationError, ZeroWeightError
 from .library import Chain, PlanLibrary
 from .plans import Hypothesis, Path, PlanNode, _replace
 
@@ -93,11 +93,12 @@ class HypothesisSet:
 
 def normalize(weights: list[float]) -> list[float]:
     """Each weight divided by the left-to-right sum of all of them, which
-    must be positive. HypothesisSet.normalized and the query loop both
-    renormalize through this, so their weights agree bit for bit."""
+    must be positive, else ZeroWeightError. HypothesisSet.normalized and the
+    query loop both renormalize through this, so their weights agree bit for
+    bit."""
     total = sum(weights)
     if total <= 0:
-        raise ValueError("cannot normalize non-positive total weight")
+        raise ZeroWeightError("every hypothesis left has weight 0, so none can be normalized")
     return [w / total for w in weights]
 
 

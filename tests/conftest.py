@@ -6,7 +6,9 @@ import pytest
 
 from planprobe.domains import builtin_chemistry, builtin_quartet
 from planprobe.library import PlanLibrary, RefinementMethod
-from planprobe.plans import PlanNode, observe_leaf, open_frontier
+from planprobe.plans import PlanNode, observe_leaf
+
+from .oracles import apply_method, open_frontier
 
 
 @pytest.fixture
@@ -65,8 +67,6 @@ def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mar
         for path in open_complex:
             node = plan.node_at(path)
             method = rng.choice(lib.methods_for(node.label))
-            from planprobe.plans import apply_method
-
             plan = apply_method(plan, path, method)
     pending = [p for p in open_frontier(plan, lib) if lib.is_basic(plan.node_at(p).label)]
     rng.shuffle(pending)
@@ -80,8 +80,6 @@ def random_plan(lib: PlanLibrary, rng: random.Random, expand_p: float = 0.6, mar
 
 def random_expansion(lib: PlanLibrary, plan: PlanNode, rng: random.Random, steps: int) -> PlanNode:
     """Apply up to `steps` random method applications to open complex nodes."""
-    from planprobe.plans import apply_method
-
     for _ in range(steps):
         targets = [
             path for path in open_frontier(plan, lib)

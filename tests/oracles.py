@@ -6,16 +6,17 @@ breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
 enumeration over plain tuples. Plans are modeled as nested tuples
 (label, method_id, children, observed) so no production traversal code is
-reused. Five sections at the end are the exception, because they serve as
-references for fast paths rather than as independent oracles: the
-list-based relation rules and the root-keyed query loop reuse the
-production relations and check the query loop's relation table and its
-forced answers, the per-hypothesis query loop reuses the production
-relation table and checks the loop that walks one row per mark-free class,
-the per-hypothesis recognition step reuses the production plan editing and
-checks the recognizer's per-step plan memo, the matching search checks
-plans.hypothesis_refines, and the digest identity reuses the production
-serialization and checks plans.hypothesis_key.
+reused. Six sections at the end are the exception. The plan editing
+section holds the frontier and single-method growth that only tests use.
+The other five serve as references for fast paths rather than as
+independent oracles: the list-based relation rules and the root-keyed
+query loop reuse the production relations and check the query loop's
+relation table and its forced answers, the per-hypothesis query loop reuses
+the production relation table and checks the loop that walks one row per
+mark-free class, the per-hypothesis recognition step reuses the plan
+editing and checks the recognizer's per-step plan memo, the matching search
+checks plans.hypothesis_refines, and the digest identity reuses the
+production serialization and checks plans.hypothesis_key.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from collections import Counter
 from itertools import compress
 
 from planprobe.engine import ProbeTrace, TraceStep, bit_selectors, query_answer, relations, restrict
-from planprobe.errors import OracleInconsistencyError, UnexplainableObservationError
-from planprobe.library import PlanLibrary
+from planprobe.errors import OracleInconsistencyError, PlanError, UnexplainableObservationError
+from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
-    apply_method,
+    _replace,
     hypothesis_refines,
     is_refinement,
     iter_nodes,
@@ -425,19 +426,48 @@ def root_key_query_loop(h0, truth: Hypothesis, kind: str, seed: int):
     return current, len(closed)
 
 
+# ------------------------------------------------------------ plan editing
+
+# The open frontier and the growth of a plan by one method application. The
+# recognizer grafts whole chains and needs neither; tests build plans with
+# them, and the per-hypothesis recognition step below grows its plans with
+# apply_method.
+
+def open_frontier(plan: PlanNode, lib: PlanLibrary) -> list[tuple[int, ...]]:
+    """Unexpanded complex nodes plus unobserved basic leaves, left to right."""
+    return [
+        path for path, node in iter_nodes(plan)
+        if not node.expanded and (lib.is_complex(node.label) or node.observed is None)
+    ]
+
+
+def apply_method(plan: PlanNode, path: tuple[int, ...], method: RefinementMethod) -> PlanNode:
+    """Expand the unexpanded complex node at `path` with `method`, returning a
+    new plan. The input plan is never mutated."""
+    node = plan.node_at(path)
+    if node.expanded:
+        raise PlanError(f"node {node.label!r} at {path} is already expanded (not on the frontier)")
+    if node.observed is not None:
+        raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
+    if method.head != node.label:
+        raise PlanError(f"method {method.id!r} expands {method.head!r}, not {node.label!r}")
+    children = tuple(PlanNode(c) for c in method.constituents)
+    return _replace(plan, path, PlanNode(node.label, method.id, children))
+
+
 # ------------------------------------------ per-hypothesis query loop
 
 # The query loop, update and selectors as they read before the loop walked
 # one row per mark-free class: every set the loop holds is a HypothesisSet
 # rebuilt and renormalized at each answer, and candidates and mph walk every
-# live row. They share the production relation table, whose
-# columns are exact on any live mask. table_query_loop takes a policy kind
-# and seed, and returns the final set and the trace.
+# live row. They share the production relation table, whose columns are
+# exact over all of h0 and are ANDed with the live mask here. table_query_loop
+# takes a policy kind and seed, and returns the final set and the trace.
 
 def table_update(hset, plan: PlanNode, answer: bool):
     table, alive = relations(hset)
     t = table.intern(plan)
-    kept = alive & (table.match(t, alive) if answer else ~table.refine(t, alive))
+    kept = alive & (table.match(t) if answer else ~table.refine(t))
     if not kept:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
     survivors = list(restrict(hset.hypotheses, alive, kept))
@@ -477,11 +507,11 @@ def table_select(kind: str, hset, closed: set, seed: int) -> PlanNode:
         return table.plan(rng.choice(candidates), alive)
 
     def score(t: int) -> float:
-        refine = table.refine(t, alive)
+        refine = table.refine(t)
         p_true = sum(restrict(weights, alive, refine))
         if kind == "mpp":
             return p_true
-        ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t, alive))))
+        ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t))))
         ent_false = _entropy_of_weights(list(restrict(weights, alive, ~refine)))
         return p_true * ent_true + (1.0 - p_true) * ent_false
 
@@ -520,7 +550,7 @@ def table_query_loop(h0, oracle, kind: str, seed: int):
         by_premise = [
             t for t in open_ids
             if not alive & ~table.label_owners[table.plans[t].label]
-            and not alive & ~table.refine(t, alive)
+            and not alive & ~table.refine(t)
         ]
         settle(by_premise)
         if len(open_ids) == len(by_premise):

@@ -164,7 +164,7 @@ def test_classes_are_whole_under_every_column(name, h0, truth):
         for members in classes:
             assert alive & members in (0, members)
         for t in range(len(table.plans)):
-            for column in (table.refine(t, alive), table.match(t, alive)):
+            for column in (table.refine(t), table.match(t)):
                 for members in classes:
                     assert column & alive & members in (0, alive & members)
 

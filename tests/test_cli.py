@@ -11,6 +11,7 @@ from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_librar
 from planprobe.plans import hypothesis_to_dict
 from planprobe.recognizer import recognize
 
+from .test_experiment import ZERO_WEIGHT, save_zero_prior_instances
 from .test_library import chain_library_doc, long_order_library_doc
 
 
@@ -370,6 +371,28 @@ def test_experiment_from_instance_dir(tmp_path, capsys):
     assert code == 0
     rows = (out / "rows.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2  # header + one row per instance
+
+
+@pytest.mark.parametrize("stem", ["zero_loop", "zero_recognize"])
+def test_zero_total_weight_exits_1_with_one_line(tmp_path, capsys, stem):
+    save_zero_prior_instances(tmp_path)
+    code = main(["sprp", "--library", str(tmp_path / f"{stem}.library.json"),
+                 "--obs", str(tmp_path / f"{stem}.obs.txt"), "--truth", str(tmp_path / f"{stem}.truth.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {ZERO_WEIGHT}\n"
+
+
+def test_experiment_names_a_zero_weight_instance_and_writes_the_rest(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    save_zero_prior_instances(batch)
+    save_instance(gen_instance(GenParams(seed=1, obs_len=3)), batch, "good")
+    out = tmp_path / "exp"
+    code = main(["experiment", "--out", str(out), "--instances", str(batch), "--policy", "mph", "--verify"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"failure: zero_loop: {ZERO_WEIGHT}", f"failure: zero_recognize: {ZERO_WEIGHT}"]
+    rows = (out / "rows.csv").read_text().strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["good", "mph"]]
 
 
 def test_usage_error_exits_nonzero():

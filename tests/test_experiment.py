@@ -1,4 +1,5 @@
 import csv
+import json
 import statistics
 
 import pytest
@@ -17,7 +18,27 @@ from planprobe.experiment import (
 from planprobe.errors import PlanProbeError
 from planprobe.library import serialize_library
 from planprobe.plans import Hypothesis, hypothesis_key, plan_to_dict
+from planprobe.policies import POLICY_KINDS
 from planprobe.recognizer import HypothesisSet, recognize
+
+ZERO_WEIGHT = "every hypothesis left has weight 0, so none can be normalized"
+
+
+def save_zero_prior_instances(directory):
+    """Two instances whose truth pursues goal h, of prior 0. In zero_loop,
+    g also explains the observation, so recognition succeeds and the answer
+    that drops g leaves weight 0. In zero_recognize only h explains it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    methods = [{"id": "mg", "head": "g", "children": ["a", "c"]},
+               {"id": "mh", "head": "h", "children": ["a"]},
+               {"id": "mb", "head": "h", "children": ["b"]}]
+    library = {"basic": ["a", "b", "c"], "complex": ["g", "h"], "goals": ["g", "h"],
+               "goal_priors": {"g": 1.0, "h": 0.0}, "methods": methods}
+    for stem, method, action in (("zero_loop", "mh", "a"), ("zero_recognize", "mb", "b")):
+        truth = {"plans": [{"label": "h", "method": method, "children": [{"label": action, "observed": 0}]}]}
+        (directory / f"{stem}.library.json").write_text(json.dumps(library))
+        (directory / f"{stem}.obs.txt").write_text(f"{action}\n")
+        (directory / f"{stem}.truth.json").write_text(json.dumps(truth))
 
 
 class TestBruteForceFinalSet:
@@ -97,6 +118,15 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert len(result.failures) == 2
         assert all("timeout" in f for f in result.failures)
+
+    def test_zero_total_weight_fails_one_instance(self, tmp_path):
+        save_zero_prior_instances(tmp_path)
+        save_instance(gen_instance(GenParams(seed=5, obs_len=3)), tmp_path, "good")
+        loop_failures = [f"zero_loop/{kind}: {ZERO_WEIGHT}" for kind in POLICY_KINDS]
+        for verify, first in ((False, loop_failures), (True, [f"zero_loop: {ZERO_WEIGHT}"])):
+            result = run_experiment(ExperimentSpec(instance_dir=tmp_path, verify=verify))
+            assert result.failures == first + [f"zero_recognize: {ZERO_WEIGHT}"]
+            assert [(r.instance, r.policy) for r in result.rows] == [("good", k) for k in sorted(POLICY_KINDS)]
 
     def test_deterministic(self):
         spec = ExperimentSpec(obs_lens=(3,), reps=3, seed=9)

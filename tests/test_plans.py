@@ -8,7 +8,6 @@ from planprobe.errors import PlanError
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
-    apply_method,
     describes,
     hypothesis_from_dict,
     hypothesis_refines,
@@ -16,7 +15,6 @@ from planprobe.plans import (
     is_refinement,
     matches,
     observe_leaf,
-    open_frontier,
     plan_from_dict,
     plan_to_dict,
     validate_hypothesis,
@@ -26,6 +24,7 @@ from planprobe.recognizer import recognize
 
 from .conftest import random_expansion, random_plan
 from . import oracles
+from .oracles import apply_method, open_frontier
 
 
 class TestOpenFrontier:

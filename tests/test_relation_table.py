@@ -23,6 +23,7 @@ from planprobe.engine import (
     update,
 )
 from planprobe.errors import OracleInconsistencyError
+from planprobe.plans import is_refinement, matches
 from planprobe.policies import POLICY_KINDS, Policy, cumulative_plan_prob
 from planprobe.recognizer import HypothesisSet, recognize
 
@@ -111,8 +112,8 @@ def test_table_path_equals_list_reference(name, h0, truth):
 
 def test_sibling_branches_share_one_table():
     # Updates of one set with opposite answers share its table while
-    # neither live mask contains the other. Columns filled while scoring one
-    # branch must be extended, not reused as they are, on the other.
+    # neither live mask contains the other. Columns read while scoring one
+    # branch are reused as they are on the other, and must be right there.
     checked = 0
     for _, h0, _ in INSTANCES:
         # a new set, so its table starts empty whatever ran on h0 before
@@ -128,6 +129,32 @@ def test_sibling_branches_share_one_table():
                 _assert_updates_match(branch, ref, t)
         checked += 1
     assert checked >= 40
+
+
+def test_columns_are_exact_over_h0(monkeypatch):
+    # The random and mph loops read columns only at the premise check and
+    # the update, each at a live mask smaller than h0 after the first
+    # answer; what they filled must still be the relation over all of h0,
+    # and no column is evaluated twice.
+    filled = 0
+    for _, h0, truth in INSTANCES:
+        base = HypothesisSet(h0.hypotheses, h0.observation_count, h0.truncated)
+        for kind in ("random", "mph"):
+            run_query_loop(base, QueryOracle(truth), Policy(kind, seed=len(h0)))
+        table = relations(base)[0]
+        filled += len(table._refine) + len(table._match)
+        for t, plan in enumerate(table.plans):
+            for column, related in ((table.refine(t), is_refinement), (table.match(t), matches)):
+                want = sum(1 << i for i, h in enumerate(base.hypotheses)
+                           if any(related(plan, p) for p in h.plans))
+                assert column == want
+        for name in ("is_refinement", "matches"):
+            monkeypatch.setattr(engine, name, lambda *_: pytest.fail("a column was filled twice"))
+        for t in range(len(table.plans)):
+            table.refine(t)
+            table.match(t)
+        monkeypatch.undo()
+    assert filled >= 300
 
 
 def test_every_loop_over_one_h0_shares_its_table(monkeypatch):
