@@ -30,6 +30,7 @@ from .experiment import (
     brute_force_final_set,
     load_instance,
     load_observations,
+    read_text,
     run_experiment,
     save_instance,
     write_all_csvs,
@@ -104,7 +105,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_recognize(args) -> int:
-    lib = parse_library(args.library.read_text())
+    lib = parse_library(read_text(args.library))
     observations = load_observations(args.obs)
     hset = recognize(lib, observations, RecognizerConfig(max_hypotheses=args.max_hypotheses))
     report = {

@@ -31,17 +31,20 @@ class PlanError(PlanProbeError):
 
 
 class UnexplainableObservationError(PlanProbeError):
-    """No hypothesis can explain an observation. `truncated` marks a set that
+    """No hypothesis can explain an observation. `kind` is "complex" or
+    "unknown" for an action that is not basic. `truncated` marks a set that
     a hypothesis cap cut at an earlier observation, so a dropped hypothesis
     might have explained it."""
 
-    def __init__(self, index: int, action: str, truncated: bool = False):
-        message = f"observation {index} ({action!r}) cannot be explained by any hypothesis"
+    def __init__(self, index: int, action: str, truncated: bool = False, kind: str | None = None):
+        described = repr(action) if kind is None else f"{action!r}, {kind} action"
+        message = f"observation {index} ({described}) cannot be explained by any hypothesis"
         if truncated:
             message += "; the hypothesis cap dropped hypotheses at an earlier observation"
         super().__init__(message)
         self.index = index
         self.action = action
+        self.kind = kind
         self.truncated = truncated
 
 

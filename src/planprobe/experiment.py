@@ -16,7 +16,9 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .domains import GenParams, Instance, gen_instance
 from .engine import QueryOracle, run_query_loop
@@ -52,13 +54,23 @@ def save_instance(instance: Instance, out_dir: Path, stem: str) -> None:
     )
 
 
+def read_text(path: Path) -> str:
+    """The file's text, or a PlanProbeError naming the file."""
+    try:
+        return path.read_text()
+    except OSError as e:
+        raise PlanProbeError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise PlanProbeError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_observations(path: Path) -> list[str]:
     """Observation file: one basic-action name per line, or a JSON list."""
-    text = path.read_text()
+    text = read_text(path)
     if text.lstrip().startswith("["):
         try:
             doc = json.loads(text)
-        except RecursionError:  # nested too deeply to be a list of strings
+        except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deeply to be a list of strings
             doc = None
         if not isinstance(doc, list) or not all(isinstance(o, str) for o in doc):
             raise PlanProbeError(f"{path}: JSON observations must be a list of strings")
@@ -67,23 +79,27 @@ def load_observations(path: Path) -> list[str]:
 
 
 def load_instance(library_path: Path, obs_path: Path, truth_path: Path) -> Instance:
-    lib = parse_library(library_path.read_text())
+    """An unreadable file, or a truth file that is not JSON, raises a
+    PlanProbeError naming the file."""
+    lib = parse_library(read_text(library_path))
     observations = load_observations(obs_path)
     try:
-        truth = hypothesis_from_dict(json.loads(truth_path.read_text()))
+        truth = hypothesis_from_dict(json.loads(read_text(truth_path)))
+    except json.JSONDecodeError as e:
+        raise PlanProbeError(f"{truth_path}: truth file is not valid JSON: {e}") from None
     except RecursionError:
         raise PlanProbeError(f"{truth_path}: truth file nested too deeply") from None
     return Instance(lib, truth, tuple(observations))
 
 
-def discover_instances(instance_dir: Path) -> list[tuple[str, Instance]]:
-    """Load every {stem}.library.json / .obs.txt / .truth.json triple."""
+def discover_instances(instance_dir: Path) -> list[tuple[str, Callable[[], Instance]]]:
+    """A loader for every {stem}.library.json / .obs.txt / .truth.json
+    triple, by stem. Files are read only when the loader is called."""
     out = []
     for lib_path in sorted(instance_dir.glob("*.library.json")):
         stem = lib_path.name[: -len(".library.json")]
-        out.append(
-            (stem, load_instance(lib_path, instance_dir / f"{stem}.obs.txt", instance_dir / f"{stem}.truth.json"))
-        )
+        load = partial(load_instance, lib_path, instance_dir / f"{stem}.obs.txt", instance_dir / f"{stem}.truth.json")
+        out.append((stem, load))
     if not out:
         raise PlanProbeError(f"no instances found in {instance_dir}")
     return out
@@ -135,7 +151,10 @@ class ExperimentResult:
     failures: list[str] = field(default_factory=list)
 
 
-def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Instance]]:
+def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Callable[[], Instance]]]:
+    """Each instance's id and loader. Instance files are read by their
+    loader, so a bad one fails only its instance. Instances are generated
+    here, so a draw that fails ends the batch before any loop runs."""
     if spec.instance_dir is not None:
         return discover_instances(spec.instance_dir)
     out = []
@@ -143,15 +162,17 @@ def _instances_for(spec: ExperimentSpec) -> list[tuple[str, Instance]]:
         for rep in range(spec.reps):
             seed = int.from_bytes(f"{spec.seed}:{obs_len}:{rep}".encode(), "little")
             params = replace(spec.gen, obs_len=obs_len, seed=seed)
-            out.append((f"L{obs_len}_r{rep:03d}", gen_instance(params)))
+            instance = gen_instance(params)
+            out.append((f"L{obs_len}_r{rep:03d}", lambda instance=instance: instance))
     return out
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult()
-    for instance_id, instance in _instances_for(spec):
-        started = time.monotonic()
+    for instance_id, load in _instances_for(spec):
         try:
+            instance = load()
+            started = time.monotonic()
             h0 = recognize(
                 instance.library,
                 list(instance.observations),

@@ -13,6 +13,7 @@ A library file is a JSON document with top-level keys:
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 import sys
@@ -158,8 +159,7 @@ class PlanLibrary:
         object.__setattr__(self, "_by_id", {m.id: m for m in self.methods})
         object.__setattr__(self, "_chains", {})
 
-        self._check_grammar_shape()
-        self._check_goal_reachability()
+        self._check_grammar()
 
         if not self.goal_priors:
             uniform = 1.0 / len(self.goals)
@@ -179,62 +179,40 @@ class PlanLibrary:
                 self, "goal_priors", {g: self.goal_priors.get(g, 0.0) for g in self.goals}
             )
 
-    def _check_grammar_shape(self) -> None:
-        # head -> complex constituents, over all methods. Recursion is
-        # rejected so the space of complete refinements stays finite, and so
-        # is a chain of more than MAX_GRAMMAR_DEPTH steps. The search keeps
-        # its own stack, so a deep grammar cannot exhaust the interpreter's.
+    def _check_grammar(self) -> None:
+        # One graphlib order over head -> complex constituents, taken without
+        # recursion, makes all three checks. Labels go in sorted, so no message
+        # depends on the hash seed. A cycle would make the complete refinements
+        # infinite; graphlib reports it constituent-first. Constituents first,
+        # the order gives each label's height; reversed, heads first, it carries
+        # reachability down from the goals.
         below = {
             head: [c for m in methods for c in m.constituents if c in self.complex_actions]
             for head, methods in self._by_head.items()
         }
-        height: dict[str, int] = {}  # finished label -> longest chain of steps below it
-        for root in sorted(self.complex_actions):
-            if root in height:
-                continue
-            trail, on_trail, pending = [root], {root}, [iter(below.get(root, ()))]
-            while pending:
-                c = next(pending[-1], None)
-                if c is None:
-                    pending.pop()
-                    label = trail.pop()
-                    on_trail.discard(label)
-                    if label in below:
-                        height[label] = 1 + max((height[k] for k in below[label]), default=0)
-                    else:
-                        height[label] = 0
-                elif c in on_trail:
-                    cycle = trail[trail.index(c):] + [c]
-                    raise LibraryValidationError(f"cyclic grammar: {' -> '.join(cycle)}")
-                elif c not in height:
-                    trail.append(c)
-                    on_trail.add(c)
-                    pending.append(iter(below.get(c, ())))
-
-        deepest = max(sorted(height), key=height.__getitem__, default=None)
-        if deepest is not None and height[deepest] > MAX_GRAMMAR_DEPTH:
+        labels = sorted(self.complex_actions)
+        sorter = graphlib.TopologicalSorter()
+        for label in labels:
+            sorter.add(label, *below.get(label, ()))
+        try:
+            order = list(sorter.static_order())
+        except graphlib.CycleError as e:
+            raise LibraryValidationError(f"cyclic grammar: {' -> '.join(reversed(e.args[1]))}") from None
+        height: dict[str, int] = {}  # label -> longest chain of method steps below it
+        for label in order:
+            height[label] = 1 + max((height[c] for c in below[label]), default=0) if label in below else 0
+        deepest = max(labels, key=height.__getitem__)
+        if height[deepest] > MAX_GRAMMAR_DEPTH:
             raise LibraryValidationError(
                 f"grammar too deep: {deepest!r} heads a chain of {height[deepest]} method steps, "
                 f"more than the limit of {MAX_GRAMMAR_DEPTH}"
             )
-
-    def _check_goal_reachability(self) -> None:
-        pending = list(self.goals)
-        seen: set[str] = set()
-        while pending:
-            label = pending.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            methods = self._by_head.get(label, ())
-            if not methods:
-                raise LibraryValidationError(
-                    f"complex action {label!r} is reachable from a goal but has no method"
-                )
-            for m in methods:
-                for c in m.constituents:
-                    if c in self.complex_actions:
-                        pending.append(c)
+        reached = set(self.goals)
+        for label in reversed(order):
+            if label in reached:
+                if label not in below:
+                    raise LibraryValidationError(f"complex action {label!r} is reachable from a goal but has no method")
+                reached.update(below[label])
 
     def is_basic(self, label: str) -> bool:
         return label in self.basic
@@ -296,7 +274,8 @@ def parse_library(text: str) -> PlanLibrary:
     """Parse and validate a library file. Raises LibrarySyntaxError with
     position info on malformed input, LibraryValidationError on semantic
     violations (duplicate id, undeclared action, cyclic order, cyclic
-    grammar, grammar deeper than MAX_GRAMMAR_DEPTH, empty goals)."""
+    grammar, grammar deeper than MAX_GRAMMAR_DEPTH, a complex action
+    reachable from a goal without a method, empty goals)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -203,7 +203,7 @@ def _step(
     to one parent give distinct plans, so no two parents share a successor."""
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
-        raise UnexplainableObservationError(index, f"{action} ({kind} action)")
+        raise UnexplainableObservationError(index, action, kind=kind)
     leaf = PlanNode(action, observed=index)
     chain_roots: dict[str, list[PlanNode]] = {}
     grown_of: dict[PlanNode, list[PlanNode]] = {}

@@ -4,9 +4,9 @@ Everything here recomputes results from first principles with naive search,
 deliberately avoiding the package's decision procedures: refinement by
 breadth-first expansion search, matching by enumerating complete
 refinements and intersecting, recognition by exhaustive attachment
-enumeration over plain tuples. Plans are modeled as nested tuples
-(label, method_id, children, observed) so no production traversal code is
-reused. Six sections at the end are the exception. The plan editing
+enumeration over plain tuples, and the grammar checks by plain recursion.
+Plans are modeled as nested tuples (label, method_id, children, observed)
+so no production traversal code is reused. Six sections at the end are the exception. The plan editing
 section holds the frontier and single-method growth that only tests use.
 The other five serve as references for fast paths rather than as
 independent oracles: the list-based relation rules and the root-keyed
@@ -129,6 +129,54 @@ def matches_oracle(lib: PlanLibrary, p: PlanNode, q: PlanNode) -> bool:
     return bool(
         complete_refinements(lib, to_tuple(p)) & complete_refinements(lib, to_tuple(q))
     )
+
+
+# ------------------------------------------------------ grammar shape oracle
+
+def grammar_fault(
+    complex_actions: frozenset[str], methods: tuple[RefinementMethod, ...], goals: tuple[str, ...], max_depth: int
+) -> tuple[str, frozenset[str], int] | None:
+    """Why PlanLibrary must reject a grammar, or None, checked in this order
+    by plain recursion over head -> complex constituent:
+    ("cyclic", the labels on some cycle, 0), ("too deep", the labels heading
+    a longest chain, its number of method steps) or ("no method", the
+    method-less labels reachable from a goal, 0). Small grammars only: it
+    recurses once per level and enumerates paths."""
+    heads = {m.head for m in methods}
+    below = {
+        label: [c for m in methods if m.head == label for c in m.constituents if c in complex_actions]
+        for label in complex_actions
+    }
+
+    def cycle_labels(label: str, trail: tuple[str, ...]) -> set[str]:
+        if label in trail:
+            return set(trail[trail.index(label):])
+        return set().union(*(cycle_labels(c, trail + (label,)) for c in below[label]))
+
+    cyclic = set().union(*(cycle_labels(label, ()) for label in complex_actions))
+    if cyclic:
+        return "cyclic", frozenset(cyclic), 0
+
+    def height(label: str) -> int:
+        return 1 + max(map(height, below[label]), default=0) if label in heads else 0
+
+    heights = {label: height(label) for label in complex_actions}
+    longest = max(heights.values())
+    if longest > max_depth:
+        return "too deep", frozenset(k for k, v in heights.items() if v == longest), longest
+
+    reached: set[str] = set()
+
+    def visit(label: str) -> None:
+        if label not in reached:
+            reached.add(label)
+            for c in below[label]:
+                visit(c)
+
+    for goal in goals:
+        visit(goal)
+    missing = reached - heads
+    return ("no method", frozenset(missing), 0) if missing else None
 
 
 # -------------------------------------------------- refinement search oracle
@@ -672,7 +720,7 @@ def explain_step(
     cfg = cfg or RecognizerConfig()
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
-        raise UnexplainableObservationError(hset.observation_count, f"{action} ({kind} action)")
+        raise UnexplainableObservationError(hset.observation_count, action, kind=kind)
     index = hset.observation_count
     chain_cache: dict = {}
 

@@ -58,7 +58,7 @@ LARGE = {"L9_r013": 20184, "L9_r004": 2640, "L9_r016": 864}
 @pytest.mark.parametrize("stem", LARGE)
 def test_large_h0_loops_equal_per_hypothesis_loop(stem):
     instances = dict(_instances_for(ExperimentSpec(obs_lens=(9,), reps=20, seed=5)))
-    inst = instances[stem]
+    inst = instances[stem]()
     h0 = recognize(inst.library, list(inst.observations))
     assert len(h0) == LARGE[stem]
     for kind in POLICY_KINDS:

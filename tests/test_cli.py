@@ -11,7 +11,7 @@ from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_librar
 from planprobe.plans import hypothesis_to_dict
 from planprobe.recognizer import recognize
 
-from .test_experiment import ZERO_WEIGHT, save_zero_prior_instances
+from .test_experiment import ZERO_WEIGHT, break_instance_file, save_zero_prior_instances
 from .test_library import chain_library_doc, long_order_library_doc
 
 
@@ -84,6 +84,19 @@ def _chain_files(tmp_path, depth):
     obs = tmp_path / "chain.obs.txt"
     obs.write_text("a\n")
     return lib, obs
+
+
+@pytest.mark.parametrize("content,reason", [(None, "No such file or directory"),
+                                            (b"\xff", "not UTF-8 text (invalid start byte)")],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_library_exits_1_naming_the_file(tmp_path, capsys, content, reason):
+    lib = tmp_path / "x.library.json"
+    if content is not None:
+        lib.write_bytes(content)
+    obs = tmp_path / "x.obs.txt"
+    obs.write_text("a\n")
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    assert capsys.readouterr().err == f"error: {lib}: {reason}\n"
 
 
 def test_too_deep_library_exits_1_with_one_line(tmp_path, capsys):
@@ -393,6 +406,19 @@ def test_experiment_names_a_zero_weight_instance_and_writes_the_rest(tmp_path, c
         f"failure: zero_loop: {ZERO_WEIGHT}", f"failure: zero_recognize: {ZERO_WEIGHT}"]
     rows = (out / "rows.csv").read_text().strip().splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [["good", "mph"]]
+
+
+@pytest.mark.parametrize("case", ["obs-not-observed", "truth-not-json"])
+def test_experiment_names_a_bad_instance_file_and_writes_the_rest(tmp_path, capsys, case):
+    batch = tmp_path / "batch"
+    assert main(["gen", "--out", str(batch), "--count", "3", "--obs-len", "4", "--seed", "7"]) == 0
+    failure = break_instance_file(batch, case)
+    out = tmp_path / "exp"
+    code = main(["experiment", "--out", str(out), "--instances", str(batch), "--policy", "mph"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"failure: {failure}"]
+    rows = (out / "rows.csv").read_text().strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["instance_000", "mph"], ["instance_002", "mph"]]
 
 
 def test_usage_error_exits_nonzero():

@@ -41,6 +41,29 @@ def save_zero_prior_instances(directory):
         (directory / f"{stem}.truth.json").write_text(json.dumps(truth))
 
 
+# a bad file of instance_001 -> what its failure says after the stem
+BAD_INSTANCE_FILES = {
+    "obs-not-observed": ("obs.txt", b"b0\n", "truth does not describe the observation sequence"),
+    "library-not-a-list": ("library.json", b'{"basic": 5}', "'basic' must be a list"),
+    "truth-not-json": ("truth.json", b"{", "{path}: truth file is not valid JSON: "
+                       "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "truth-missing": ("truth.json", None, "{path}: No such file or directory"),
+    "obs-not-utf8": ("obs.txt", b"\xff\n", "{path}: not UTF-8 text (invalid start byte)"),
+}
+
+
+def break_instance_file(directory, case) -> str:
+    """Rewrite (or delete) one file of instance_001 as BAD_INSTANCE_FILES
+    says, and return the failure line the batch should record for it."""
+    suffix, content, message = BAD_INSTANCE_FILES[case]
+    path = directory / f"instance_001.{suffix}"
+    if content is None:
+        path.unlink()
+    else:
+        path.write_bytes(content)
+    return f"instance_001: {message.format(path=path)}"
+
+
 class TestBruteForceFinalSet:
     def test_quartet_keeps_refiners(self, quartet):
         out = brute_force_final_set(quartet.hset, quartet.truth)
@@ -66,8 +89,9 @@ class TestInstanceIO:
         save_instance(inst, tmp_path, "instance_000")
         found = discover_instances(tmp_path)
         assert len(found) == 1
-        stem, loaded = found[0]
+        stem, load = found[0]
         assert stem == "instance_000"
+        loaded = load()
         assert serialize_library(loaded.library) == serialize_library(inst.library)
         assert loaded.observations == inst.observations
         assert [plan_to_dict(p) for p in loaded.truth.plans] == [plan_to_dict(p) for p in inst.truth.plans]
@@ -77,7 +101,8 @@ class TestInstanceIO:
         save_instance(inst, tmp_path, "instance_000")
         obs_path = tmp_path / "instance_000.obs.txt"
         obs_path.write_text(str(list(inst.observations)).replace("'", '"'))
-        _, loaded = discover_instances(tmp_path)[0]
+        _, load = discover_instances(tmp_path)[0]
+        loaded = load()
         assert loaded.observations == inst.observations
 
     def test_empty_dir_rejected(self, tmp_path):
@@ -101,7 +126,7 @@ class TestRunExperiment:
         # the acceptance batch at seven observations: the seed of every rep
         # is derived from its full seed string
         spec = ExperimentSpec(obs_lens=(7,), reps=100, seed=2026)
-        instances = [inst for _, inst in _instances_for(spec)]
+        instances = [load() for _, load in _instances_for(spec)]
         assert len({(serialize_library(i.library), i.observations) for i in instances}) == 100
 
     def test_single_row(self, tmp_path):
@@ -118,6 +143,18 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert len(result.failures) == 2
         assert all("timeout" in f for f in result.failures)
+
+    @pytest.mark.parametrize("case", BAD_INSTANCE_FILES)
+    def test_bad_instance_file_fails_one_instance(self, tmp_path, case):
+        for i in range(3):
+            save_instance(gen_instance(GenParams(seed=7 + i, obs_len=4)), tmp_path, f"instance_{i:03d}")
+        spec = ExperimentSpec(instance_dir=tmp_path, verify=True)
+        clean = run_experiment(spec)
+        assert not clean.failures
+        failure = break_instance_file(tmp_path, case)
+        result = run_experiment(spec)
+        assert result.failures == [failure]
+        assert result.rows == [r for r in clean.rows if r.instance != "instance_001"]
 
     def test_zero_total_weight_fails_one_instance(self, tmp_path):
         save_zero_prior_instances(tmp_path)

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import planprobe
+import planprobe.library
 from planprobe.domains import GenParams, gen_instance
 from planprobe.errors import LibrarySyntaxError, LibraryValidationError
 from planprobe.library import (
@@ -16,6 +19,8 @@ from planprobe.library import (
     parse_library,
     serialize_library,
 )
+
+from . import oracles
 
 CHEMISTRY_TEXT = """
 {
@@ -255,6 +260,96 @@ def test_unreachable_complex_without_method_is_fine():
     doc["complex"].append("island")
     lib = parse_library(json.dumps(doc))
     assert "island" in lib.complex_actions
+
+
+def _random_grammar(rng: random.Random) -> tuple[frozenset[str], tuple[RefinementMethod, ...], tuple[str, ...]]:
+    """Complex actions, methods and goals over basic a and b. When children
+    are drawn only from later labels the grammar is acyclic; some labels
+    get no method."""
+    labels = [f"x{i}" for i in range(rng.randint(1, 6))]
+    downward = rng.random() < 0.7
+    methods = []
+    for i, head in enumerate(labels):
+        if rng.random() < 0.2:
+            continue
+        pool = (labels[i + 1:] if downward else labels) + ["a", "b"]
+        for k in range(rng.randint(1, 2)):
+            children = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+            methods.append(RefinementMethod(f"m{i}_{k}", head, children))
+    rng.shuffle(methods)
+    return frozenset(labels), tuple(methods), tuple(rng.sample(labels, rng.randint(1, len(labels))))
+
+
+def test_grammar_checks_agree_with_recursive_reference(monkeypatch):
+    """PlanLibrary accepts exactly the grammars the recursive reference
+    accepts, rejects the others for the same fault, and names a label the
+    fault allows: a real cycle, the first deepest label in sorted order with
+    its chain length, or a reachable method-less label."""
+    rng = random.Random(19)
+    faults = []
+    for _ in range(3000):
+        complex_actions, methods, goals = _random_grammar(rng)
+        depth = rng.randint(1, 4)
+        monkeypatch.setattr(planprobe.library, "MAX_GRAMMAR_DEPTH", depth)
+        fault = oracles.grammar_fault(complex_actions, methods, goals, depth)
+        faults.append(fault and fault[0])
+        try:
+            PlanLibrary(frozenset({"a", "b"}), complex_actions, methods, goals)
+        except LibraryValidationError as e:
+            message = str(e)
+        else:
+            assert fault is None
+            continue
+        assert fault is not None, message
+        kind, labels, longest = fault
+        if kind == "cyclic":
+            path = message.removeprefix("cyclic grammar: ").split(" -> ")
+            assert message.startswith("cyclic grammar: ") and path[0] == path[-1]
+            assert set(path) <= labels
+            edges = {(m.head, c) for m in methods for c in m.constituents}
+            assert all(step in edges for step in zip(path, path[1:]))
+        elif kind == "too deep":
+            assert message == (f"grammar too deep: {min(labels)!r} heads a chain of {longest} method steps, "
+                               f"more than the limit of {depth}")
+        else:
+            named = re.fullmatch(r"complex action '(\w+)' is reachable from a goal but has no method", message)
+            assert named and named[1] in labels
+    counts = {kind: faults.count(kind) for kind in (None, "cyclic", "too deep", "no method")}
+    assert min(counts.values()) >= 200, counts
+
+
+GRAMMARS_WITH_TWO_FAULTS = {
+    "two-cycles": {"basic": ["a"], "complex": ["g", "p", "q", "r", "s"], "goals": ["g"], "methods": [
+        {"id": "mg", "head": "g", "children": ["a"]},
+        {"id": "mp", "head": "p", "children": ["q"]}, {"id": "mq", "head": "q", "children": ["p"]},
+        {"id": "mr", "head": "r", "children": ["s"]}, {"id": "ms", "head": "s", "children": ["r"]}]},
+    "two-method-less": {"basic": ["a"], "complex": ["g", "p", "q", "r", "s"], "goals": ["g"], "methods": [
+        {"id": "mg", "head": "g", "children": ["p", "q", "r", "s"]},
+        {"id": "mq", "head": "q", "children": ["a"]}, {"id": "ms", "head": "s", "children": ["a"]}]},
+}
+
+
+@pytest.mark.parametrize("name", GRAMMARS_WITH_TWO_FAULTS)
+def test_grammar_fault_message_does_not_depend_on_the_hash_seed(name):
+    script = (
+        "import sys\n"
+        "from planprobe.library import parse_library\n"
+        "try:\n"
+        "    parse_library(sys.stdin.read())\n"
+        "except Exception as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(planprobe.__file__).resolve().parents[1])
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(GRAMMARS_WITH_TWO_FAULTS[name]),
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(messages) == 1
+    (message,) = messages
+    assert message.startswith("cyclic grammar: " if name == "two-cycles" else "complex action ")
 
 
 @pytest.mark.parametrize(

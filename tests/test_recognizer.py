@@ -106,10 +106,15 @@ class TestRecognize:
         with pytest.raises(UnexplainableObservationError) as info:
             recognize(minimal_lib, ["a", "zzz"])
         assert info.value.index == 1
+        assert info.value.action == "zzz"
+        assert info.value.kind == "unknown"
 
     def test_complex_action_not_observable(self, minimal_lib):
-        with pytest.raises(UnexplainableObservationError):
+        with pytest.raises(UnexplainableObservationError) as info:
             recognize(minimal_lib, ["g"])
+        assert info.value.action == "g"
+        assert info.value.kind == "complex"
+        assert str(info.value) == "observation 0 ('g', complex action) cannot be explained by any hypothesis"
 
     def test_empty_observations_rejected(self, minimal_lib):
         with pytest.raises(Exception):
