@@ -3,7 +3,9 @@
 gen_instance draws a random acyclic library arranged in strata (goals on
 top, intermediate complex actions below, basic actions at the bottom), picks
 the agent's true goals, completes one plan per goal, and emits a prefix of a
-legal execution order as the observation sequence.
+legal execution order as the observation sequence. A library draw counts
+chains as it goes and stops at its first label over an ambiguity bound;
+gen_instance then tries a fresh draw.
 
 builtin_chemistry encodes a small lab domain where a student either mixes
 all substance pairs or mixes everything in one flask; builtin_quartet is a
@@ -16,7 +18,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import GenerationError
 from .library import PlanLibrary, RefinementMethod
@@ -34,12 +35,13 @@ from .recognizer import HypothesisSet, enabled_expansion_targets
 # stay in the tens on default parameters. Libraries where a single basic
 # action starts too many distinct derivations are resampled: such hubs make
 # the hypothesis space blow up multiplicatively on every matching
-# observation, far outside the regime the benchmark targets.
+# observation, far outside the regime the benchmark targets. A draw stops
+# at the first label over a bound, so a rejected library is never built.
 _BASIC_SHARE_GOAL = 0.55
 _BASIC_SHARE_MID = 0.75
 _TAU_CHOICES = (2, 3)
 _TAU_WEIGHTS = (60, 40)
-_METHOD_COUNT_WEIGHTS = (65, 25, 10)  # weights for 1..branching methods
+_METHOD_COUNT_WEIGHTS = (65, 25, 10)  # weights for 1..branching methods; bounds branching
 _MID_PER_LEVEL = 5
 _MAX_CHAINS_PER_LABEL = 3     # chains from one complex action to one basic
 _MAX_CHAINS_PER_GOAL_SUM = 6  # chains from all goals to one basic
@@ -64,6 +66,8 @@ class GenParams:
         for name in ("num_goals", "branching", "depth", "num_basic", "obs_len"):
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name} must be >= 1")
+        if self.branching > len(_METHOD_COUNT_WEIGHTS):
+            raise GenerationError(f"branching must be between 1 and {len(_METHOD_COUNT_WEIGHTS)}")
         if not 0.0 <= self.order_density <= 1.0:
             raise GenerationError("order_density must be in [0, 1]")
 
@@ -86,7 +90,12 @@ class Instance:
             raise GenerationError("truth does not describe the observation sequence")
 
 
-def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
+def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary | None:
+    """A library drawn bottom-up, or None at the first label over an
+    ambiguity bound. Every constituent comes from a lower level, so a head's
+    chain counts are known once its methods are drawn:
+    chains[head][b] == len(lib.chains_to(head, b)). A kept draw uses rng
+    exactly as a draw without the bounds would."""
     basics = [f"b{i}" for i in range(params.num_basic)]
     levels: list[list[str]] = [basics]
     for level in range(1, params.depth):
@@ -96,10 +105,12 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
 
     complex_actions = [a for level in levels[1:] for a in level]
     methods: list[RefinementMethod] = []
+    chains: dict[str, Counter[str]] = {}  # per complex action drawn so far
     lower_pool: list[str] = []  # the complex actions of the levels below
     for level_idx in range(1, len(levels)):
         basic_share = _BASIC_SHARE_GOAL if level_idx == len(levels) - 1 else _BASIC_SHARE_MID
         for head in levels[level_idx]:
+            counts = chains[head] = Counter()
             count_weights = _METHOD_COUNT_WEIGHTS[: params.branching]
             n_methods = rng.choices(range(1, len(count_weights) + 1), weights=count_weights)[0]
             for m_idx in range(n_methods):
@@ -117,58 +128,31 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary:
                 if not slots:
                     slots = [rng.choice(basics)]
                 rng.shuffle(slots)
-                constituents = slots
                 order = frozenset(
-                    (i, i + 1) for i in range(len(constituents) - 1)
+                    (i, i + 1) for i in range(len(slots) - 1)
                     if rng.random() < params.order_density
                 )
-                methods.append(
-                    RefinementMethod(
-                        id=f"m_{head}_{m_idx}",
-                        head=head,
-                        constituents=tuple(constituents),
-                        order=order,
-                    )
-                )
+                method = RefinementMethod(id=f"m_{head}_{m_idx}", head=head, constituents=tuple(slots), order=order)
+                methods.append(method)
+                for i in method.minimal_positions:
+                    c = method.constituents[i]
+                    if c in chains:
+                        counts.update(chains[c])
+                    else:
+                        counts[c] += 1
+            if any(n > _MAX_CHAINS_PER_LABEL for n in counts.values()):
+                return None
         lower_pool += levels[level_idx]
 
+    per_goal_sum = sum((chains[g] for g in goals), Counter())
+    if any(n > _MAX_CHAINS_PER_GOAL_SUM for n in per_goal_sum.values()):
+        return None
     return PlanLibrary(
         basic=frozenset(basics),
         complex_actions=frozenset(complex_actions),
         methods=tuple(methods),
         goals=tuple(goals),
     )
-
-
-def _chain_counts(lib: PlanLibrary) -> Callable[[str], Counter[str]]:
-    """counts(label)[target] == len(lib.chains_to(label, target)) for every
-    basic target, memoized per label without building any chain."""
-    memo: dict[str, Counter[str]] = {}
-
-    def counts(label: str) -> Counter[str]:
-        out = memo.get(label)
-        if out is None:
-            out = memo[label] = Counter()
-            for m in lib.methods_for(label):
-                for i in m.minimal_positions:
-                    c = m.constituents[i]
-                    if lib.is_complex(c):
-                        out.update(counts(c))
-                    else:
-                        out[c] += 1
-        return out
-
-    return counts
-
-
-def _bounded_ambiguity(lib: PlanLibrary) -> bool:
-    counts = _chain_counts(lib)
-    if any(n > _MAX_CHAINS_PER_LABEL for c in lib.complex_actions for n in counts(c).values()):
-        return False
-    per_goal_sum: Counter[str] = Counter()
-    for g in lib.goals:
-        per_goal_sum.update(counts(g))
-    return all(n <= _MAX_CHAINS_PER_GOAL_SUM for n in per_goal_sum.values())
 
 
 def _complete_plan(lib: PlanLibrary, label: str, rng: random.Random) -> PlanNode:
@@ -218,7 +202,7 @@ def gen_instance(params: GenParams) -> Instance:
     for lib_try in range(_MAX_LIBRARY_TRIES):
         rng = random.Random(f"{params.seed}:{lib_try}")
         lib = _gen_library(params, rng)
-        if not _bounded_ambiguity(lib):
+        if lib is None:
             continue
         cause = "plans too small for these parameters"
         for _ in range(_MAX_TRUTH_TRIES):

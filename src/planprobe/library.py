@@ -91,7 +91,7 @@ class RefinementMethod:
 Chain = tuple[tuple[RefinementMethod, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PlanLibrary:
     """Validated grammar. Immutable after construction, apart from the memo
     of expansion chains, which only ever grows; safe to share."""
@@ -101,26 +101,15 @@ class PlanLibrary:
     methods: tuple[RefinementMethod, ...]
     goals: tuple[str, ...]
     goal_priors: dict[str, float] = field(default_factory=dict)
-    _by_head: dict[str, tuple[RefinementMethod, ...]] = field(init=False, repr=False)
-    _by_id: dict[str, RefinementMethod] = field(init=False, repr=False)
-    _chains: dict[tuple[str, str], tuple[Chain, ...]] = field(init=False, repr=False)
+    _by_head: dict[str, tuple[RefinementMethod, ...]] = field(init=False, repr=False, compare=False)
+    _by_id: dict[str, RefinementMethod] = field(init=False, repr=False, compare=False)
+    _chains: dict[tuple[str, str], tuple[Chain, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
 
     def __hash__(self) -> int:
         return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlanLibrary):
-            return NotImplemented
-        return (
-            self.basic == other.basic
-            and self.complex_actions == other.complex_actions
-            and self.methods == other.methods
-            and self.goals == other.goals
-            and self.goal_priors == other.goal_priors
-        )
 
     def _validate(self) -> None:
         for name in list(self.basic) + list(self.complex_actions):

@@ -300,6 +300,14 @@ def test_gen_count_below_one_exits_1_with_one_line(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_gen_branching_above_3_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "batch"
+    assert main(["gen", "--out", str(out), "--branching", "4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: branching must be between 1 and 3\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
 def test_experiment_timeout_not_finite_and_positive_exits_1_with_one_line(tmp_path, capsys, timeout):
     out = tmp_path / "exp"

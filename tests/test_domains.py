@@ -1,4 +1,4 @@
-import json
+import math
 import random
 
 import pytest
@@ -8,7 +8,7 @@ from planprobe.domains import GenParams, Instance, gen_instance
 from planprobe.engine import QueryOracle, run_query_loop
 from planprobe.errors import GenerationError
 from planprobe.experiment import brute_force_final_set
-from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
+from planprobe.library import serialize_library
 from planprobe.plans import (
     describes,
     hypothesis_key,
@@ -23,8 +23,6 @@ from planprobe.plans import (
 )
 from planprobe.policies import Policy
 from planprobe.recognizer import enabled_expansion_targets, recognize
-
-from .test_library import chain_library_doc
 
 
 def _strip(doc):
@@ -97,6 +95,12 @@ class TestGenInstance:
         with pytest.raises(GenerationError):
             GenParams(order_density=1.5)
 
+    def test_branching_beyond_method_count_weights_rejected(self):
+        # one weight per method count: more branching would be ignored
+        assert GenParams(branching=3).branching == 3
+        with pytest.raises(GenerationError, match="^branching must be between 1 and 3$"):
+            GenParams(branching=4)
+
     def test_unreachable_obs_len_fails(self):
         with pytest.raises(GenerationError):
             gen_instance(GenParams(depth=1, num_goals=1, num_basic=2, obs_len=50, seed=0))
@@ -108,43 +112,44 @@ class TestGenInstance:
             assert any(hypothesis_refines(h, inst.truth) for h in hset.hypotheses)
 
 
-class TestChainCounts:
-    """The generator's ambiguity check counts chains per label instead of
-    building them; each count, zero where no chain exists, must equal the
-    number of chains chains_to builds."""
+class TestAmbiguityWhileDrawing:
+    """The generator counts chains per label while it draws and drops a draw
+    at its first over-bound label; a full draw with the bounds lifted,
+    checked by enumerating chains_to, must give the same verdict."""
 
-    @staticmethod
-    def _libraries():
-        shapes = (GenParams(), GenParams(depth=5, branching=3), GenParams(depth=2, num_basic=6, order_density=0.0))
-        for params in shapes:
-            for seed in range(6):
-                # libraries before the ambiguity check, so rejected ones count too
-                yield domains._gen_library(params, random.Random(f"{seed}:0"))
-        yield parse_library(json.dumps(chain_library_doc(MAX_GRAMMAR_DEPTH)))
+    SHAPES = (GenParams(), GenParams(depth=5, branching=3), GenParams(depth=2, num_basic=6, order_density=0.0))
 
-    def test_count_equals_number_of_chains_for_every_pair(self):
-        most = 0
-        for lib in self._libraries():
-            counts = domains._chain_counts(lib)
-            for label in sorted(lib.complex_actions):
-                assert set(counts(label)) <= lib.basic
-                for target in sorted(lib.basic):
-                    n = counts(label)[target]
-                    assert n == len(lib.chains_to(label, target)), (label, target)
-                    most = max(most, n)
-        assert most > domains._MAX_CHAINS_PER_GOAL_SUM
-
-    def test_bounded_ambiguity_agrees_with_enumerated_chains(self):
+    def test_kept_exactly_when_enumerated_chains_are_within_bounds(self, monkeypatch):
         verdicts = []
-        for lib in self._libraries():
-            per_pair = {(c, o): len(lib.chains_to(c, o)) for c in lib.complex_actions for o in lib.basic}
-            want = all(n <= domains._MAX_CHAINS_PER_LABEL for n in per_pair.values()) and all(
-                sum(per_pair[(g, o)] for g in lib.goals) <= domains._MAX_CHAINS_PER_GOAL_SUM
-                for o in lib.basic
-            )
-            assert domains._bounded_ambiguity(lib) == want
-            verdicts.append(want)
+        for params in self.SHAPES:
+            for seed in range(6):
+                full_rng = random.Random(f"{seed}:0")
+                with monkeypatch.context() as m:
+                    m.setattr(domains, "_MAX_CHAINS_PER_LABEL", math.inf)
+                    m.setattr(domains, "_MAX_CHAINS_PER_GOAL_SUM", math.inf)
+                    full = domains._gen_library(params, full_rng)
+                per_pair = {(c, o): len(full.chains_to(c, o)) for c in full.complex_actions for o in full.basic}
+                want = all(n <= domains._MAX_CHAINS_PER_LABEL for n in per_pair.values()) and all(
+                    sum(per_pair[(g, o)] for g in full.goals) <= domains._MAX_CHAINS_PER_GOAL_SUM
+                    for o in full.basic
+                )
+                rng = random.Random(f"{seed}:0")
+                lib = domains._gen_library(params, rng)
+                if want:
+                    assert lib == full, (params, seed)
+                    # truth sampling goes on from the full draw's state
+                    assert rng.getstate() == full_rng.getstate(), (params, seed)
+                else:
+                    assert lib is None, (params, seed)
+                verdicts.append(want)
         assert True in verdicts and False in verdicts
+
+    def test_rejected_draw_builds_no_library(self, monkeypatch):
+        def refuse(**fields):
+            raise AssertionError("a rejected draw built a library")
+
+        monkeypatch.setattr(domains, "PlanLibrary", refuse)
+        assert domains._gen_library(GenParams(depth=150), random.Random("0:0")) is None
 
 
 class TestChemistry:
