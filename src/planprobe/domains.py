@@ -93,9 +93,10 @@ class Instance:
 def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary | None:
     """A library drawn bottom-up, or None at the first label over an
     ambiguity bound. Every constituent comes from a lower level, so a head's
-    chain counts are known once its methods are drawn:
-    chains[head][b] == len(lib.chains_to(head, b)). A kept draw uses rng
-    exactly as a draw without the bounds would."""
+    chain counts are known once its methods are drawn: chains[head][b] is
+    the number of expansion chains from head down to b through order-minimal
+    positions. A kept draw uses rng exactly as a draw without the bounds
+    would."""
     basics = [f"b{i}" for i in range(params.num_basic)]
     levels: list[list[str]] = [basics]
     for level in range(1, params.depth):

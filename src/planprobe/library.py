@@ -25,7 +25,7 @@ PRIOR_TOLERANCE = 1e-9
 
 # The longest chain of head-to-constituent steps a grammar may hold, so the
 # deepest plan has MAX_GRAMMAR_DEPTH + 1 levels. Plan relations, JSON
-# serialization and chain enumeration recurse once or twice per level; at
+# serialization and chain grafting recurse once or twice per level; at
 # this limit they stay well inside the interpreter's default recursion limit
 # of 1000 (a 330-step chain already exhausted it in `sprp --verify`).
 MAX_GRAMMAR_DEPTH = 200
@@ -87,14 +87,12 @@ class RefinementMethod:
         object.__setattr__(self, "minimal_positions", tuple(i for i, preds in enumerate(predecessors) if not preds))
 
 
-# chain: sequence of (method, constituent position) steps ending at a leaf
-Chain = tuple[tuple[RefinementMethod, int], ...]
-
-
 @dataclass(frozen=True)
 class PlanLibrary:
-    """Validated grammar. Immutable after construction, apart from the memo
-    of expansion chains, which only ever grows; safe to share."""
+    """Validated grammar. Immutable after construction; safe to share.
+    first_actions maps each complex label to the basic actions that a fresh
+    expansion from it, descending only into order-minimal positions of each
+    applied method, can reach."""
 
     basic: frozenset[str]
     complex_actions: frozenset[str]
@@ -103,7 +101,7 @@ class PlanLibrary:
     goal_priors: dict[str, float] = field(default_factory=dict)
     _by_head: dict[str, tuple[RefinementMethod, ...]] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, RefinementMethod] = field(init=False, repr=False, compare=False)
-    _chains: dict[tuple[str, str], tuple[Chain, ...]] = field(init=False, repr=False, compare=False)
+    first_actions: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
@@ -146,7 +144,6 @@ class PlanLibrary:
             by_head.setdefault(m.head, []).append(m)
         object.__setattr__(self, "_by_head", {h: tuple(ms) for h, ms in by_head.items()})
         object.__setattr__(self, "_by_id", {m.id: m for m in self.methods})
-        object.__setattr__(self, "_chains", {})
 
         self._check_grammar()
 
@@ -173,8 +170,8 @@ class PlanLibrary:
         # recursion, makes all three checks. Labels go in sorted, so no message
         # depends on the hash seed. A cycle would make the complete refinements
         # infinite; graphlib reports it constituent-first. Constituents first,
-        # the order gives each label's height; reversed, heads first, it carries
-        # reachability down from the goals.
+        # the order gives each label's height and first-action set; reversed,
+        # heads first, it carries reachability down from the goals.
         below = {
             head: [c for m in methods for c in m.constituents if c in self.complex_actions]
             for head, methods in self._by_head.items()
@@ -188,8 +185,19 @@ class PlanLibrary:
         except graphlib.CycleError as e:
             raise LibraryValidationError(f"cyclic grammar: {' -> '.join(reversed(e.args[1]))}") from None
         height: dict[str, int] = {}  # label -> longest chain of method steps below it
+        first: dict[str, frozenset[str]] = {}
         for label in order:
             height[label] = 1 + max((height[c] for c in below[label]), default=0) if label in below else 0
+            reach: set[str] = set()
+            for m in self._by_head.get(label, ()):
+                for i in m.minimal_positions:
+                    c = m.constituents[i]
+                    if c in self.basic:
+                        reach.add(c)
+                    else:
+                        reach |= first[c]
+            first[label] = frozenset(reach)
+        object.__setattr__(self, "first_actions", first)
         deepest = max(labels, key=height.__getitem__)
         if height[deepest] > MAX_GRAMMAR_DEPTH:
             raise LibraryValidationError(
@@ -221,28 +229,6 @@ class PlanLibrary:
             return self._by_id[method_id]
         except KeyError:
             raise LibraryValidationError(f"no method with id {method_id!r}") from None
-
-    def chains_to(self, label: str, target: str) -> tuple[Chain, ...]:
-        """All expansion chains from an open node labeled `label` down to a
-        basic leaf labeled `target`, descending only into order-minimal
-        positions of each applied method. Deterministic: file order,
-        ascending positions. Memoized per library."""
-        key = (label, target)
-        hit = self._chains.get(key)
-        if hit is not None:
-            return hit
-        chains: list[Chain] = []
-        for m in self.methods_for(label):
-            for i in m.minimal_positions:
-                c = m.constituents[i]
-                if c == target and self.is_basic(c):
-                    chains.append(((m, i),))
-                elif self.is_complex(c):
-                    for sub in self.chains_to(c, target):
-                        chains.append(((m, i),) + sub)
-        result = tuple(chains)
-        self._chains[key] = result
-        return result
 
 
 def _expect(cond: bool, message: str) -> None:

@@ -90,7 +90,7 @@ class PlanNode:
         return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """A set of plans, one per pursued goal, jointly explaining the
     observations seen so far. The empty hypothesis (no plans) is only valid

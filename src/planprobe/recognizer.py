@@ -16,9 +16,12 @@ recognize folds one step over the observations with a memo keyed by tree
 node that lives for the call: each node's fully-observed flag, enabled
 frontier and weight factors are computed once. A grown plan shares every
 subtree off its attachment path with its parent, so only the new nodes are
-computed. Each distinct plan is grown once per observation; each chain's
-subtree is built once per observation and attached with one path copy, and
-a new plan for a goal is that goal's chain subtrees. _step returns plans
+computed. Each distinct plan is grown once per observation. A label's graft
+subtrees, one per chain down to the action, are built straight from its
+methods once per observation, sharing each lower label's subtrees; a label
+whose first-action set lacks the action has none, so no chain to an
+unobserved action is ever built. A subtree is attached with one path copy,
+and a new plan for a goal is one of that goal's subtrees. _step returns plans
 only; _fold weighs just the set it returns, by the product
 hypothesis_weight forms from each hypothesis's own plans, plus a capped
 step's successors to choose the ones it keeps. No two successors are equal
@@ -27,12 +30,13 @@ step's successors to choose the ones it keeps. No two successors are equal
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from math import prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import PlanError, UnexplainableObservationError, ZeroWeightError
-from .library import Chain, PlanLibrary
+from .library import PlanLibrary
 from .plans import Hypothesis, Path, PlanNode, _replace
 
 if TYPE_CHECKING:
@@ -108,53 +112,77 @@ class _PlanMemo:
     plan is its root node), keyed by the node itself, marks included:
     whether its subtree is fully observed, its enabled frontier as (path
     relative to the node, node) pairs in left-to-right order, and the weight
-    factors of its expanded nodes in preorder; plus one tuple of blank
-    constituent nodes per method, shared by every chain subtree built. Plans
-    are persistent trees, so a grown plan shares every subtree off its
+    factors of its expanded nodes in preorder; plus, per method id, its
+    predecessor masks and one tuple of blank constituent nodes, shared by
+    every graft subtree built, and per label one over its method count.
+    Plans are persistent trees, so a grown plan shares every subtree off its
     attachment path with the plan it grew from, and only the nodes on that
-    path and in the grafted chain are new here."""
+    path and in the grafted subtree are new here."""
 
     lib: PlanLibrary
     nodes: dict[PlanNode, tuple] = field(default_factory=dict)
     blanks: dict[str, tuple[PlanNode, ...]] = field(default_factory=dict)
+    predecessors: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    factors: dict[str, float] = field(default_factory=dict)
 
     def __call__(self, node: PlanNode) -> tuple[bool, tuple[tuple[Path, PlanNode], ...], tuple[float, ...]]:
         """(fully observed, enabled frontier, weight factors) of `node`."""
-        hit = self.nodes.get(node)
+        nodes = self.nodes
+        hit = nodes.get(node)
         if hit is not None:
             return hit
         lib = self.lib
         if node.method is None:
-            full = lib.is_basic(node.label) and node.observed is not None
-            targets = (((), node),) if lib.is_complex(node.label) or node.observed is None else ()
+            full = node.observed is not None and node.label in lib.basic
+            targets = (((), node),) if node.observed is None or node.label in lib.complex_actions else ()
             hit = (full, targets, ())
         else:
             # a constituent is enabled when all its ordering predecessors
             # root fully observed subtrees (bits of done); a disabled one
-            # holds no target
-            kids = [self(c) for c in node.children]
-            done = sum(1 << j for j, kid in enumerate(kids) if kid[0])
-            predecessors = lib.method(node.method).predecessors
-            factors = (1.0 / len(lib.methods_for(node.label)),)
+            # holds no target, and the node is full when every bit is set
+            kids = [nodes.get(c) or self(c) for c in node.children]
+            done = 0
+            for j, kid in enumerate(kids):
+                if kid[0]:
+                    done |= 1 << j
+            predecessors = self.predecessors.get(node.method)
+            if predecessors is None:
+                predecessors = self.predecessors[node.method] = lib.method(node.method).predecessors
+            factor = self.factors.get(node.label)
+            if factor is None:
+                factor = self.factors[node.label] = 1.0 / len(lib.methods_for(node.label))
+            factors = (factor,)
             targets = []
             for i, (_, below, fs) in enumerate(kids):
                 factors += fs
                 if below and not predecessors[i] & ~done:
-                    targets.extend(((i, *path), n) for path, n in below)
-            hit = (all(k[0] for k in kids), tuple(targets), factors)
-        self.nodes[node] = hit
+                    for path, n in below:
+                        targets.append(((i, *path), n))
+            hit = (done == (1 << len(kids)) - 1, tuple(targets), factors)
+        nodes[node] = hit
         return hit
 
-    def graft(self, chain: Chain, leaf: PlanNode) -> PlanNode:
-        """The subtree a fresh expansion along `chain` grows down to `leaf`,
-        built bottom-up."""
-        node = leaf
-        for method, pos in reversed(chain):
-            blanks = self.blanks.get(method.id)
-            if blanks is None:
-                blanks = self.blanks[method.id] = tuple(PlanNode(c) for c in method.constituents)
-            node = PlanNode(method.head, method.id, blanks[:pos] + (node,) + blanks[pos + 1:])
-        return node
+
+def _grafts(lib: PlanLibrary, memo: _PlanMemo, cache: dict[str, list[PlanNode]], leaf: PlanNode, label: str) -> list[PlanNode]:
+    """The subtree of every fresh expansion from an open `label` node down to
+    `leaf` through order-minimal positions, in chain order: methods in file
+    order, positions ascending. `cache` holds one step's subtrees per label,
+    so a lower label's subtrees are built once and shared. An undeclared
+    label raises LibraryValidationError."""
+    out = cache.get(label)
+    if out is not None:
+        return out
+    out = cache[label] = []
+    methods = lib.methods_for(label)
+    if leaf.label in lib.first_actions[label]:
+        for m in methods:
+            blanks = memo.blanks.get(m.id) or memo.blanks.setdefault(m.id, tuple(map(PlanNode, m.constituents)))
+            for i in m.minimal_positions:
+                c = m.constituents[i]
+                below = (leaf,) if c == leaf.label else _grafts(lib, memo, cache, leaf, c) if c in lib.complex_actions else ()
+                for sub in below:
+                    out.append(PlanNode(label, m.id, blanks[:i] + (sub,) + blanks[i + 1:]))
+    return out
 
 
 def _weight(memo: _PlanMemo, plans: Iterable[PlanNode]) -> float:
@@ -205,43 +233,39 @@ def _step(
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, action, kind=kind)
     leaf = PlanNode(action, observed=index)
-    chain_roots: dict[str, list[PlanNode]] = {}
+    cache: dict[str, list[PlanNode]] = {}
     grown_of: dict[PlanNode, list[PlanNode]] = {}
-
-    def grafts(label: str) -> list[PlanNode]:
-        """The subtree of every chain from an open `label` node down to the
-        action, built once per step and shared by every plan it joins."""
-        hit = chain_roots.get(label)
-        if hit is None:
-            hit = chain_roots[label] = [memo.graft(c, leaf) for c in lib.chains_to(label, action)]
-        return hit
 
     def grow(root: PlanNode) -> list[PlanNode]:
         """Every way the plan at `root` absorbs the action, each made by one
         path copy."""
         out = grown_of[root] = []
         for path, node in (memo.nodes.get(root) or memo(root))[1]:
-            if lib.is_basic(node.label):
+            if node.label in lib.basic:
                 if node.label == action:
                     out.append(_replace(root, path, leaf))
                 continue
-            subtrees = grafts(node.label)
+            subtrees = _grafts(lib, memo, cache, leaf, node.label)
             if subtrees and node.observed is not None:
                 raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
-            out.extend(_replace(root, path, sub) for sub in subtrees)
+            for sub in subtrees:
+                out.append(_replace(root, path, sub))
         return out
 
+    # the goals whose subtrees reach the action, in goal order
+    starts = [(goal, subtrees) for goal in lib.goals if (subtrees := _grafts(lib, memo, cache, leaf, goal))]
     successors = []
     for plans in hypotheses:
         for i, root in enumerate(plans):
             grown = grown_of.get(root)
             for g in grow(root) if grown is None else grown:
                 successors.append(plans[:i] + (g,) + plans[i + 1:])
-        used_goals = {r.label for r in plans}
-        for goal in lib.goals:
-            if goal not in used_goals:
-                for start in grafts(goal):
-                    successors.append(plans + (start,))
+        if starts:
+            used_goals = {r.label for r in plans}
+            for goal, subtrees in starts:
+                if goal not in used_goals:
+                    for start in subtrees:
+                        successors.append(plans + (start,))
     return successors
 
 
@@ -250,19 +274,27 @@ def _fold(lib: PlanLibrary, hset: HypothesisSet, observations: list[str], cfg: R
     A step with more successors than the cap weighs them all, keeps the
     heaviest, ties in emission order, and marks the set truncated. No other
     intermediate successor is weighed: one weight pass over the final set,
-    normalized, and each Hypothesis built once."""
+    normalized, and each Hypothesis built once. The fold makes no reference
+    cycles, so the cyclic collector is off while it runs and its prior
+    state is restored on the way out, error or not."""
     cap, memo, truncated = (cfg or RecognizerConfig()).max_hypotheses, _PlanMemo(lib), hset.truncated
     hypotheses = [h.plans for h in hset.hypotheses]
-    for index, action in enumerate(observations, hset.observation_count):
-        hypotheses = _step(lib, memo, hypotheses, index, action)
-        if not hypotheses:
-            raise UnexplainableObservationError(index, action, truncated)
-        if cap is not None and len(hypotheses) > cap:
-            hypotheses.sort(key=lambda plans: -_weight(memo, plans))
-            del hypotheses[cap:]
-            truncated = True
-    weights = normalize([_weight(memo, plans) for plans in hypotheses])
-    return HypothesisSet(tuple(map(Hypothesis, hypotheses, weights)), index + 1, truncated)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for index, action in enumerate(observations, hset.observation_count):
+            hypotheses = _step(lib, memo, hypotheses, index, action)
+            if not hypotheses:
+                raise UnexplainableObservationError(index, action, truncated)
+            if cap is not None and len(hypotheses) > cap:
+                hypotheses.sort(key=lambda plans: -_weight(memo, plans))
+                del hypotheses[cap:]
+                truncated = True
+        weights = normalize([_weight(memo, plans) for plans in hypotheses])
+        return HypothesisSet(tuple(map(Hypothesis, hypotheses, weights)), index + 1, truncated)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def explain_step(

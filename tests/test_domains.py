@@ -24,6 +24,8 @@ from planprobe.plans import (
 from planprobe.policies import Policy
 from planprobe.recognizer import enabled_expansion_targets, recognize
 
+from . import oracles
+
 
 def _strip(doc):
     doc = dict(doc)
@@ -128,7 +130,7 @@ class TestAmbiguityWhileDrawing:
                     m.setattr(domains, "_MAX_CHAINS_PER_LABEL", math.inf)
                     m.setattr(domains, "_MAX_CHAINS_PER_GOAL_SUM", math.inf)
                     full = domains._gen_library(params, full_rng)
-                per_pair = {(c, o): len(full.chains_to(c, o)) for c in full.complex_actions for o in full.basic}
+                per_pair = {(c, o): len(oracles._chains_to(full, c, o, {})) for c in full.complex_actions for o in full.basic}
                 want = all(n <= domains._MAX_CHAINS_PER_LABEL for n in per_pair.values()) and all(
                     sum(per_pair[(g, o)] for g in full.goals) <= domains._MAX_CHAINS_PER_GOAL_SUM
                     for o in full.basic

@@ -10,13 +10,19 @@ its final set, must equal the reference step folded over the observations,
 and chaining `explain_step` onto a prefix's `recognize` must equal
 `recognize` of the longer prefix. The node memo itself, kept across a whole
 fold, must give every plan the enabled targets and weight factors of the
-reference's whole-tree walks.
+reference's whole-tree walks. Each library's first-action sets must be the
+basic actions the reference enumerates chains to, and recognition must leave
+no cyclic garbage.
 """
+
+import gc
+import json
 
 import pytest
 
 from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
 from planprobe.errors import UnexplainableObservationError
+from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library
 from planprobe.plans import Hypothesis
 from planprobe.recognizer import (
     HypothesisSet,
@@ -29,6 +35,7 @@ from planprobe.recognizer import (
 )
 
 from . import oracles
+from .test_library import chain_library_doc
 
 OBS_LENS = (3, 4, 5, 6, 7, 8)
 PER_OBS_LEN = 9
@@ -237,3 +244,39 @@ def test_unexplainable_observation_raises_like_reference():
     outcomes = [_check_every_step(q.library, (action,), None, hset) for action in actions]
     assert None in outcomes
     assert outcomes[actions.index("d")] is None and outcomes[actions.index("e")] is None
+
+
+def _chain_targets(lib):
+    """Per complex label, the basic actions the reference has a chain to."""
+    cache: dict = {}
+    return {label: {b for b in lib.basic if oracles._chains_to(lib, label, b, cache)} for label in lib.complex_actions}
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_first_actions_are_the_chain_targets(name, lib, observations, sizes):
+    assert lib.first_actions == _chain_targets(lib)
+
+
+def test_first_actions_at_the_depth_limit():
+    # c0 -> ... -> c199 -> (a, b) with a before b, and c100 -> (c101, e),
+    # e -> d: b is no first action, and d is one from c100 up
+    doc = chain_library_doc(MAX_GRAMMAR_DEPTH)
+    doc["basic"] += ["b", "d"]
+    doc["complex"].append("e")
+    doc["methods"][-1].update(children=["a", "b"], order=[[0, 1]])
+    doc["methods"][100]["children"].append("e")
+    doc["methods"].append({"id": "me", "head": "e", "children": ["d"]})
+    lib = parse_library(json.dumps(doc))
+    want = {f"c{i}": {"a", "d"} if i <= 100 else {"a"} for i in range(MAX_GRAMMAR_DEPTH)} | {"e": {"d"}}
+    assert lib.first_actions == _chain_targets(lib) == want
+
+
+def test_recognize_leaves_no_cyclic_garbage():
+    gc.disable()
+    try:
+        gc.collect()
+        for _, lib, observations, _ in INSTANCES:
+            recognize(lib, list(observations))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import math
 import re
@@ -5,7 +7,7 @@ import re
 import pytest
 
 from planprobe.domains import GenParams, gen_instance
-from planprobe.errors import PlanError, UnexplainableObservationError
+from planprobe.errors import LibraryValidationError, PlanError, UnexplainableObservationError
 from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod, parse_library, serialize_library
 from planprobe.plans import (
     Hypothesis,
@@ -182,6 +184,20 @@ class TestRecognize:
         with pytest.raises(PlanError, match=re.escape("node 's' at (0,) is an observed leaf")):
             explain_step(lib, hset, "a")
 
+    def test_open_node_with_undeclared_label_is_rejected(self):
+        # a hand-built plan whose open node `nowhere` the library does not
+        # declare: explaining an action must not treat it as a dead end
+        lib = PlanLibrary(
+            basic=frozenset({"a", "x"}),
+            complex_actions=frozenset({"g", "s"}),
+            methods=(RefinementMethod("mg", "g", ("s", "x")), RefinementMethod("ms", "s", ("a",))),
+            goals=("g",),
+        )
+        plan = PlanNode("g", method="mg", children=(PlanNode("nowhere"), PlanNode("x")))
+        hset = HypothesisSet((Hypothesis((plan,), 1.0),), 1)
+        with pytest.raises(LibraryValidationError, match="^methods_for: unknown label 'nowhere'$"):
+            explain_step(lib, hset, "a")
+
     def test_several_observations_at_the_depth_limit(self):
         # c0 -> ... -> c199 -> (a, b) with a before b, and c100 -> (c101, e),
         # e -> d: `b` is observed at the deepest leaf and `d` grafts a chain
@@ -295,3 +311,39 @@ class TestCapAndConfig:
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
             RecognizerConfig(max_hypotheses=0)
+
+
+class TestCyclicCollector:
+    """The fold runs with the cyclic collector off and restores whatever
+    state it found."""
+
+    def test_back_on_after_an_unexplainable_observation(self, quartet):
+        assert gc.isenabled()
+        # after o1 starts G1, no plan can absorb d
+        with pytest.raises(UnexplainableObservationError):
+            recognize(quartet.library, ["o1", "d"])
+        assert gc.isenabled()
+        with pytest.raises(UnexplainableObservationError):
+            recognize(quartet.library, ["not an action"])
+        assert gc.isenabled()
+
+    def test_left_off_when_it_was_off(self, quartet):
+        gc.disable()
+        try:
+            recognize(quartet.library, list(quartet.observations))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+def test_hypothesis_is_a_frozen_slotted_record():
+    plan = PlanNode("g", method="m", children=(PlanNode("a", observed=0),))
+    h = Hypothesis((plan,), 0.5)
+    assert not hasattr(h, "__dict__")
+    assert h == Hypothesis((PlanNode("g", method="m", children=(PlanNode("a", observed=0),)),), 0.5)
+    assert h != Hypothesis((plan,), 0.25) and h != Hypothesis((), 0.5)
+    assert hash(h) == hash(((plan,), 0.5))
+    assert repr(h) == "Hypothesis(plans=(PlanNode('g', method='m', children=(PlanNode('a', observed=0),)),), weight=0.5)"
+    assert Hypothesis(()).weight == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.weight = 1.0
