@@ -59,7 +59,6 @@ from .domains import (
     GenParams,
     Instance,
     builtin_chemistry,
-    builtin_quartet,
     gen_instance,
 )
 from .experiment import (

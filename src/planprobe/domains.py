@@ -1,4 +1,4 @@
-"""Synthetic benchmark instances and hand-built demonstration fixtures.
+"""Synthetic benchmark instances and a hand-built demonstration domain.
 
 gen_instance draws a random acyclic library arranged in strata (goals on
 top, intermediate complex actions below, basic actions at the bottom), picks
@@ -8,16 +8,14 @@ chains as it goes and stops at its first label over an ambiguity bound;
 gen_instance then tries a fresh draw.
 
 builtin_chemistry encodes a small lab domain where a student either mixes
-all substance pairs or mixes everything in one flask; builtin_quartet is a
-four-hypothesis fixture exercising every corner of the refinement, match,
-and pruning rules.
+all substance pairs or mixes everything in one flask.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GenerationError
 from .library import PlanLibrary, RefinementMethod
@@ -29,7 +27,7 @@ from .plans import (
     observe_leaf,
     validate_hypothesis,
 )
-from .recognizer import HypothesisSet, enabled_expansion_targets
+from .recognizer import _PlanMemo
 
 # Stratum mixing knobs, calibrated so hypothesis counts for 3..7 observations
 # stay in the tens on default parameters. Libraries where a single basic
@@ -174,19 +172,15 @@ def _emit_observations(
     lib: PlanLibrary, plans: list[PlanNode], obs_len: int, rng: random.Random
 ) -> tuple[list[PlanNode], list[str]]:
     """Mark a legal execution prefix of length obs_len. The first picks touch
-    every plan once so no true plan stays unobserved."""
+    every plan once so no true plan stays unobserved. One memo serves the
+    whole emission, so a plan is walked only where a step changed it."""
+    memo = _PlanMemo(lib)
     observations: list[str] = []
     start_order = list(range(len(plans)))
     rng.shuffle(start_order)
     for step in range(obs_len):
-        if step < len(plans):
-            pool = [(start_order[step], path) for path in enabled_expansion_targets(lib, plans[start_order[step]])]
-        else:
-            pool = [
-                (i, path)
-                for i, plan in enumerate(plans)
-                for path in enabled_expansion_targets(lib, plan)
-            ]
+        picks = [start_order[step]] if step < len(plans) else range(len(plans))
+        pool = [(i, path) for i in picks for path, _ in memo(plans[i])[1]]
         if not pool:
             raise GenerationError("execution stalled before reaching obs_len")
         plan_idx, path = rng.choice(pool)
@@ -277,118 +271,3 @@ def builtin_chemistry() -> dict[str, Instance]:
             ("mix_ABCD",),
         ),
     }
-
-
-@dataclass(frozen=True)
-class QuartetFixture:
-    """Four two-plan hypotheses over three observations, one complete plan
-    pair, and the ground truth, wired so every pruning behavior shows up:
-    p2 is refinable to p1 and p3, which do not refine each other but share a
-    common refinement (complete_main); h4 uses a different root method."""
-
-    library: PlanLibrary
-    observations: tuple[str, ...]
-    hset: HypothesisSet
-    h1: Hypothesis
-    h2: Hypothesis
-    h3: Hypothesis
-    h4: Hypothesis
-    p1: PlanNode
-    p2: PlanNode
-    p3: PlanNode
-    p4: PlanNode
-    partner1: PlanNode
-    partner2: PlanNode
-    partner3: PlanNode
-    partner4: PlanNode
-    complete_main: PlanNode
-    complete_partner: PlanNode
-    truth: Hypothesis = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "truth", Hypothesis((self.complete_main, self.complete_partner)))
-
-
-def builtin_quartet() -> QuartetFixture:
-    lib = PlanLibrary(
-        basic=frozenset({"o1", "o2", "o3", "a", "b", "d", "e"}),
-        complex_actions=frozenset({"G1", "G2", "X", "Y", "Z"}),
-        methods=(
-            RefinementMethod("mg", "G1", ("o1", "X", "Y"), frozenset({(0, 1), (0, 2)})),
-            RefinementMethod("malt", "G1", ("o1", "Y", "X"), frozenset({(0, 1), (0, 2)})),
-            RefinementMethod("mx", "X", ("o3", "a")),
-            RefinementMethod("my", "Y", ("o3", "b")),
-            RefinementMethod("mp", "G2", ("o2", "Z"), frozenset({(0, 1)})),
-            RefinementMethod("mp2", "G2", ("o2", "o3", "e"), frozenset({(0, 1), (0, 2)})),
-            RefinementMethod("mz", "Z", ("o3", "d")),
-        ),
-        goals=("G1", "G2"),
-    )
-
-    def g1(x_expanded: bool, y_expanded: bool, alt: bool = False) -> PlanNode:
-        x = PlanNode("X", method="mx", children=(PlanNode("o3", observed=2), PlanNode("a"))) \
-            if x_expanded else PlanNode("X")
-        y_mark = 2 if y_expanded and not x_expanded else None
-        y = PlanNode("Y", method="my", children=(PlanNode("o3", observed=y_mark), PlanNode("b"))) \
-            if y_expanded else PlanNode("Y")
-        if alt:
-            return PlanNode("G1", method="malt", children=(PlanNode("o1", observed=0), y, x))
-        return PlanNode("G1", method="mg", children=(PlanNode("o1", observed=0), x, y))
-
-    def g2_open() -> PlanNode:
-        return PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), PlanNode("Z")))
-
-    def g2_deep() -> PlanNode:
-        z = PlanNode("Z", method="mz", children=(PlanNode("o3", observed=2), PlanNode("d")))
-        return PlanNode("G2", method="mp", children=(PlanNode("o2", observed=1), z))
-
-    p1 = g1(x_expanded=True, y_expanded=False)
-    p2 = g1(x_expanded=False, y_expanded=False)
-    p3 = g1(x_expanded=False, y_expanded=True)
-    p4 = g1(x_expanded=False, y_expanded=False, alt=True)
-    partner1 = g2_open()
-    partner2 = PlanNode(
-        "G2",
-        method="mp2",
-        children=(PlanNode("o2", observed=1), PlanNode("o3", observed=2), PlanNode("e")),
-    )
-    partner3 = g2_open()
-    partner4 = g2_deep()
-
-    complete_main = PlanNode(
-        "G1",
-        method="mg",
-        children=(
-            PlanNode("o1", observed=0),
-            PlanNode("X", method="mx", children=(PlanNode("o3", observed=2), PlanNode("a"))),
-            PlanNode("Y", method="my", children=(PlanNode("o3"), PlanNode("b"))),
-        ),
-    )
-    complete_partner = PlanNode(
-        "G2",
-        method="mp",
-        children=(
-            PlanNode("o2", observed=1),
-            PlanNode("Z", method="mz", children=(PlanNode("o3"), PlanNode("d"))),
-        ),
-    )
-
-    h1 = Hypothesis((p1, partner1), 0.25)
-    h2 = Hypothesis((p2, partner2), 0.25)
-    h3 = Hypothesis((p3, partner3), 0.25)
-    h4 = Hypothesis((p4, partner4), 0.25)
-    hset = HypothesisSet((h1, h2, h3, h4), observation_count=3)
-
-    fixture = QuartetFixture(
-        library=lib,
-        observations=("o1", "o2", "o3"),
-        hset=hset,
-        h1=h1, h2=h2, h3=h3, h4=h4,
-        p1=p1, p2=p2, p3=p3, p4=p4,
-        partner1=partner1, partner2=partner2, partner3=partner3, partner4=partner4,
-        complete_main=complete_main,
-        complete_partner=complete_partner,
-    )
-    for h in (h1, h2, h3, h4):
-        validate_hypothesis(lib, h)
-    return fixture

@@ -131,6 +131,8 @@ class ExperimentSpec:
                 raise PlanProbeError(f"{name} {repeated[0]!r} is repeated")
         if self.reps < 1:
             raise PlanProbeError("reps must be >= 1")
+        if self.max_hypotheses is not None and self.max_hypotheses < 1:
+            raise PlanProbeError("max_hypotheses must be >= 1")
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise PlanProbeError("timeout must be finite and > 0")
 

@@ -234,17 +234,26 @@ def validate_plan(lib: PlanLibrary, plan: PlanNode) -> None:
 
 
 def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
-    """Plans valid, roots are goals, observation indices unique across plans."""
+    """Plans valid, roots are goals, observation indices unique across plans,
+    and at most one plan per goal holds observations: recognition builds one
+    plan per goal, so no hypothesis could refine to a goal's split plans."""
     seen_marks: set[int] = set()
+    observed_roots: list[str] = []
     for plan in h.plans:
         validate_plan(lib, plan)
         if plan.label not in lib.goals:
             raise PlanError(f"plan root {plan.label!r} is not a goal")
+        marks_before = len(seen_marks)
         for _, node in iter_nodes(plan):
             if node.observed is not None:
                 if node.observed in seen_marks:
                     raise PlanError(f"observation index {node.observed} used by two plans")
                 seen_marks.add(node.observed)
+        if len(seen_marks) > marks_before:
+            observed_roots.append(plan.label)
+    for i, root in enumerate(observed_roots):
+        if root in observed_roots[:i]:
+            raise PlanError(f"goal {root!r} has more than one plan holding observations")
 
 
 def plan_to_dict(plan: PlanNode) -> dict:

@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
+from planprobe.domains import GenParams, builtin_chemistry, gen_instance
 from planprobe.engine import (
     QueryOracle,
     candidate_plans,
@@ -33,7 +33,7 @@ from planprobe.policies import POLICY_KINDS, Policy, entropy
 from planprobe.recognizer import HypothesisSet, explain_step, recognize
 
 from . import oracles
-from .conftest import random_expansion, random_plan
+from .conftest import builtin_quartet, random_expansion, random_plan
 
 POLICIES = tuple(POLICY_KINDS)
 

@@ -110,6 +110,14 @@ class TestInstanceIO:
             discover_instances(tmp_path)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_spec_rejects_a_cap_below_one_when_built(cap):
+    # before any instance is generated, and as a PlanProbeError, which the
+    # per-instance handler and the CLI report in one line
+    with pytest.raises(PlanProbeError, match="^max_hypotheses must be >= 1$"):
+        ExperimentSpec(obs_lens=(3,), reps=1, max_hypotheses=cap)
+
+
 class TestRunExperiment:
     def test_generated_batch_shape(self):
         spec = ExperimentSpec(obs_lens=(3, 4), reps=2, seed=11, verify=True)

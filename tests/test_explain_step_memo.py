@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
+from planprobe.domains import GenParams, builtin_chemistry, gen_instance
 from planprobe.errors import UnexplainableObservationError
 from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library
 from planprobe.plans import Hypothesis
@@ -35,6 +35,7 @@ from planprobe.recognizer import (
 )
 
 from . import oracles
+from .conftest import builtin_quartet
 from .test_library import chain_library_doc
 
 OBS_LENS = (3, 4, 5, 6, 7, 8)

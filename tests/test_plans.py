@@ -5,6 +5,7 @@ import pytest
 
 from planprobe.domains import GenParams, gen_instance
 from planprobe.errors import PlanError
+from planprobe.library import PlanLibrary, RefinementMethod
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
@@ -262,6 +263,16 @@ class TestValidation:
         h = Hypothesis((quartet.p1, quartet.p4))  # both mark index 0
         with pytest.raises(PlanError, match="two plans"):
             validate_hypothesis(quartet.library, h)
+
+    def test_two_plans_for_one_goal_rejected(self):
+        # both plans hold an observation; the recognizer builds at most one
+        # plan per goal, so no hypothesis could refine to this truth
+        lib = PlanLibrary(basic=frozenset({"a", "b"}), complex_actions=frozenset({"g"}),
+                          methods=(RefinementMethod("m", "g", ("a", "b")),), goals=("g",))
+        first = PlanNode("g", method="m", children=(PlanNode("a", observed=0), PlanNode("b")))
+        second = PlanNode("g", method="m", children=(PlanNode("a"), PlanNode("b", observed=1)))
+        with pytest.raises(PlanError, match="^goal 'g' has more than one plan holding observations$"):
+            validate_hypothesis(lib, Hypothesis((first, second)))
 
 
 def test_relations_ignore_observation_marks(quartet):

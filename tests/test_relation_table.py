@@ -11,7 +11,7 @@ answers, plan scores compared with ==, and the selected plan.
 
 import pytest
 
-from planprobe.domains import GenParams, builtin_chemistry, builtin_quartet, gen_instance
+from planprobe.domains import GenParams, builtin_chemistry, gen_instance
 from planprobe import engine, experiment
 from planprobe.engine import (
     QueryOracle,
@@ -28,6 +28,7 @@ from planprobe.policies import POLICY_KINDS, Policy, cumulative_plan_prob
 from planprobe.recognizer import HypothesisSet, recognize
 
 from . import oracles
+from .conftest import builtin_quartet
 
 OBS_LENS = (3, 4, 5, 6)
 PER_OBS_LEN = 13
