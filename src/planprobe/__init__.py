@@ -10,6 +10,7 @@ from .errors import (
     OracleInconsistencyError,
     PlanError,
     PlanProbeError,
+    PlanTooDeepError,
     PolicyError,
     UnexplainableObservationError,
     ZeroWeightError,

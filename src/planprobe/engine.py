@@ -26,14 +26,18 @@ asking every question would give.
 
 The relations are read from a RelationTable that the set holds: relations
 builds it on a set's first use and update hands it on to the derived set,
-so every loop and selector over one h0 evaluates each column once.
+so every loop and selector over one h0 evaluates each column once. The
+table names each plan up to marks by an int id, and the loop works in ids:
+asked and settled plans are id sets, and an answer prunes by the id the
+loop interned for the question.
 
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
 lists the open candidates, the only plans a selector reads, from one row per
-live class. Between questions the loop holds only the live mask and weights,
-renormalized at each answer as HypothesisSet.normalized does, and builds the
-final HypothesisSet once.
+live class. The loop lists them once per question and hands them to the
+policy with the set. Between questions it holds only the live mask and
+weights, renormalized at each answer as HypothesisSet.normalized does, and
+builds the final HypothesisSet once.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bit_selectors(mask: int) -> bytes:
@@ -114,11 +119,14 @@ class RelationTable:
     plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
     lists the ids per root label and label_owners holds the mask of
     hypotheses with a plan of each root label. Hypotheses with one set of
-    plan ids form a mark-free class, and both owner maps are filled with
-    one mask per class; reps masks each class's first member in h0 order,
-    its representative. Every column below is a union of owners masks, so a
-    live mask derived from h0 by answers holds whole classes, and its
-    representatives stand for them.
+    plan ids form a mark-free class; reps masks each class's first member
+    in h0 order, its representative. Every column below is a union of
+    owners masks, so a live mask derived from h0 by answers holds whole
+    classes, and its representatives stand for them.
+
+    The masks are built in time linear in h0: one flag byte per hypothesis
+    in one bytearray per plan id (and one for the representatives), each
+    read once as a base-2 int.
 
     The columns refine(t) and match(t) depend on h0 alone and are exact
     over all of it. Each is filled once, on first use, evaluating the
@@ -134,18 +142,23 @@ class RelationTable:
         self.plans: list[PlanNode] = []
         self.owners: list[int] = []
         self.by_label: dict[str, list[int]] = {}
-        self.label_owners: dict[str, int] = {}
         self.per_hyp = tuple(tuple(map(self.intern, h.plans)) for h in h0.hypotheses)
-        classes: dict[frozenset[int], list[int]] = {}
+        n = len(self.per_hyp)
+        flags = [bytearray(n) for _ in range(len(self.plans) + 1)]
         for i, row in enumerate(self.per_hyp):
-            classes.setdefault(frozenset(row), []).append(i)
-        for ids, members in classes.items():
-            mask = sum(1 << i for i in members)
+            for t in row:
+                flags[t][i] = 1
+        # zipped in reverse, each class keeps the index of its first member
+        for i in dict(zip(map(frozenset, reversed(self.per_hyp)), range(n - 1, -1, -1))).values():
+            flags[-1][i] = 1
+        self.owners = [int(f[::-1].translate(_FLAG_DIGITS) or b"0", 2) for f in flags]
+        self.reps = self.owners.pop()
+        self.label_owners: dict[str, int] = {}
+        for label, ids in self.by_label.items():
+            mask = 0
             for t in ids:
-                self.owners[t] |= mask
-                label = self.plans[t].label
-                self.label_owners[label] = self.label_owners.get(label, 0) | mask
-        self.reps = sum(1 << members[0] for members in classes.values())
+                mask |= self.owners[t]
+            self.label_owners[label] = mask
         self._refine: dict[int, int] = {}  # plan id -> column
         self._match: dict[int, int] = {}
 
@@ -190,16 +203,22 @@ class RelationTable:
             columns[t] = column
         return column
 
-    def candidates(self, alive: int, closed: set[PlanNode]) -> Iterator[int]:
+    def candidates(self, alive: int, closed: set[PlanNode]) -> list[int]:
         """Ids of the not-yet-closed plans of the live hypotheses, in
-        first-occurrence order. Only the representatives' rows are read: a
-        class's later members hold no id its representative lacks."""
-        skip = set(map(self.intern, closed))
+        first-occurrence order."""
+        return self.open_ids(alive, set(map(self.intern, closed)))
+
+    def open_ids(self, alive: int, skip: set[int]) -> list[int]:
+        """Ids of the live hypotheses' plans not in skip, in first-occurrence
+        order; skip gains each id listed. Only the representatives' rows are
+        read: a class's later members hold no id its representative lacks."""
+        out = []
         for row in compress(self.per_hyp, bit_selectors(alive & self.reps)):
             for t in row:
                 if t not in skip:
                     skip.add(t)
-                    yield t
+                    out.append(t)
+        return out
 
 
 @dataclass(frozen=True)
@@ -207,12 +226,17 @@ class LiveSet:
     """What the query loop holds between questions: h0's relation table and
     a live mask over h0, and the live hypotheses' weights in h0 order. It
     reads like a HypothesisSet but builds Hypothesis objects only when asked
-    for them."""
+    for them. The set the loop hands a policy also carries handed:
+    (closed, len(closed), ids), the question's open candidate ids in
+    first-occurrence order and the closed set they were listed for, so the
+    selector need not list them again. The ids hold only for that set at
+    that size, as passed in the same select call; None elsewhere."""
 
     relations: tuple[RelationTable, int]
     weights: list[float]
     observation_count: int
     truncated: bool
+    handed: tuple[set[PlanNode], int, list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -239,9 +263,9 @@ def relations(hset: HypothesisSet | LiveSet) -> tuple[RelationTable, int]:
     return hset.relations
 
 
-def _pruned(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> LiveSet:
+def _pruned(hset: HypothesisSet | LiveSet, t: int, answer: bool) -> LiveSet:
+    """The set pruned by the answer to the plan of id t in its table."""
     table, alive = relations(hset)
-    t = table.intern(plan)
     kept = alive & (table.match(t) if answer else ~table.refine(t))
     if not kept:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
@@ -256,7 +280,7 @@ def update(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> Hypot
     the set (truncated input or an untruthful oracle) and raises
     OracleInconsistencyError. The result shares the input's relation
     table."""
-    return _pruned(hset, plan, answer).to_set()
+    return _pruned(hset, relations(hset)[0].intern(plan), answer).to_set()
 
 
 def candidate_plans(hset: HypothesisSet | LiveSet, closed: set[PlanNode]) -> list[PlanNode]:
@@ -336,11 +360,14 @@ def run_query_loop(
     the oracle's truth (the guarantee that pruning can never empty the set).
 
     Before each select, the candidates whose answer is forced are closed
-    unasked, by rules (a) and (b) of the module docstring.
+    unasked, by rules (a) and (b) of the module docstring. The open
+    candidates are listed once per question, by id, skipping the asked and
+    settled ids.
 
-    After the first answer the loop holds, and hands the policy, a LiveSet
-    sharing h0's relation table. It returns h0 when nothing was asked, and
-    otherwise the set that updating h0 by every answer would give.
+    When h0 has two or more hypotheses the loop holds a LiveSet sharing
+    h0's relation table, and hands the policy one that carries the open
+    ids. It returns h0 when nothing was asked, and otherwise the set that
+    updating h0 by every answer would give.
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
@@ -348,19 +375,22 @@ def run_query_loop(
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
+    if len(h0) < 2:
+        return h0, trace
+    table, alive = relations(h0)
+    current = LiveSet((table, alive), h0.weights, h0.observation_count, h0.truncated)
     # closed holds a plan per asked or settled id; asked and settled split it
     closed: set[PlanNode] = set()
     asked: set[int] = set()
     settled: set[int] = set()
     last_true: PlanNode | None = None
-    current = h0
 
     def settle(ids: list[int]) -> None:
         settled.update(ids)
         closed.update(table.plans[t] for t in ids)
 
     while len(current) > 1:
-        table, alive = relations(current)
+        alive = current.relations[1]
         by_answer = []
         if last_true is not None:
             by_answer = [
@@ -369,7 +399,7 @@ def run_query_loop(
                 and is_refinement(table.plans[t], last_true)
             ]
             settle(by_answer)
-        open_ids = list(table.candidates(alive, closed))
+        open_ids = table.open_ids(alive, asked | settled)
         by_premise = [
             t for t in open_ids
             if not alive & ~table.label_owners[table.plans[t].label]
@@ -378,6 +408,9 @@ def run_query_loop(
         settle(by_premise)
         if len(open_ids) == len(by_premise):
             break
+        if by_premise:
+            open_ids = [t for t in open_ids if t not in settled]
+        object.__setattr__(current, "handed", (closed, len(closed), open_ids))
         plan = policy.select(current, closed)
         t = table.intern(plan)
         if t in asked:
@@ -387,9 +420,9 @@ def run_query_loop(
         if not table.owners[t] & alive:
             raise PolicyError(f"policy {policy.kind!r} returned a plan outside the hypothesis set")
         answer = query_answer(oracle, plan)
-        current = _pruned(current, plan, answer)
+        current = _pruned(current, t, answer)
         asked.add(t)
         closed.add(plan)
         trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
         last_true = plan if answer else None
-    return (current.to_set() if isinstance(current, LiveSet) else current), trace
+    return (current.to_set() if trace.steps else h0), trace

@@ -30,6 +30,10 @@ class PlanError(PlanProbeError):
     """Invalid plan structure or illegal plan operation."""
 
 
+class PlanTooDeepError(PlanError):
+    """A plan record nested deeper than any library allows."""
+
+
 class UnexplainableObservationError(PlanProbeError):
     """No hypothesis can explain an observation. `kind` is "complex" or
     "unknown" for an action that is not basic. `truncated` marks a set that

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .domains import GenParams, Instance, gen_instance
 from .engine import QueryOracle, run_query_loop
-from .errors import PlanProbeError
+from .errors import PlanProbeError, PlanTooDeepError
 from .library import parse_library, serialize_library
 from .plans import (
     Hypothesis,
@@ -87,7 +87,7 @@ def load_instance(library_path: Path, obs_path: Path, truth_path: Path) -> Insta
         truth = hypothesis_from_dict(json.loads(read_text(truth_path)))
     except json.JSONDecodeError as e:
         raise PlanProbeError(f"{truth_path}: truth file is not valid JSON: {e}") from None
-    except RecursionError:
+    except (RecursionError, PlanTooDeepError):
         raise PlanProbeError(f"{truth_path}: truth file nested too deeply") from None
     return Instance(lib, truth, tuple(observations))
 

@@ -13,9 +13,11 @@ A library file is a JSON document with top-level keys:
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -29,6 +31,14 @@ PRIOR_TOLERANCE = 1e-9
 # this limit they stay well inside the interpreter's default recursion limit
 # of 1000 (a 330-step chain already exhausted it in `sprp --verify`).
 MAX_GRAMMAR_DEPTH = 200
+
+
+def left_sum(values) -> float:
+    """Floats added left to right, as sum() did before 3.12 made its float
+    sum compensated. Weights and scores go through this, so they come out
+    bit for bit the same on every supported version."""
+    return functools.reduce(operator.add, values, 0.0)
+
 
 def _order_closure(n: int, order: frozenset[tuple[int, int]], where: str) -> tuple[int, ...]:
     """Predecessor bitmask per constituent index (bit j stands for
@@ -158,7 +168,7 @@ class PlanLibrary:
                     raise LibraryValidationError(f"negative goal prior for {g!r}")
                 if not math.isfinite(p):
                     raise LibraryValidationError(f"goal prior for {g!r} is not finite")
-            total = sum(self.goal_priors.get(g, 0.0) for g in self.goals)
+            total = left_sum(self.goal_priors.get(g, 0.0) for g in self.goals)
             if not abs(total - 1.0) <= PRIOR_TOLERANCE:
                 raise LibraryValidationError(f"goal priors sum to {total}, expected 1")
             object.__setattr__(

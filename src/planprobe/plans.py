@@ -20,15 +20,16 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import PlanError
-from .library import PlanLibrary
+from .errors import PlanError, PlanTooDeepError
+from .library import MAX_GRAMMAR_DEPTH, PlanLibrary
 
 Path = tuple[int, ...]
 
 
 class PlanNode:
     """Immutable tree node, and as a root a whole plan. Hash is computed
-    once at construction."""
+    once at construction; pickling and copying rebuild a node through the
+    constructor, because the hash of its fields differs between processes."""
 
     __slots__ = ("label", "method", "children", "observed", "_hash")
 
@@ -51,6 +52,9 @@ class PlanNode:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return PlanNode, (self.label, self.method, self.children, self.observed)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -274,9 +278,14 @@ def plan_to_dict(plan: PlanNode) -> dict:
 
 def plan_from_dict(doc: dict) -> PlanNode:
     """Inverse of plan_to_dict: label a non-empty string, method a string,
-    observed an int (not a bool), children a list; PlanError otherwise."""
+    observed an int (not a bool), children a list; PlanError otherwise.
+    A plan deeper than any library allows (MAX_GRAMMAR_DEPTH + 1 levels)
+    raises PlanTooDeepError, a PlanError, so that a document the JSON parser
+    reads on one Python version and not on another is rejected on each."""
 
-    def decode(record: dict) -> PlanNode:
+    def decode(record: dict, depth: int = 0) -> PlanNode:
+        if depth > MAX_GRAMMAR_DEPTH:
+            raise PlanTooDeepError("plan nested deeper than any library allows")
         if not isinstance(record, dict) or not isinstance(record.get("label"), str) or not record["label"]:
             raise PlanError(f"plan record needs a non-empty string label: {record!r}")
         method, observed, children = record.get("method"), record.get("observed"), record.get("children", [])
@@ -286,7 +295,7 @@ def plan_from_dict(doc: dict) -> PlanNode:
             raise PlanError(f"observation index must be an integer, got {observed!r}")
         if not isinstance(children, list):
             raise PlanError(f"plan children must be a list, got {children!r}")
-        return PlanNode(record["label"], method, tuple(map(decode, children)), observed)
+        return PlanNode(record["label"], method, tuple(decode(c, depth + 1) for c in children), observed)
 
     return decode(doc)
 

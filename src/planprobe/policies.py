@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import PolicyError
+from .library import left_sum
 from .plans import PlanNode
 from .recognizer import HypothesisSet
 from .engine import LiveSet, RelationTable, bit_selectors, relations, restrict
@@ -33,7 +34,7 @@ def _rng(seed: int, closed: set[PlanNode]) -> random.Random:
 def _refinement_mass(table: RelationTable, alive: int, weights: list[float], t: int) -> float:
     """Total weight of the live hypotheses holding a plan refinable from
     plan id `t`."""
-    return sum(restrict(weights, alive, table.refine(t)))
+    return left_sum(restrict(weights, alive, table.refine(t)))
 
 
 def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float:
@@ -46,7 +47,7 @@ def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float
 def _entropy_of_weights(weights: list[float]) -> float:
     if len(weights) <= 1:
         return 0.0
-    total = sum(weights)
+    total = left_sum(weights)
     e = 0.0
     for w in weights:
         p = w / total
@@ -64,8 +65,15 @@ def entropy(hset: HypothesisSet) -> float:
 def _open_candidates(
     hset: HypothesisSet | LiveSet, closed: set[PlanNode]
 ) -> tuple[RelationTable, int, list[int]]:
+    """The set's table, live mask and open candidate ids: those the query
+    loop handed over on the set if they were listed for this closed set at
+    its present size, else listed here."""
     table, alive = relations(hset)
-    candidates = list(table.candidates(alive, closed))
+    handed = getattr(hset, "handed", None)
+    if handed is not None and handed[0] is closed and handed[1] == len(closed):
+        candidates = handed[2]
+    else:
+        candidates = table.candidates(alive, closed)
     if not candidates:
         raise PolicyError("no candidate plans left to query")
     return table, alive, candidates
@@ -83,7 +91,8 @@ def _best(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int, score
 
 
 def select_random(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:
-    return _best(hset, closed, seed, lambda *_: 0.0)
+    table, alive, candidates = _open_candidates(hset, closed)
+    return table.plan(candidates[0] if len(candidates) == 1 else _rng(seed, closed).choice(candidates), alive)
 
 
 def select_mph(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) -> PlanNode:

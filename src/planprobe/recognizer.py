@@ -36,7 +36,7 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import PlanError, UnexplainableObservationError, ZeroWeightError
-from .library import PlanLibrary
+from .library import PlanLibrary, left_sum
 from .plans import Hypothesis, Path, PlanNode, _replace
 
 if TYPE_CHECKING:
@@ -74,7 +74,7 @@ class HypothesisSet:
     def __post_init__(self):
         object.__setattr__(self, "weights", [h.weight for h in self.hypotheses])
         if self.hypotheses:
-            total = sum(self.weights)
+            total = left_sum(self.weights)
             if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
                 raise ValueError(f"hypothesis weights sum to {total}, expected 1")
 
@@ -100,7 +100,7 @@ def normalize(weights: list[float]) -> list[float]:
     must be positive, else ZeroWeightError. HypothesisSet.normalized and the
     query loop both renormalize through this, so their weights agree bit for
     bit."""
-    total = sum(weights)
+    total = left_sum(weights)
     if total <= 0:
         raise ZeroWeightError("every hypothesis left has weight 0, so none can be normalized")
     return [w / total for w in weights]

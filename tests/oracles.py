@@ -21,10 +21,12 @@ production serialization and checks plans.hypothesis_key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from collections import Counter
 from itertools import compress
@@ -394,8 +396,14 @@ def candidate_plans(hset, closed: set, key=plan_shape) -> list[PlanNode]:
     return out
 
 
+def _left_sum(values) -> float:
+    """Floats added left to right, the order the package sums weights in on
+    every version (builtin sum compensates from CPython 3.12 on)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def cumulative_plan_prob(hset, plan: PlanNode) -> float:
-    return sum(h.weight for h in hset.hypotheses if any(is_refinement(plan, p) for p in h.plans))
+    return _left_sum(h.weight for h in hset.hypotheses if any(is_refinement(plan, p) for p in h.plans))
 
 
 def _rng(seed: int, closed: set) -> random.Random:
@@ -408,7 +416,7 @@ def _rng(seed: int, closed: set) -> random.Random:
 def _entropy_of_weights(weights: list[float]) -> float:
     if len(weights) <= 1:
         return 0.0
-    total = sum(weights)
+    total = _left_sum(weights)
     e = 0.0
     for w in weights:
         p = w / total
@@ -519,7 +527,7 @@ def table_update(hset, plan: PlanNode, answer: bool):
     if not kept:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
     survivors = list(restrict(hset.hypotheses, alive, kept))
-    total = sum(h.weight for h in survivors)
+    total = _left_sum(h.weight for h in survivors)
     out = HypothesisSet(tuple(Hypothesis(h.plans, h.weight / total) for h in survivors),
                         hset.observation_count, hset.truncated)
     object.__setattr__(out, "relations", (table, kept))
@@ -556,7 +564,7 @@ def table_select(kind: str, hset, closed: set, seed: int) -> PlanNode:
 
     def score(t: int) -> float:
         refine = table.refine(t)
-        p_true = sum(restrict(weights, alive, refine))
+        p_true = _left_sum(restrict(weights, alive, refine))
         if kind == "mpp":
             return p_true
         ent_true = _entropy_of_weights(list(restrict(weights, alive, table.match(t))))

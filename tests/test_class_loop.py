@@ -6,22 +6,26 @@ For every policy, on the instances of test_relation_table.py and on the
 three largest h0 of the obs-9 batch, both loops must ask the same plan
 object at every step, get the same answer, and report the same remaining
 and settled counts; their final sets must be equal, weights compared with
-==. A hand-built set pins the mph tie between mark variants
-whose weights differ in the last bit. Every select must also pick the plan
-of the reference selector, which builds its generator even when there is
-no tie to break.
+==. At every select the open ids the loop hands over on the set must be
+those the table lists for the loop's closed plans, and a selector given
+another closed set must list them again. A hand-built set pins
+the mph tie between mark variants whose weights differ in the last bit.
+Every select must also pick the plan of the reference selector, which
+builds its generator even when there is no tie to break.
 
 The class data itself is checked on the same instances: one representative
-per distinct set of plan ids, and every column the loop reads all-or-nothing
-on each class. And no loop may tie h0 into a reference cycle.
+per distinct set of plan ids, every column the loop reads all-or-nothing on
+each class, and the owner and representative masks equal to one sum of bits
+per class. And no loop may tie h0 into a reference cycle.
 """
 
+import functools
 import gc
 import weakref
 
 import pytest
 
-from planprobe.engine import QueryOracle, relations, run_query_loop, update
+from planprobe.engine import QueryOracle, RelationTable, relations, run_query_loop, update
 from planprobe.experiment import ExperimentSpec, _instances_for
 from planprobe.plans import Hypothesis, PlanNode
 from planprobe import policies
@@ -32,10 +36,29 @@ from . import oracles
 from .test_relation_table import INSTANCES
 
 
+class HandedChecked:
+    """Policy that requires, at each select, the open ids handed over on the
+    set to equal the table's listing for the closed plans."""
+
+    def __init__(self, policy: Policy):
+        self.kind = policy.kind
+        self.policy = policy
+        self.selects = 0
+
+    def select(self, hset, closed):
+        table, alive = relations(hset)
+        assert hset.handed[0] is closed and hset.handed[1] == len(closed)
+        assert hset.handed[2] == list(table.candidates(alive, closed))
+        self.selects += 1
+        return self.policy.select(hset, closed)
+
+
 def _assert_same_run(h0, truth, kind: str, seed: int):
     oracle = QueryOracle(truth)
     want, want_trace = oracles.table_query_loop(h0, oracle, kind, seed)
-    got, trace = run_query_loop(h0, oracle, Policy(kind, seed))
+    policy = HandedChecked(Policy(kind, seed))
+    got, trace = run_query_loop(h0, oracle, policy)
+    assert policy.selects == len(trace.steps)
     assert len(trace.steps) == len(want_trace.steps)
     for step, ref in zip(trace.steps, want_trace.steps):
         assert step.plan is ref.plan
@@ -55,14 +78,72 @@ def test_loop_equals_per_hypothesis_loop(name, h0, truth):
 LARGE = {"L9_r013": 20184, "L9_r004": 2640, "L9_r016": 864}
 
 
-@pytest.mark.parametrize("stem", LARGE)
-def test_large_h0_loops_equal_per_hypothesis_loop(stem):
-    instances = dict(_instances_for(ExperimentSpec(obs_lens=(9,), reps=20, seed=5)))
-    inst = instances[stem]()
+@functools.cache
+def _large(stem: str):
+    inst = dict(_instances_for(ExperimentSpec(obs_lens=(9,), reps=20, seed=5)))[stem]()
     h0 = recognize(inst.library, list(inst.observations))
     assert len(h0) == LARGE[stem]
+    return h0, inst.truth
+
+
+@pytest.mark.parametrize("stem", LARGE)
+def test_large_h0_loops_equal_per_hypothesis_loop(stem):
+    h0, truth = _large(stem)
     for kind in POLICY_KINDS:
-        assert _assert_same_run(h0, inst.truth, kind, seed=7).query_count >= 2
+        assert _assert_same_run(h0, truth, kind, seed=7).query_count >= 2
+
+
+class KeepsSet:
+    """Policy that keeps the set and a copy of the closed plans of its
+    first select at which some plan is closed."""
+
+    def __init__(self, kind: str, seed: int):
+        self.kind, self.policy, self.kept = kind, Policy(kind, seed), None
+
+    def select(self, hset, closed):
+        if closed and self.kept is None:
+            self.kept = (hset, set(closed))
+        return self.policy.select(hset, closed)
+
+
+def test_ids_handed_for_another_closed_set_are_listed_again():
+    h0, truth = _large("L9_r016")
+    policy = KeepsSet("random", 7)
+    run_query_loop(h0, QueryOracle(truth), policy)
+    hset, closed = policy.kept
+    table, alive = relations(hset)
+    # The closed set the ids were listed for, copied; the loop's own set,
+    # which later questions grew; that copy grown by the plan of the first
+    # handed id; and one of its plans swapped for that plan, so its size is
+    # unchanged.
+    first = table.plans[hset.handed[2][0]]
+    grown = closed | {first}
+    swapped = set(closed)
+    swapped.pop()
+    swapped.add(first)
+    for other in (set(closed), hset.handed[0], grown, swapped):
+        assert policies._open_candidates(hset, other)[2] == list(table.candidates(alive, other))
+    assert hset.handed[2][0] not in policies._open_candidates(hset, swapped)[2]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in INSTANCES] + list(LARGE))
+def test_masks_equal_one_sum_per_class(name):
+    h0 = _large(name)[0] if name in LARGE else next(h for n, h, _ in INSTANCES if n == name)
+    table = RelationTable(h0)
+    classes: dict[frozenset, list[int]] = {}
+    for i, row in enumerate(table.per_hyp):
+        classes.setdefault(frozenset(row), []).append(i)
+    owners = [0] * len(table.plans)
+    label_owners: dict[str, int] = {}
+    for ids, members in classes.items():
+        mask = sum(1 << i for i in members)
+        for t in ids:
+            owners[t] |= mask
+            label = table.plans[t].label
+            label_owners[label] = label_owners.get(label, 0) | mask
+    assert table.owners == owners
+    assert table.label_owners == label_owners
+    assert table.reps == sum(1 << members[0] for members in classes.values())
 
 
 def _g(mark: int) -> PlanNode:

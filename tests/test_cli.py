@@ -206,10 +206,22 @@ def test_deeply_nested_truth_file_exits_1_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {truth}: truth file nested too deeply\n"
 
 
+def test_truth_one_level_past_any_library_exits_1_as_nested_too_deeply(tmp_path, capsys):
+    # Shallow enough for the JSON parser on every version, so the plan
+    # decoder must report it, and with the same line as deeper files.
+    lib, obs = _chain_files(tmp_path, MAX_GRAMMAR_DEPTH)
+    truth = tmp_path / "deep.truth.json"
+    truth.write_text(_nested_truth(MAX_GRAMMAR_DEPTH + 1))
+    assert main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth)]) == 1
+    assert capsys.readouterr().err == f"error: {truth}: truth file nested too deeply\n"
+
+
 def test_deeply_nested_library_file_exits_1_with_one_line(tmp_path, capsys):
     _, obs = _chain_files(tmp_path, 1)
     lib = tmp_path / "deep.library.json"
-    lib.write_text("[" * 3000 + "]" * 3000)
+    # deeper than the JSON parser's own limit on every supported version:
+    # CPython 3.13 parses 3,000 levels
+    lib.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
     assert capsys.readouterr().err == "error: invalid library file: nested too deeply\n"
 

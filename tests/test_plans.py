@@ -1,11 +1,17 @@
 import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planprobe
 from planprobe.domains import GenParams, gen_instance
-from planprobe.errors import PlanError
-from planprobe.library import PlanLibrary, RefinementMethod
+from planprobe.errors import PlanError, PlanTooDeepError
+from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
@@ -204,6 +210,29 @@ class TestCanonicalKey:
     def test_distinct_plans_differ(self, quartet):
         assert quartet.p1 != quartet.p3
 
+    def test_pickled_under_another_hash_seed_equal(self):
+        # A node's cached hash covers str hashes, which follow the hash
+        # seed, so unpickling must rebuild the node, not restore its fields.
+        script = (
+            "import pickle, sys\n"
+            "from planprobe.plans import PlanNode\n"
+            "leaf = PlanNode('a', observed=0)\n"
+            "sys.stdout.buffer.write(pickle.dumps(PlanNode('g', 'm', (leaf, PlanNode('b')))))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(planprobe.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        loaded = pickle.loads(done.stdout)
+        built = PlanNode("g", "m", (PlanNode("a", observed=0), PlanNode("b")))
+        assert loaded == built
+        assert hash(loaded) == hash(built)
+        assert {built: "hit"}.get(loaded) == "hit"
+        copied = copy.deepcopy(loaded)
+        assert copied == built and hash(copied) == hash(built)
+
     def test_no_collisions_on_random_plans(self):
         rng = random.Random(29)
         libs = [gen_instance(GenParams(seed=s, obs_len=3)).library for s in range(3)]
@@ -297,6 +326,19 @@ def test_serialization_round_trip():
     for i in range(300):
         p = random_plan(libs[i % len(libs)], rng)
         assert plan_from_dict(plan_to_dict(p)) == p
+
+
+def test_plan_past_any_library_depth_raises_plan_error():
+    def chain(levels):
+        doc = {"label": "a", "observed": 0}
+        for i in range(levels):
+            doc = {"label": f"c{i}", "method": f"m{i}", "children": [doc]}
+        return doc
+
+    assert plan_from_dict(chain(MAX_GRAMMAR_DEPTH)).label == f"c{MAX_GRAMMAR_DEPTH - 1}"
+    with pytest.raises(PlanTooDeepError, match="^plan nested deeper than any library allows$") as e:
+        hypothesis_from_dict({"plans": [chain(MAX_GRAMMAR_DEPTH + 1)]})
+    assert isinstance(e.value, PlanError)
 
 
 def test_is_complete(chem, minimal_lib):
