@@ -239,10 +239,11 @@ def validate_plan(lib: PlanLibrary, plan: PlanNode) -> None:
 
 def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
     """Plans valid, roots are goals, observation indices unique across plans,
-    and at most one plan per goal holds observations: recognition builds one
-    plan per goal, so no hypothesis could refine to a goal's split plans."""
+    and every plan holds observations, at most one plan per goal: recognition
+    starts each plan from an observation and builds one plan per goal, so no
+    hypothesis could refine to an unmarked plan or to a goal's split plans."""
     seen_marks: set[int] = set()
-    observed_roots: list[str] = []
+    roots: list[str] = []
     for plan in h.plans:
         validate_plan(lib, plan)
         if plan.label not in lib.goals:
@@ -253,11 +254,11 @@ def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
                 if node.observed in seen_marks:
                     raise PlanError(f"observation index {node.observed} used by two plans")
                 seen_marks.add(node.observed)
-        if len(seen_marks) > marks_before:
-            observed_roots.append(plan.label)
-    for i, root in enumerate(observed_roots):
-        if root in observed_roots[:i]:
-            raise PlanError(f"goal {root!r} has more than one plan holding observations")
+        if len(seen_marks) == marks_before:
+            raise PlanError(f"plan of goal {plan.label!r} holds no observation")
+        if plan.label in roots:
+            raise PlanError(f"goal {plan.label!r} has more than one plan holding observations")
+        roots.append(plan.label)
 
 
 def plan_to_dict(plan: PlanNode) -> dict:

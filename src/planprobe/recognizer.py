@@ -25,7 +25,9 @@ and a new plan for a goal is one of that goal's subtrees. _step returns plans
 only; _fold weighs just the set it returns, by the product
 hypothesis_weight forms from each hypothesis's own plans, plus a capped
 step's successors to choose the ones it keeps. No two successors are equal
-(see _step), so none are merged. explain_step is that step on its own.
+(see _step), so none are merged. explain_step is that step on its own; the
+set it returns holds its memo and the next explain_step continues it, so a
+chain of steps keeps one memo as recognize does.
 """
 
 from __future__ import annotations
@@ -61,14 +63,18 @@ class HypothesisSet:
     completeness guarantees no longer hold. relations is the set's relation
     table and the mask of its hypotheses over the table's order, held for
     engine.relations: built on first use, and inherited by every set that
-    engine.update or the query loop derives from this one. It is not an
-    init field, so dataclasses.replace never copies it onto other
-    hypotheses. weights lists the hypotheses' weights, read once."""
+    engine.update or the query loop derives from this one. memo is the node
+    memo of the explain_step chain that built the set, which the next step
+    continues; it keeps every node that chain met alive as long as the set.
+    Neither is an init field, so dataclasses.replace and normalized never
+    copy them onto other hypotheses. weights lists the hypotheses' weights,
+    read once."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
     truncated: bool = False
     relations: tuple[RelationTable, int] | None = field(default=None, init=False, compare=False, repr=False)
+    memo: _PlanMemo | None = field(default=None, init=False, compare=False, repr=False)
     weights: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -108,16 +114,17 @@ def normalize(weights: list[float]) -> list[float]:
 
 @dataclass
 class _PlanMemo:
-    """What one recognition run knows about each plan node it has met (a
-    plan is its root node), keyed by the node itself, marks included:
-    whether its subtree is fully observed, its enabled frontier as (path
-    relative to the node, node) pairs in left-to-right order, and the weight
-    factors of its expanded nodes in preorder; plus, per method id, its
-    predecessor masks and one tuple of blank constituent nodes, shared by
-    every graft subtree built, and per label one over its method count.
-    Plans are persistent trees, so a grown plan shares every subtree off its
-    attachment path with the plan it grew from, and only the nodes on that
-    path and in the grafted subtree are new here."""
+    """What one recognize call, or one chain of explain_step calls, knows
+    about each plan node it has met (a plan is its root node), keyed by the
+    node itself, marks included: whether its subtree is fully observed, its
+    enabled frontier as (path relative to the node, node) pairs in
+    left-to-right order, and the weight factors of its expanded nodes in
+    preorder; plus, per method id, its predecessor masks and one tuple of
+    blank constituent nodes, shared by every graft subtree built, and per
+    label one over its method count. Plans are persistent trees, so a grown
+    plan shares every subtree off its attachment path with the plan it grew
+    from, and only the nodes on that path and in the grafted subtree are new
+    here."""
 
     lib: PlanLibrary
     nodes: dict[PlanNode, tuple] = field(default_factory=dict)
@@ -269,15 +276,15 @@ def _step(
     return successors
 
 
-def _fold(lib: PlanLibrary, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
-    """_step folded from hset over the observations with one node memo.
-    A step with more successors than the cap weighs them all, keeps the
-    heaviest, ties in emission order, and marks the set truncated. No other
-    intermediate successor is weighed: one weight pass over the final set,
-    normalized, and each Hypothesis built once. The fold makes no reference
-    cycles, so the cyclic collector is off while it runs and its prior
-    state is restored on the way out, error or not."""
-    cap, memo, truncated = (cfg or RecognizerConfig()).max_hypotheses, _PlanMemo(lib), hset.truncated
+def _fold(lib: PlanLibrary, memo: _PlanMemo, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
+    """_step folded from hset over the observations with the node memo
+    `memo`. A step with more successors than the cap weighs them all, keeps
+    the heaviest, ties in emission order, and marks the set truncated. No
+    other intermediate successor is weighed: one weight pass over the final
+    set, normalized, and each Hypothesis built once. The fold makes no
+    reference cycles, so the cyclic collector is off while it runs and its
+    prior state is restored on the way out, error or not."""
+    cap, truncated = (cfg or RecognizerConfig()).max_hypotheses, hset.truncated
     hypotheses = [h.plans for h in hset.hypotheses]
     collecting = gc.isenabled()
     gc.disable()
@@ -308,13 +315,21 @@ def explain_step(
     action. `hset` is the seed or some hypotheses, under any weights, of a
     set that recognize or explain_step built: then no successors are equal.
 
-    One step of recognize with a fresh node memo: each distinct plan is
+    One step of recognize, continuing the node memo that `hset` holds when
+    explain_step built it over the same library object, else with a fresh
+    one; the set returned holds that memo. A chain of steps from the seed
+    therefore keeps one memo, as recognize does: each distinct plan is
     grown once, and each node's frontier and weight factors are computed
-    once. The set returned, and under a binding cap every successor, is
+    once per chain. A memo entry depends on the library and the node alone,
+    so the steps taken from `hset` before, or one that raised, change no
+    result. The set returned, and under a binding cap every successor, is
     weighed from its own plans and the incoming weights are not read, so
     explain_step(lib, recognize(lib, obs[:k]), obs[k]) equals
     recognize(lib, obs[:k + 1])."""
-    return _fold(lib, hset, [action], cfg)
+    memo = hset.memo if hset.memo is not None and hset.memo.lib is lib else _PlanMemo(lib)
+    out = _fold(lib, memo, hset, [action], cfg)
+    object.__setattr__(out, "memo", memo)
+    return out
 
 
 def recognize(
@@ -332,7 +347,9 @@ def recognize(
     factors from the step before. Only a step the cap binds weighs its
     successors, and the final set is weighed once and normalized, each
     hypothesis from its plans alone, so the result equals folding
-    explain_step over the observations."""
+    explain_step over the observations. The memo is dropped on return: the
+    set recognize builds is the one the query loop reads, and a memo kept
+    alive with it slows every session."""
     if not observations:
         raise PlanError("observation sequence is empty")
-    return _fold(lib, HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)
+    return _fold(lib, _PlanMemo(lib), HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)

@@ -271,9 +271,9 @@ def test_sprp_mismatched_truth_exits_1(chem_files, tmp_path, chem, capsys):
     assert code == 1
 
 
-def test_sprp_inconsistent_truth_exits_3(chem_files, tmp_path, chem, capsys):
-    # a two-plan truth describes the single observation but no single-plan
-    # hypothesis can be refined to it, so the oracle premise fails
+def test_sprp_unmarked_truth_plan_exits_1(chem_files, tmp_path, chem, capsys):
+    # recognition starts every plan from an observation, so no hypothesis
+    # can be refined to a truth whose second plan holds none: an input error
     lib, obs, _ = chem_files
     pairwise = chem["pairwise_first_mix"].truth.plans[0]
     fourway_unmarked = json.loads(
@@ -285,7 +285,28 @@ def test_sprp_inconsistent_truth_exits_3(chem_files, tmp_path, chem, capsys):
     truth = tmp_path / "twoplan.truth.json"
     truth.write_text(json.dumps(doc))
     code = main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth)])
+    assert code == 1
+    goal = fourway_unmarked["label"]
+    assert capsys.readouterr().err == f"error: plan of goal {goal!r} holds no observation\n"
+
+
+def test_sprp_inconsistent_truth_exits_3(tmp_path, capsys):
+    # the truth marks both observations and describes them, but under method
+    # m, whose order puts a first; recognition explains "b a" only by m2, so
+    # no hypothesis can be refined to the truth and the oracle premise fails
+    methods = [{"id": "m", "head": "g", "children": ["a", "b"], "order": [[0, 1]]},
+               {"id": "m2", "head": "g", "children": ["b", "a"], "order": [[0, 1]]}]
+    lib = tmp_path / "ordered.library.json"
+    lib.write_text(json.dumps({"basic": ["a", "b"], "complex": ["g"], "goals": ["g"], "methods": methods}))
+    obs = tmp_path / "ordered.obs.txt"
+    obs.write_text("b\na\n")
+    plan = {"label": "g", "method": "m",
+            "children": [{"label": "a", "observed": 1}, {"label": "b", "observed": 0}]}
+    truth = tmp_path / "ordered.truth.json"
+    truth.write_text(json.dumps({"plans": [plan]}))
+    code = main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth)])
     assert code == 3
+    assert capsys.readouterr().err == "error: no hypothesis can be refined to the oracle's truth\n"
 
 
 def _drop_marks(doc):

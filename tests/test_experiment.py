@@ -164,6 +164,19 @@ class TestRunExperiment:
         assert result.failures == [failure]
         assert result.rows == [r for r in clean.rows if r.instance != "instance_001"]
 
+    def test_unmarked_truth_plan_fails_the_instance_once(self, tmp_path, chem):
+        # a complete plan that holds no observation is an input error when
+        # the instance loads, not an oracle failure in every policy's loop
+        save_instance(chem["pairwise_first_mix"], tmp_path, "unmarked")
+        fourway = json.dumps(plan_to_dict(chem["fourway_all_mix"].truth.plans[0]))
+        unmarked = json.loads(fourway, object_hook=lambda d: {k: v for k, v in d.items() if k != "observed"})
+        path = tmp_path / "unmarked.truth.json"
+        path.write_text(json.dumps({"plans": json.loads(path.read_text())["plans"] + [unmarked]}))
+        save_instance(gen_instance(GenParams(seed=7, obs_len=4)), tmp_path, "good")
+        result = run_experiment(ExperimentSpec(instance_dir=tmp_path))
+        assert result.failures == [f"unmarked: plan of goal {unmarked['label']!r} holds no observation"]
+        assert {r.instance for r in result.rows} == {"good"}
+
     def test_zero_total_weight_fails_one_instance(self, tmp_path):
         save_zero_prior_instances(tmp_path)
         save_instance(gen_instance(GenParams(seed=5, obs_len=3)), tmp_path, "good")

@@ -13,16 +13,24 @@ fold, must give every plan the enabled targets and weight factors of the
 reference's whole-tree walks. Each library's first-action sets must be the
 basic actions the reference enumerates chains to, and recognition must leave
 no cyclic garbage.
+
+A set that explain_step returns holds its node memo, and the next
+explain_step continues it: a chain keeps one memo, and every step from a
+carried memo, whatever the action and whatever steps from the same set came
+before it, even one that raised, must equal the step from a fresh memo. The
+set recognize returns holds none, nor does any set derived from another.
 """
 
+import dataclasses
 import gc
 import json
 
 import pytest
 
 from planprobe.domains import GenParams, builtin_chemistry, gen_instance
+from planprobe.engine import update
 from planprobe.errors import UnexplainableObservationError
-from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library
+from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import Hypothesis
 from planprobe.recognizer import (
     HypothesisSet,
@@ -281,3 +289,80 @@ def test_recognize_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _fresh(hset: HypothesisSet) -> HypothesisSet:
+    """hset without its memo, so that a step from it starts a fresh one."""
+    return HypothesisSet(hset.hypotheses, hset.observation_count, hset.truncated)
+
+
+def _step_or_index(lib, hset, action, cfg):
+    try:
+        return explain_step(lib, hset, action, cfg)
+    except UnexplainableObservationError as e:
+        return e.index
+
+
+def _carried_chain(lib, observations, cfg) -> list[bool]:
+    """Chain explain_step from the seed over the observations, and require
+    that it keeps the memo its first step made. Before each observation's
+    step, the same set first takes another basic action. Both steps must
+    equal a fresh memo's, and so must the observation's step after an
+    alternative that raised. Returns whether each alternative raised."""
+    basic = sorted(lib.basic)
+    hset, memo, raised = _seed(), None, []
+    for k, action in enumerate(observations):
+        other = [a for a in basic if a != action][k % (len(basic) - 1)]
+        alternative = _step_or_index(lib, hset, other, cfg)
+        _assert_same(alternative, _step_or_index(lib, _fresh(hset), other, cfg))
+        raised.append(isinstance(alternative, int))
+        got = _step_or_index(lib, hset, action, cfg)
+        _assert_same(got, _step_or_index(lib, _fresh(hset), action, cfg))
+        if isinstance(got, int):
+            break
+        memo = memo or got.memo
+        assert got.memo is memo and memo.lib is lib
+        hset = got
+    return raised
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_chain_carries_one_memo_and_equals_fresh_memo_steps(name, lib, observations, sizes):
+    for cfg in _configs(sizes):
+        _carried_chain(lib, observations, cfg)
+
+
+def test_carried_memo_alternatives_raise_in_some_steps():
+    """The alternatives are not vacuous: some raise and some extend."""
+    raised = [r for _, lib, obs, sizes in INSTANCES for cfg in _configs(sizes) for r in _carried_chain(lib, obs, cfg)]
+    assert sum(raised) >= 50 and raised.count(False) >= 50
+
+
+MULTI_STEP = [i for i in INSTANCES if len(i[2]) >= 2]
+
+
+@pytest.mark.parametrize("name,lib,observations,sizes", MULTI_STEP, ids=[i[0] for i in MULTI_STEP])
+def test_equal_library_object_gets_a_fresh_memo(name, lib, observations, sizes):
+    twin = parse_library(serialize_library(lib))
+    assert twin == lib and twin is not lib
+    prefix = explain_step(lib, _seed(), observations[0])
+    got = explain_step(twin, prefix, observations[1])
+    assert got.memo is not prefix.memo and got.memo.lib is twin
+    _assert_same(got, explain_step(lib, _fresh(prefix), observations[1]))
+
+
+def test_recognized_and_derived_sets_carry_no_memo():
+    q = builtin_quartet()
+    hset = _seed()
+    for action in q.observations:
+        hset = explain_step(q.library, hset, action)
+    assert hset.memo is not None
+    h0 = recognize(q.library, list(q.observations))
+    assert h0 == hset
+    unheld = (
+        h0,
+        HypothesisSet.normalized(hset.hypotheses, hset.observation_count),
+        dataclasses.replace(hset),
+        update(hset, hset.hypotheses[0].plans[0], True),
+    )
+    assert [s.memo for s in unheld] == [None, None, None, None]
