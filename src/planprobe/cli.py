@@ -129,15 +129,15 @@ def _cmd_sprp(args) -> int:
         "trace": trace.to_dict(),
         "final": [hypothesis_to_dict(h) for h in final.hypotheses],
     }
+    verified = True
     if args.verify:
         expected = {hypothesis_key(h) for h in brute_force_final_set(h0, instance.truth).hypotheses}
         got = {hypothesis_key(h) for h in final.hypotheses}
-        report["verified"] = got == expected
-        if got != expected:
-            print(json.dumps(report, indent=2))
-            print("verification failed: final set differs from exhaustive filter", file=sys.stderr)
-            return 3
+        verified = report["verified"] = got == expected
     print(json.dumps(report, indent=2))
+    if not verified:
+        print("verification failed: final set differs from exhaustive filter", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -187,8 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     except OracleInconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (PlanProbeError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (PlanProbeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -180,7 +180,7 @@ def _emit_observations(
     rng.shuffle(start_order)
     for step in range(obs_len):
         picks = [start_order[step]] if step < len(plans) else range(len(plans))
-        pool = [(i, path) for i in picks for path, _ in memo(plans[i])[1]]
+        pool = [(i, path) for i in picks for path, _ in memo[plans[i]][1]]
         if not pool:
             raise GenerationError("execution stalled before reaching obs_len")
         plan_idx, path = rng.choice(pool)

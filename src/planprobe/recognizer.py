@@ -12,15 +12,17 @@ a fully observed subtree. When a fresh expansion chain is created, it may
 only descend through order-minimal constituents, so an observation can never
 claim a position whose required predecessors were never begun.
 
-recognize folds one step over the observations with a memo keyed by tree
-node that lives for the call: each node's fully-observed flag, enabled
-frontier and weight factors are computed once. A grown plan shares every
-subtree off its attachment path with its parent, so only the new nodes are
-computed. Each distinct plan is grown once per observation. A label's graft
-subtrees, one per chain down to the action, are built straight from its
-methods once per observation, sharing each lower label's subtrees; a label
-whose first-action set lacks the action has none, so no chain to an
-unobserved action is ever built. A subtree is attached with one path copy,
+recognize folds one step over the observations with a node memo that
+lives for the call: a dict keyed by tree node that computes a missing
+node's fully-observed flag, enabled frontier and weight factors from the
+library it carries, so each is computed once. Every reader indexes it, and
+the steps read the library from it. A grown plan shares every subtree off
+its attachment path with its parent, so only the new nodes are computed.
+Each distinct plan is grown once per observation. A label's graft subtrees,
+one per chain down to the action, are built straight from its methods once
+per observation, sharing each lower label's subtrees; a label whose
+first-action set lacks the action has none, so no chain to an unobserved
+action is ever built. A subtree is attached with one path copy,
 and a new plan for a goal is one of that goal's subtrees. _step returns plans
 only; _fold weighs just the set it returns, by the product
 hypothesis_weight forms from each hypothesis's own plans, plus a capped
@@ -65,10 +67,11 @@ class HypothesisSet:
     engine.relations: built on first use, and inherited by every set that
     engine.update or the query loop derives from this one. memo is the node
     memo of the explain_step chain that built the set, which the next step
-    continues; it keeps every node that chain met alive as long as the set.
-    Neither is an init field, so dataclasses.replace and normalized never
-    copy them onto other hypotheses. weights lists the hypotheses' weights,
-    read once."""
+    continues: a dict from every node that chain met to its entry, all kept
+    alive as long as the set. An empty memo is falsy, so it is tested
+    against None. Neither is an init field, so dataclasses.replace and
+    normalized never copy them onto other hypotheses. weights lists the
+    hypotheses' weights, read once."""
 
     hypotheses: tuple[Hypothesis, ...]
     observation_count: int
@@ -112,32 +115,28 @@ def normalize(weights: list[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-@dataclass
-class _PlanMemo:
+class _PlanMemo(dict):
     """What one recognize call, or one chain of explain_step calls, knows
-    about each plan node it has met (a plan is its root node), keyed by the
-    node itself, marks included: whether its subtree is fully observed, its
-    enabled frontier as (path relative to the node, node) pairs in
-    left-to-right order, and the weight factors of its expanded nodes in
-    preorder; plus, per method id, its predecessor masks and one tuple of
-    blank constituent nodes, shared by every graft subtree built, and per
-    label one over its method count. Plans are persistent trees, so a grown
-    plan shares every subtree off its attachment path with the plan it grew
-    from, and only the nodes on that path and in the grafted subtree are new
-    here."""
+    about each plan node it has met (a plan is its root node): a dict keyed
+    by the node itself, marks included, that fills itself on a miss. Each
+    entry holds whether the node's subtree is fully observed, its enabled
+    frontier as (path relative to the node, node) pairs in left-to-right
+    order, and the weight factors of its expanded nodes in preorder, all
+    read from lib, which the memo carries. blanks holds, per method id, one
+    tuple of blank constituent nodes, shared by every graft subtree built.
+    Plans are persistent trees, so a grown plan shares every subtree off its
+    attachment path with the plan it grew from, and only the nodes on that
+    path and in the grafted subtree are new here."""
 
-    lib: PlanLibrary
-    nodes: dict[PlanNode, tuple] = field(default_factory=dict)
-    blanks: dict[str, tuple[PlanNode, ...]] = field(default_factory=dict)
-    predecessors: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    factors: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("lib", "blanks")
 
-    def __call__(self, node: PlanNode) -> tuple[bool, tuple[tuple[Path, PlanNode], ...], tuple[float, ...]]:
-        """(fully observed, enabled frontier, weight factors) of `node`."""
-        nodes = self.nodes
-        hit = nodes.get(node)
-        if hit is not None:
-            return hit
+    def __init__(self, lib: PlanLibrary):
+        self.lib = lib
+        self.blanks: dict[str, tuple[PlanNode, ...]] = {}
+
+    def __missing__(self, node: PlanNode) -> tuple[bool, tuple[tuple[Path, PlanNode], ...], tuple[float, ...]]:
+        """(fully observed, enabled frontier, weight factors) of `node`,
+        computed and stored."""
         lib = self.lib
         if node.method is None:
             full = node.observed is not None and node.label in lib.basic
@@ -147,18 +146,13 @@ class _PlanMemo:
             # a constituent is enabled when all its ordering predecessors
             # root fully observed subtrees (bits of done); a disabled one
             # holds no target, and the node is full when every bit is set
-            kids = [nodes.get(c) or self(c) for c in node.children]
+            kids = [self[c] for c in node.children]
             done = 0
             for j, kid in enumerate(kids):
                 if kid[0]:
                     done |= 1 << j
-            predecessors = self.predecessors.get(node.method)
-            if predecessors is None:
-                predecessors = self.predecessors[node.method] = lib.method(node.method).predecessors
-            factor = self.factors.get(node.label)
-            if factor is None:
-                factor = self.factors[node.label] = 1.0 / len(lib.methods_for(node.label))
-            factors = (factor,)
+            predecessors = lib.method(node.method).predecessors
+            factors = (1.0 / len(lib.methods_for(node.label)),)
             targets = []
             for i, (_, below, fs) in enumerate(kids):
                 factors += fs
@@ -166,11 +160,11 @@ class _PlanMemo:
                     for path, n in below:
                         targets.append(((i, *path), n))
             hit = (done == (1 << len(kids)) - 1, tuple(targets), factors)
-        nodes[node] = hit
+        self[node] = hit
         return hit
 
 
-def _grafts(lib: PlanLibrary, memo: _PlanMemo, cache: dict[str, list[PlanNode]], leaf: PlanNode, label: str) -> list[PlanNode]:
+def _grafts(memo: _PlanMemo, cache: dict[str, list[PlanNode]], leaf: PlanNode, label: str) -> list[PlanNode]:
     """The subtree of every fresh expansion from an open `label` node down to
     `leaf` through order-minimal positions, in chain order: methods in file
     order, positions ascending. `cache` holds one step's subtrees per label,
@@ -180,13 +174,14 @@ def _grafts(lib: PlanLibrary, memo: _PlanMemo, cache: dict[str, list[PlanNode]],
     if out is not None:
         return out
     out = cache[label] = []
+    lib = memo.lib
     methods = lib.methods_for(label)
     if leaf.label in lib.first_actions[label]:
         for m in methods:
             blanks = memo.blanks.get(m.id) or memo.blanks.setdefault(m.id, tuple(map(PlanNode, m.constituents)))
             for i in m.minimal_positions:
                 c = m.constituents[i]
-                below = (leaf,) if c == leaf.label else _grafts(lib, memo, cache, leaf, c) if c in lib.complex_actions else ()
+                below = (leaf,) if c == leaf.label else _grafts(memo, cache, leaf, c) if c in lib.complex_actions else ()
                 for sub in below:
                     out.append(PlanNode(label, m.id, blanks[:i] + (sub,) + blanks[i + 1:]))
     return out
@@ -196,9 +191,9 @@ def _weight(memo: _PlanMemo, plans: Iterable[PlanNode]) -> float:
     """Per plan, its root goal's prior, then one over the number of methods
     for each expanded node's label, in preorder; multiplied left to right,
     one factor at a time."""
-    nodes, priors, w = memo.nodes, memo.lib.goal_priors, 1.0
+    priors, w = memo.lib.goal_priors, 1.0
     for plan in plans:
-        w = prod((nodes.get(plan) or memo(plan))[2], start=w * priors[plan.label])
+        w = prod(memo[plan][2], start=w * priors[plan.label])
     return w
 
 
@@ -211,11 +206,10 @@ def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
 def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list[Path]:
     """Frontier nodes whose ordering predecessors, at every ancestor level,
     all root fully observed subtrees. Left-to-right order."""
-    return [path for path, _ in _PlanMemo(lib)(plan)[1]]
+    return [path for path, _ in _PlanMemo(lib)[plan][1]]
 
 
 def _step(
-    lib: PlanLibrary,
     memo: _PlanMemo,
     hypotheses: Iterable[tuple[PlanNode, ...]],
     index: int,
@@ -236,6 +230,7 @@ def _step(
     the ancestor nearest the root whose subtree holds no other mark, or, if
     there is none, the mark was put on a pending leaf. Distinct attachments
     to one parent give distinct plans, so no two parents share a successor."""
+    lib = memo.lib
     if not lib.is_basic(action):
         kind = "complex" if lib.is_complex(action) else "unknown"
         raise UnexplainableObservationError(index, action, kind=kind)
@@ -247,12 +242,12 @@ def _step(
         """Every way the plan at `root` absorbs the action, each made by one
         path copy."""
         out = grown_of[root] = []
-        for path, node in (memo.nodes.get(root) or memo(root))[1]:
+        for path, node in memo[root][1]:
             if node.label in lib.basic:
                 if node.label == action:
                     out.append(_replace(root, path, leaf))
                 continue
-            subtrees = _grafts(lib, memo, cache, leaf, node.label)
+            subtrees = _grafts(memo, cache, leaf, node.label)
             if subtrees and node.observed is not None:
                 raise PlanError(f"node {node.label!r} at {path} is an observed leaf")
             for sub in subtrees:
@@ -260,7 +255,7 @@ def _step(
         return out
 
     # the goals whose subtrees reach the action, in goal order
-    starts = [(goal, subtrees) for goal in lib.goals if (subtrees := _grafts(lib, memo, cache, leaf, goal))]
+    starts = [(goal, subtrees) for goal in lib.goals if (subtrees := _grafts(memo, cache, leaf, goal))]
     successors = []
     for plans in hypotheses:
         for i, root in enumerate(plans):
@@ -276,21 +271,22 @@ def _step(
     return successors
 
 
-def _fold(lib: PlanLibrary, memo: _PlanMemo, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
+def _fold(memo: _PlanMemo, hset: HypothesisSet, observations: list[str], cfg: RecognizerConfig | None) -> HypothesisSet:
     """_step folded from hset over the observations with the node memo
-    `memo`. A step with more successors than the cap weighs them all, keeps
-    the heaviest, ties in emission order, and marks the set truncated. No
-    other intermediate successor is weighed: one weight pass over the final
-    set, normalized, and each Hypothesis built once. The fold makes no
-    reference cycles, so the cyclic collector is off while it runs and its
-    prior state is restored on the way out, error or not."""
+    `memo`, over the library it carries. A step with more successors than
+    the cap weighs them all, keeps the heaviest, ties in emission order, and
+    marks the set truncated. No other intermediate successor is weighed: one
+    weight pass over the final set, normalized, and each Hypothesis built
+    once. The fold makes no reference cycles, so the cyclic collector is off
+    while it runs and its prior state is restored on the way out, error or
+    not."""
     cap, truncated = (cfg or RecognizerConfig()).max_hypotheses, hset.truncated
     hypotheses = [h.plans for h in hset.hypotheses]
     collecting = gc.isenabled()
     gc.disable()
     try:
         for index, action in enumerate(observations, hset.observation_count):
-            hypotheses = _step(lib, memo, hypotheses, index, action)
+            hypotheses = _step(memo, hypotheses, index, action)
             if not hypotheses:
                 raise UnexplainableObservationError(index, action, truncated)
             if cap is not None and len(hypotheses) > cap:
@@ -327,7 +323,7 @@ def explain_step(
     explain_step(lib, recognize(lib, obs[:k]), obs[k]) equals
     recognize(lib, obs[:k + 1])."""
     memo = hset.memo if hset.memo is not None and hset.memo.lib is lib else _PlanMemo(lib)
-    out = _fold(lib, memo, hset, [action], cfg)
+    out = _fold(memo, hset, [action], cfg)
     object.__setattr__(out, "memo", memo)
     return out
 
@@ -352,4 +348,4 @@ def recognize(
     alive with it slows every session."""
     if not observations:
         raise PlanError("observation sequence is empty")
-    return _fold(lib, _PlanMemo(lib), HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)
+    return _fold(_PlanMemo(lib), HypothesisSet((Hypothesis((), 1.0),), 0), observations, cfg)

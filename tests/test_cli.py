@@ -234,6 +234,18 @@ def test_deeply_nested_observation_list_exits_1_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {obs}: JSON observations must be a list of strings\n"
 
 
+@pytest.mark.parametrize("command", ["recognize", "sprp"])
+def test_out_of_memory_exits_1_with_one_line(chem_files, monkeypatch, capsys, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("planprobe.cli.recognize", exhausted)
+    lib, obs, truth = chem_files
+    argv = [command, "--library", str(lib), "--obs", str(obs)]
+    assert main(argv + (["--truth", str(truth)] if command == "sprp" else [])) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["recognize", "--library", str(tmp_path / "none.json"), "--obs", str(tmp_path / "x")]) == 1
 

@@ -237,7 +237,7 @@ def test_node_memo_matches_whole_tree_walks(name, lib, observations, sizes):
         hset = oracles.explain_step(lib, hset, action)
         for plan in {p for h in hset.hypotheses for p in h.plans}:
             want = oracles.enabled_expansion_targets(lib, plan)
-            _, targets, factors = memo(plan)
+            _, targets, factors = memo[plan]
             assert [path for path, _ in targets] == want
             assert [node for _, node in targets] == [plan.node_at(path) for path in want]
             assert enabled_expansion_targets(lib, plan) == want

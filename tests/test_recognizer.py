@@ -198,6 +198,26 @@ class TestRecognize:
         with pytest.raises(LibraryValidationError, match="^methods_for: unknown label 'nowhere'$"):
             explain_step(lib, hset, "a")
 
+    @pytest.mark.parametrize("node, message", [
+        # an expanded node naming a method id the library lacks, and one
+        # whose label is a basic action: the memo reads both from the
+        # library on a miss
+        (PlanNode("s", method="nowhere", children=(PlanNode("a"),)), "no method with id 'nowhere'"),
+        (PlanNode("x", method="ms", children=(PlanNode("a"),)), "methods_for: basic label 'x'"),
+    ], ids=["unknown-method", "basic-label"])
+    def test_expanded_node_the_library_cannot_weigh_is_rejected(self, node, message):
+        lib = PlanLibrary(
+            basic=frozenset({"a", "x"}),
+            complex_actions=frozenset({"g", "s"}),
+            methods=(RefinementMethod("mg", "g", ("s", "x")), RefinementMethod("ms", "s", ("a",))),
+            goals=("g",),
+        )
+        h = Hypothesis((PlanNode("g", method="mg", children=(node, PlanNode("x"))),), 1.0)
+        with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
+            hypothesis_weight(lib, h)
+        with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
+            explain_step(lib, HypothesisSet((h,), 1), "a")
+
     def test_several_observations_at_the_depth_limit(self):
         # c0 -> ... -> c199 -> (a, b) with a before b, and c100 -> (c101, e),
         # e -> d: `b` is observed at the deepest leaf and `d` grafts a chain
