@@ -29,15 +29,17 @@ builds it on a set's first use and update hands it on to the derived set,
 so every loop and selector over one h0 evaluates each column once. The
 table names each plan up to marks by an int id, and the loop works in ids:
 asked and settled plans are id sets, and an answer prunes by the id the
-loop interned for the question.
+loop interned for the question. One prune rule, _pruned, serves update and
+the loop; the loop hands it the table and live mask it holds.
 
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
 lists the open candidates, the only plans a selector reads, from one row per
-live class. The loop lists them once per question and hands them to the
-policy with the set. Between questions it holds only the live mask and
-weights, renormalized at each answer as HypothesisSet.normalized does, and
-builds the final HypothesisSet once.
+live class. The loop lists them once per question, sends each listed id
+in one pass either to the settled ids by rule (a) or to the open ones, and
+hands the open ones to the policy with the set. Between questions it holds
+only the live mask and weights, renormalized at each answer as
+HypothesisSet.normalized does, and builds the final HypothesisSet once.
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ class QueryOracle:
 
 def query_answer(oracle: QueryOracle, plan: PlanNode) -> bool:
     """True iff some plan of the oracle's truth is a refinement of `plan`."""
-    return any(is_refinement(plan, t) for t in oracle.truth.plans)
+    for t in oracle.truth.plans:
+        if is_refinement(plan, t):
+            return True
+    return False
 
 
 def restrict(items: Sequence[T], alive: int, mask: int) -> Iterator[T]:
@@ -221,22 +226,26 @@ class RelationTable:
         return out
 
 
-@dataclass(frozen=True)
 class LiveSet:
     """What the query loop holds between questions: h0's relation table and
     a live mask over h0, and the live hypotheses' weights in h0 order. It
     reads like a HypothesisSet but builds Hypothesis objects only when asked
-    for them. The set the loop hands a policy also carries handed:
-    (closed, len(closed), ids), the question's open candidate ids in
-    first-occurrence order and the closed set they were listed for, so the
-    selector need not list them again. The ids hold only for that set at
-    that size, as passed in the same select call; None elsewhere."""
+    for them. It is a plain slots class, and the loop sets handed on the set
+    it hands a policy: (closed, len(closed), ids), the question's open
+    candidate ids in first-occurrence order and the closed set they were
+    listed for, so the selector need not list them again. The ids hold only
+    for that set at that size, as passed in the same select call; None
+    elsewhere."""
 
-    relations: tuple[RelationTable, int]
-    weights: list[float]
-    observation_count: int
-    truncated: bool
-    handed: tuple[set[PlanNode], int, list[int]] | None = None
+    __slots__ = ("relations", "weights", "observation_count", "truncated", "handed")
+
+    def __init__(
+        self, relations: tuple[RelationTable, int], weights: list[float],
+        observation_count: int, truncated: bool,
+    ):
+        self.relations, self.weights = relations, weights
+        self.observation_count, self.truncated = observation_count, truncated
+        self.handed: tuple[set[PlanNode], int, list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -263,14 +272,18 @@ def relations(hset: HypothesisSet | LiveSet) -> tuple[RelationTable, int]:
     return hset.relations
 
 
-def _pruned(hset: HypothesisSet | LiveSet, t: int, answer: bool) -> LiveSet:
-    """The set pruned by the answer to the plan of id t in its table."""
-    table, alive = relations(hset)
+def _pruned(
+    table: RelationTable, alive: int, weights: list[float], t: int, answer: bool,
+    observation_count: int, truncated: bool,
+) -> LiveSet:
+    """The prune rule, for update and the query loop alike: the set with
+    live mask alive over table and the live weights, pruned by the answer to
+    the plan of id t and renormalized."""
     kept = alive & (table.match(t) if answer else ~table.refine(t))
     if not kept:
         raise OracleInconsistencyError(f"update with answer={answer} removed every hypothesis")
-    weights = normalize(list(restrict(hset.weights, alive, kept)))
-    return LiveSet((table, kept), weights, hset.observation_count, hset.truncated)
+    weights = normalize(list(restrict(weights, alive, kept)))
+    return LiveSet((table, kept), weights, observation_count, truncated)
 
 
 def update(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> HypothesisSet:
@@ -280,7 +293,9 @@ def update(hset: HypothesisSet | LiveSet, plan: PlanNode, answer: bool) -> Hypot
     the set (truncated input or an untruthful oracle) and raises
     OracleInconsistencyError. The result shares the input's relation
     table."""
-    return _pruned(hset, relations(hset)[0].intern(plan), answer).to_set()
+    table, alive = relations(hset)
+    t = table.intern(plan)
+    return _pruned(table, alive, hset.weights, t, answer, hset.observation_count, hset.truncated).to_set()
 
 
 def candidate_plans(hset: HypothesisSet | LiveSet, closed: set[PlanNode]) -> list[PlanNode]:
@@ -358,11 +373,14 @@ def run_query_loop(
 
     Requires an untruncated set and that some hypothesis can be refined to
     the oracle's truth (the guarantee that pruning can never empty the set).
+    hypothesis_refines ignores marks, so a set of two or more hypotheses is
+    checked on one representative per mark-free class.
 
     Before each select, the candidates whose answer is forced are closed
     unasked, by rules (a) and (b) of the module docstring. The open
     candidates are listed once per question, by id, skipping the asked and
-    settled ids.
+    settled ids, and one pass over that list settles those rule (a)
+    forces.
 
     When h0 has two or more hypotheses the loop holds a LiveSet sharing
     h0's relation table, and hands the policy one that carries the open
@@ -371,13 +389,18 @@ def run_query_loop(
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
-    if not any(hypothesis_refines(h, oracle.truth) for h in h0.hypotheses):
+    held = h0.hypotheses
+    if len(h0) > 1:
+        # one representative per live class; only their plans are read
+        table, alive = relations(h0)
+        held = compress(table.hypotheses, bit_selectors(alive & table.reps))
+    if not any(hypothesis_refines(h, oracle.truth) for h in held):
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
     if len(h0) < 2:
         return h0, trace
-    table, alive = relations(h0)
+    plans, owners, label_owners = table.plans, table.owners, table.label_owners
     current = LiveSet((table, alive), h0.weights, h0.observation_count, h0.truncated)
     # closed holds a plan per asked or settled id; asked and settled split it
     closed: set[PlanNode] = set()
@@ -385,44 +408,41 @@ def run_query_loop(
     settled: set[int] = set()
     last_true: PlanNode | None = None
 
-    def settle(ids: list[int]) -> None:
-        settled.update(ids)
-        closed.update(table.plans[t] for t in ids)
-
     while len(current) > 1:
-        alive = current.relations[1]
-        by_answer = []
+        by_answer = 0
         if last_true is not None:
-            by_answer = [
-                t for t in table.by_label[last_true.label]
-                if table.owners[t] & alive and t not in asked and t not in settled
-                and is_refinement(table.plans[t], last_true)
-            ]
-            settle(by_answer)
-        open_ids = table.open_ids(alive, asked | settled)
-        by_premise = [
-            t for t in open_ids
-            if not alive & ~table.label_owners[table.plans[t].label]
-            and not alive & ~table.refine(t)
-        ]
-        settle(by_premise)
-        if len(open_ids) == len(by_premise):
+            for t in table.by_label[last_true.label]:
+                if (owners[t] & alive and t not in asked and t not in settled
+                        and is_refinement(plans[t], last_true)):
+                    settled.add(t)
+                    closed.add(plans[t])
+                    by_answer += 1
+        # one pass: rule (a) settles each listed id or leaves it open
+        by_premise = 0
+        open_ids = []
+        for t in table.open_ids(alive, asked | settled):
+            if alive & ~label_owners[plans[t].label] or alive & ~table.refine(t):
+                open_ids.append(t)
+            else:
+                settled.add(t)
+                closed.add(plans[t])
+                by_premise += 1
+        if not open_ids:
             break
-        if by_premise:
-            open_ids = [t for t in open_ids if t not in settled]
-        object.__setattr__(current, "handed", (closed, len(closed), open_ids))
+        current.handed = (closed, len(closed), open_ids)
         plan = policy.select(current, closed)
         t = table.intern(plan)
         if t in asked:
             raise PolicyError(f"policy {policy.kind!r} returned an already-queried plan")
         if t in settled:
             raise PolicyError(f"policy {policy.kind!r} returned a settled plan, whose answer is already known")
-        if not table.owners[t] & alive:
+        if not owners[t] & alive:
             raise PolicyError(f"policy {policy.kind!r} returned a plan outside the hypothesis set")
         answer = query_answer(oracle, plan)
-        current = _pruned(current, t, answer)
+        current = _pruned(table, alive, current.weights, t, answer, h0.observation_count, h0.truncated)
+        alive = current.relations[1]
         asked.add(t)
         closed.add(plan)
-        trace.steps.append(TraceStep(plan, answer, len(current), len(by_premise), len(by_answer)))
+        trace.steps.append(TraceStep(plan, answer, len(current), by_premise, by_answer))
         last_true = plan if answer else None
     return (current.to_set() if trace.steps else h0), trace

@@ -68,11 +68,11 @@ def _open_candidates(
     """The set's table, live mask and open candidate ids: those the query
     loop handed over on the set if they were listed for this closed set at
     its present size, else listed here."""
-    table, alive = relations(hset)
     handed = getattr(hset, "handed", None)
     if handed is not None and handed[0] is closed and handed[1] == len(closed):
-        candidates = handed[2]
+        (table, alive), candidates = hset.relations, handed[2]
     else:
+        table, alive = relations(hset)
         candidates = table.candidates(alive, closed)
     if not candidates:
         raise PolicyError("no candidate plans left to query")
@@ -104,13 +104,13 @@ def select_mph(hset: HypothesisSet | LiveSet, closed: set[PlanNode], seed: int) 
     The ties are read from the set's own weights, not h0's: renormalizing
     can make two weights equal that differed in the last bit."""
     table, alive, candidates = _open_candidates(hset, closed)
-    held = 0
+    mask = 0
     for t in candidates:
-        held |= table.owners[t]
-    held &= alive
-    weights = list(restrict(hset.weights, alive, held))
+        mask |= table.owners[t]
+    held = bit_selectors(mask & alive)  # one selector for both compresses
+    weights = list(compress(hset.weights, compress(held, bit_selectors(alive))))
     best = max(weights)
-    rows = compress(table.per_hyp, bit_selectors(held))
+    rows = compress(table.per_hyp, held)
     tied = [row for w, row in zip(weights, rows) if w == best]
     open_ids = set(candidates)
     options = [t for t in dict.fromkeys(tied[0]) if t in open_ids]

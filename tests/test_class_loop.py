@@ -16,7 +16,9 @@ builds its generator even when there is no tie to break.
 The class data itself is checked on the same instances: one representative
 per distinct set of plan ids, every column the loop reads all-or-nothing on
 each class, and the owner and representative masks equal to one sum of bits
-per class. And no loop may tie h0 into a reference cycle.
+per class. The oracle premise, checked on one representative per class,
+must give the member-by-member verdict. And no loop may tie h0 into a
+reference cycle.
 """
 
 import functools
@@ -25,10 +27,11 @@ import weakref
 
 import pytest
 
+from planprobe import engine, policies
 from planprobe.engine import QueryOracle, RelationTable, relations, run_query_loop, update
+from planprobe.errors import OracleInconsistencyError
 from planprobe.experiment import ExperimentSpec, _instances_for
-from planprobe.plans import Hypothesis, PlanNode
-from planprobe import policies
+from planprobe.plans import Hypothesis, PlanNode, hypothesis_refines
 from planprobe.policies import POLICY_KINDS, Policy
 from planprobe.recognizer import HypothesisSet, recognize
 
@@ -144,6 +147,35 @@ def test_masks_equal_one_sum_per_class(name):
     assert table.owners == owners
     assert table.label_owners == label_owners
     assert table.reps == sum(1 << members[0] for members in classes.values())
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in INSTANCES] + list(LARGE))
+def test_premise_on_representatives_equals_every_member(name, monkeypatch):
+    # The loop checks the oracle premise on one representative per class.
+    # Its verdict must be the member-by-member one, for h0 and for a set
+    # update derived from it (which holds h0's table), under the truth, a
+    # live hypothesis taken as the truth, and two truths no hypothesis
+    # refines: one plan cut back to its bare root, and no plan at all.
+    h0, truth = _large(name) if name in LARGE else next((h, g) for n, h, g in INSTANCES if n == name)
+    _, trace = run_query_loop(h0, QueryOracle(truth), Policy("random", 7))
+    sets = [h0] + [update(h0, step.plan, step.answer) for step in trace.steps[:1]]
+    bare = Hypothesis((PlanNode(truth.plans[0].label),) + truth.plans[1:])
+    verdicts = []
+    for hset in sets:
+        table, alive = relations(hset)
+        for g in (truth, hset.hypotheses[-1], bare, Hypothesis(())):
+            want = any(hypothesis_refines(h, g) for h in hset.hypotheses)
+            calls = []
+            monkeypatch.setattr(engine, "hypothesis_refines", lambda h, t: calls.append(h) or hypothesis_refines(h, t))
+            if want:
+                run_query_loop(hset, QueryOracle(g), Policy("random", 7))
+            else:
+                with pytest.raises(OracleInconsistencyError, match="^no hypothesis can be refined to the oracle's truth$"):
+                    run_query_loop(hset, QueryOracle(g), Policy("random", 7))
+            monkeypatch.undo()
+            assert 1 <= len(calls) <= (alive & table.reps).bit_count()
+            verdicts.append(want)
+    assert verdicts == [True, True, False, False] * len(sets)
 
 
 def _g(mark: int) -> PlanNode:

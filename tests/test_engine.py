@@ -180,6 +180,22 @@ class TestRunQueryLoop:
         with pytest.raises(PolicyError):
             run_query_loop(quartet.hset, QueryOracle(quartet.truth), Stubborn(quartet.complete_main))
 
+    @pytest.mark.parametrize("asks", ["held_by_none", "held_by_pruned"])
+    def test_plan_outside_the_set_rejected(self, quartet, asks):
+        # complete_main is held by no hypothesis; partner4 only by h4, which
+        # the False answer to p4 removes
+        plans = {"held_by_none": [quartet.complete_main], "held_by_pruned": [quartet.p4, quartet.partner4]}[asks]
+
+        class Asks:
+            kind = "stub"
+
+            def select(self, hset, closed):
+                return plans.pop(0)
+
+        with pytest.raises(PolicyError, match="outside the hypothesis set"):
+            run_query_loop(quartet.hset, QueryOracle(quartet.truth), Asks())
+        assert not plans
+
     def test_settled_plan_rejected(self, quartet):
         # p1 is answered True, which settles p2 (p1 refines p2) unasked
         class AsksP1ThenP2:

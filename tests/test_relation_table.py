@@ -111,6 +111,19 @@ def test_table_path_equals_list_reference(name, h0, truth):
         assert final.hypotheses == policy.reference.hypotheses
 
 
+@pytest.mark.parametrize("name,h0,truth", INSTANCES, ids=[name for name, _, _ in INSTANCES])
+def test_update_chained_over_the_loop_answers_gives_its_final_set(name, h0, truth):
+    # update and the loop prune by one rule: public updates over the loop's
+    # questions and answers, on a set with its own table, end where it does
+    for kind in POLICY_KINDS:
+        final, trace = run_query_loop(h0, QueryOracle(truth), Policy(kind, seed=len(h0)))
+        current = HypothesisSet(h0.hypotheses, h0.observation_count, h0.truncated)
+        for step in trace.steps:
+            current = update(current, step.plan, step.answer)
+            assert len(current) == step.remaining
+        assert current.hypotheses == final.hypotheses  # plans and weights, exactly
+
+
 def test_sibling_branches_share_one_table():
     # Updates of one set with opposite answers share its table while
     # neither live mask contains the other. Columns read while scoring one
