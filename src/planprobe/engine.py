@@ -374,7 +374,10 @@ def run_query_loop(
     Requires an untruncated set and that some hypothesis can be refined to
     the oracle's truth (the guarantee that pruning can never empty the set).
     hypothesis_refines ignores marks, so a set of two or more hypotheses is
-    checked on one representative per mark-free class.
+    checked on one representative per mark-free class. Those come from h0's
+    relation table, so the check runs after the table is built: a truth that
+    no hypothesis refines is reported only after that build, and a run
+    whose premise holds builds the table anyway.
 
     Before each select, the candidates whose answer is forced are closed
     unasked, by rules (a) and (b) of the module docstring. The open

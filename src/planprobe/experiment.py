@@ -6,19 +6,25 @@ one row per (instance, policy) lands in rows.csv. summary.csv aggregates
 query counts, decay.csv holds the mean remaining-fraction curves, and
 winrates.csv pairwise policy comparisons. Failures are collected, the run
 continues, and the caller decides the exit status.
+
+Every CSV goes through _write_csv, and summary.csv and decay.csv read one
+grouping of the rows by (policy, obs_len). Instance files and CSVs are
+UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .domains import GenParams, Instance, gen_instance
 from .engine import QueryOracle, run_query_loop
@@ -47,17 +53,17 @@ def brute_force_final_set(h0: HypothesisSet, truth: Hypothesis) -> HypothesisSet
 
 def save_instance(instance: Instance, out_dir: Path, stem: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.library.json").write_text(serialize_library(instance.library))
-    (out_dir / f"{stem}.obs.txt").write_text("".join(f"{o}\n" for o in instance.observations))
+    (out_dir / f"{stem}.library.json").write_text(serialize_library(instance.library), encoding="utf-8")
+    (out_dir / f"{stem}.obs.txt").write_text("".join(f"{o}\n" for o in instance.observations), encoding="utf-8")
     (out_dir / f"{stem}.truth.json").write_text(
-        json.dumps(hypothesis_to_dict(instance.truth, include_weight=False), indent=2) + "\n"
+        json.dumps(hypothesis_to_dict(instance.truth, include_weight=False), indent=2) + "\n", encoding="utf-8"
     )
 
 
 def read_text(path: Path) -> str:
     """The file's text, or a PlanProbeError naming the file."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as e:
         raise PlanProbeError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
@@ -99,7 +105,9 @@ def discover_instances(instance_dir: Path) -> list[tuple[str, Callable[[], Insta
     for lib_path in sorted(instance_dir.glob("*.library.json")):
         stem = lib_path.name[: -len(".library.json")]
         load = partial(load_instance, lib_path, instance_dir / f"{stem}.obs.txt", instance_dir / f"{stem}.truth.json")
-        out.append((stem, load))
+        # the id is the name read as UTF-8, as under a UTF-8 locale, so its
+        # policy seeds and CSV text do not depend on the locale
+        out.append((os.fsencode(stem).decode("utf-8", "surrogateescape"), load))
     if not out:
         raise PlanProbeError(f"no instances found in {instance_dir}")
     return out
@@ -223,83 +231,76 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def write_rows_csv(rows: list[ExperimentRow], path: Path) -> None:
-    with path.open("w", newline="") as f:
+def _write_csv(path: Path, header: list[str], lines: Iterable[list]) -> None:
+    """The one place a CSV is opened: UTF-8, the header, then the lines."""
+    with path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["instance", "policy", "obs_len", "h0_size", "queries", "remaining_series"])
-        for r in rows:
-            writer.writerow(
-                [r.instance, r.policy, r.obs_len, r.h0_size, r.queries, ";".join(_fmt(x) for x in r.remaining)]
-            )
+        writer.writerow(header)
+        writer.writerows(lines)
 
 
-def write_summary_csv(rows: list[ExperimentRow], path: Path) -> None:
+def _by_policy_and_obs_len(rows: list[ExperimentRow]) -> dict[tuple[str, int], list[ExperimentRow]]:
     groups: dict[tuple[str, int], list[ExperimentRow]] = {}
     for r in rows:
         groups.setdefault((r.policy, r.obs_len), []).append(r)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["policy", "obs_len", "mean_queries", "sd_queries", "mean_h0"])
-        for (policy, obs_len), group in sorted(groups.items()):
-            queries = [r.queries for r in group]
-            sd = statistics.stdev(queries) if len(queries) > 1 else 0.0
-            writer.writerow(
-                [policy, obs_len, _fmt(statistics.mean(queries)), _fmt(sd),
-                 _fmt(statistics.mean([r.h0_size for r in group]))]
-            )
+    return groups
+
+
+def write_rows_csv(rows: list[ExperimentRow], path: Path) -> None:
+    lines = ([r.instance, r.policy, r.obs_len, r.h0_size, r.queries, ";".join(_fmt(x) for x in r.remaining)]
+             for r in rows)
+    _write_csv(path, ["instance", "policy", "obs_len", "h0_size", "queries", "remaining_series"], lines)
+
+
+def write_summary_csv(rows: list[ExperimentRow], path: Path) -> None:
+    lines = []
+    for (policy, obs_len), group in sorted(_by_policy_and_obs_len(rows).items()):
+        queries = [r.queries for r in group]
+        sd = statistics.stdev(queries) if len(queries) > 1 else 0.0
+        lines.append([policy, obs_len, _fmt(statistics.mean(queries)), _fmt(sd),
+                      _fmt(statistics.mean([r.h0_size for r in group]))])
+    _write_csv(path, ["policy", "obs_len", "mean_queries", "sd_queries", "mean_h0"], lines)
 
 
 def mean_decay_curves(rows: list[ExperimentRow]) -> dict[tuple[str, int], list[float]]:
     """Mean remaining fraction per query index, padding converged runs with
     their final value so every run weighs in at every index."""
-    groups: dict[tuple[str, int], list[tuple[float, ...]]] = {}
-    for r in rows:
-        groups.setdefault((r.policy, r.obs_len), []).append(r.remaining)
     curves: dict[tuple[str, int], list[float]] = {}
-    for key, series_list in groups.items():
-        width = max(len(s) for s in series_list)
-        curve = []
-        for i in range(width):
-            curve.append(statistics.mean(s[i] if i < len(s) else s[-1] for s in series_list))
-        curves[key] = curve
+    for key, group in _by_policy_and_obs_len(rows).items():
+        width = max(len(r.remaining) for r in group)
+        padded = [r.remaining + r.remaining[-1:] * (width - len(r.remaining)) for r in group]
+        curves[key] = [statistics.mean(column) for column in zip(*padded)]
     return curves
 
 
 def write_decay_csv(rows: list[ExperimentRow], path: Path) -> None:
-    curves = mean_decay_curves(rows)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["policy", "obs_len", "query_index", "mean_remaining"])
-        for (policy, obs_len), curve in sorted(curves.items()):
-            for i, value in enumerate(curve):
-                writer.writerow([policy, obs_len, i, _fmt(value)])
+    lines = []
+    for (policy, obs_len), curve in sorted(mean_decay_curves(rows).items()):
+        for i, value in enumerate(curve):
+            lines.append([policy, obs_len, i, _fmt(value)])
+    _write_csv(path, ["policy", "obs_len", "query_index", "mean_remaining"], lines)
 
 
 def write_winrates_csv(rows: list[ExperimentRow], path: Path) -> None:
-    by_run: dict[tuple[str, int], dict[str, int]] = {}
+    """Per obs length and policy pair, the instances where each policy asked
+    fewer questions; an instance lacking either policy's run is skipped."""
+    runs: dict[int, dict[str, dict[str, int]]] = {}  # obs_len -> instance -> policy -> queries
     for r in rows:
-        by_run.setdefault((r.instance, r.obs_len), {})[r.policy] = r.queries
-    policies = sorted({r.policy for r in rows})
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["policy_a", "policy_b", "obs_len", "wins_a", "wins_b", "ties", "win_rate_a"])
-        obs_lens = sorted({r.obs_len for r in rows})
-        for obs_len in obs_lens:
-            for i, a in enumerate(policies):
-                for b in policies[i + 1:]:
-                    wins_a = wins_b = ties = 0
-                    for (_, ol), per_policy in by_run.items():
-                        if ol != obs_len or a not in per_policy or b not in per_policy:
-                            continue
-                        if per_policy[a] < per_policy[b]:
-                            wins_a += 1
-                        elif per_policy[a] > per_policy[b]:
-                            wins_b += 1
-                        else:
-                            ties += 1
-                    total = wins_a + wins_b + ties
-                    rate = wins_a / total if total else 0.0
-                    writer.writerow([a, b, obs_len, wins_a, wins_b, ties, _fmt(rate)])
+        runs.setdefault(r.obs_len, {}).setdefault(r.instance, {})[r.policy] = r.queries
+    pairs = list(itertools.combinations(sorted({r.policy for r in rows}), 2))
+    lines = []
+    for obs_len, by_instance in sorted(runs.items()):
+        for a, b in pairs:
+            wins_a = wins_b = ties = 0
+            for queries in by_instance.values():
+                if a in queries and b in queries:
+                    wins_a += queries[a] < queries[b]
+                    wins_b += queries[a] > queries[b]
+                    ties += queries[a] == queries[b]
+            total = wins_a + wins_b + ties
+            rate = wins_a / total if total else 0.0
+            lines.append([a, b, obs_len, wins_a, wins_b, ties, _fmt(rate)])
+    _write_csv(path, ["policy_a", "policy_b", "obs_len", "wins_a", "wins_b", "ties", "win_rate_a"], lines)
 
 
 def write_all_csvs(result: ExperimentResult, out_dir: Path) -> None:

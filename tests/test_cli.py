@@ -1,14 +1,21 @@
+import codecs
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import planprobe
 from planprobe.cli import main
 from planprobe.domains import GenParams, gen_instance
 from planprobe.experiment import ExperimentSpec, run_experiment, save_instance, write_all_csvs
 from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import hypothesis_to_dict
+from planprobe.policies import POLICY_KINDS
 from planprobe.recognizer import recognize
 
 from .test_experiment import ZERO_WEIGHT, break_instance_file, save_zero_prior_instances
@@ -472,6 +479,62 @@ def test_experiment_names_a_bad_instance_file_and_writes_the_rest(tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [f"failure: {failure}"]
     rows = (out / "rows.csv").read_text().strip().splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [["instance_000", "mph"], ["instance_002", "mph"]]
+
+
+# With coercion and UTF-8 mode both off, Python keeps the C locale, whose
+# preferred encoding is ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_python(args, ascii_locale=False):
+    env = {**os.environ, "PYTHONPATH": str(Path(planprobe.__file__).resolve().parents[1])}
+    flags = []
+    if ascii_locale:
+        env.update(ASCII_LOCALE)  # LC_ALL overrides every other locale variable
+        flags = ["-X", "utf8=0"]  # and this overrides PYTHONUTF8
+    return subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True)
+
+
+def _save_melange_instance(directory, stem):
+    """One goal over two actions, the first named with a non-ASCII letter,
+    written as raw UTF-8 rather than JSON escapes."""
+    lib = {"basic": ["m\u00e9lange", "b"], "complex": ["g"], "goals": ["g"],
+           "methods": [{"id": "m", "head": "g", "children": ["m\u00e9lange", "b"]}]}
+    leaves = [{"label": "m\u00e9lange", "observed": 0}, {"label": "b"}]
+    truth = {"plans": [{"label": "g", "method": "m", "children": leaves}]}
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{stem}.library.json").write_text(json.dumps(lib, ensure_ascii=False), encoding="utf-8")
+    (directory / f"{stem}.obs.txt").write_text("m\u00e9lange\n", encoding="utf-8")
+    (directory / f"{stem}.truth.json").write_text(json.dumps(truth, ensure_ascii=False), encoding="utf-8")
+
+
+@pytest.fixture
+def ascii_locale():
+    done = _run_python(["-c", "import locale; print(locale.getpreferredencoding(False))"], ascii_locale=True)
+    encoding = done.stdout.decode().strip()
+    assert codecs.lookup(encoding).name != "utf-8", encoding
+
+
+def test_recognize_reads_utf8_files_under_an_ascii_locale(tmp_path, ascii_locale):
+    _save_melange_instance(tmp_path, "x")
+    args = ["-m", "planprobe.cli", "recognize",
+            "--library", str(tmp_path / "x.library.json"), "--obs", str(tmp_path / "x.obs.txt")]
+    default = _run_python(args)
+    assert default.returncode == 0, default.stderr
+    done = _run_python(args, ascii_locale=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == default.stdout
+
+
+def test_experiment_writes_utf8_csvs_under_an_ascii_locale(tmp_path, ascii_locale):
+    stem = "m\u00e9lange_000"
+    _save_melange_instance(tmp_path / "batch", stem)
+    out = tmp_path / "exp"
+    done = _run_python(["-m", "planprobe.cli", "experiment", "--instances", str(tmp_path / "batch"),
+                        "--out", str(out)], ascii_locale=True)
+    assert done.returncode == 0, done.stderr
+    rows = (out / "rows.csv").read_bytes().decode("utf-8").splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [[stem, p] for p in sorted(POLICY_KINDS)]
 
 
 def test_usage_error_exits_nonzero():

@@ -6,6 +6,8 @@ import pytest
 
 from planprobe.domains import GenParams, gen_instance
 from planprobe.experiment import (
+    ExperimentResult,
+    ExperimentRow,
     ExperimentSpec,
     _instances_for,
     brute_force_final_set,
@@ -253,3 +255,33 @@ class TestCsvOutput:
         for line in rates:
             total = int(line["wins_a"]) + int(line["wins_b"]) + int(line["ties"])
             assert total == len(per_len[int(line["obs_len"])])
+
+    HEADERS = {
+        "rows": b"instance,policy,obs_len,h0_size,queries,remaining_series\r\n",
+        "summary": b"policy,obs_len,mean_queries,sd_queries,mean_h0\r\n",
+        "decay": b"policy,obs_len,query_index,mean_remaining\r\n",
+        "winrates": b"policy_a,policy_b,obs_len,wins_a,wins_b,ties,win_rate_a\r\n",
+    }
+
+    def test_no_rows_write_header_only_files(self, tmp_path):
+        write_all_csvs(ExperimentResult(), tmp_path)
+        for name, header in self.HEADERS.items():
+            assert (tmp_path / f"{name}.csv").read_bytes() == header
+
+    def test_uneven_runs_and_a_missing_policy_at_exact_bytes(self, tmp_path):
+        # mph converges after one query, so the decay pads it with its last
+        # value; instance b has no mph run, so no pair counts it
+        rows = [
+            ExperimentRow("a", "random", 3, 4, 2, (1.0, 0.5, 0.25)),
+            ExperimentRow("a", "mph", 3, 4, 1, (1.0, 0.25)),
+            ExperimentRow("b", "random", 3, 2, 1, (1.0, 0.5)),
+        ]
+        write_all_csvs(ExperimentResult(rows=rows), tmp_path)
+        body = {
+            "rows": b"a,random,3,4,2,1;0.5;0.25\r\na,mph,3,4,1,1;0.25\r\nb,random,3,2,1,1;0.5\r\n",
+            "summary": b"mph,3,1,0,4\r\nrandom,3,1.5,0.7071067812,3\r\n",
+            "decay": b"mph,3,0,1\r\nmph,3,1,0.25\r\nrandom,3,0,1\r\nrandom,3,1,0.5\r\nrandom,3,2,0.375\r\n",
+            "winrates": b"mph,random,3,1,0,0,1\r\n",
+        }
+        for name, header in self.HEADERS.items():
+            assert (tmp_path / f"{name}.csv").read_bytes() == header + body[name]
