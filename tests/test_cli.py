@@ -309,6 +309,43 @@ def test_sprp_unmarked_truth_plan_exits_1(chem_files, tmp_path, chem, capsys):
     assert capsys.readouterr().err == f"error: plan of goal {goal!r} holds no observation\n"
 
 
+# g -> a c, c -> b: the truth plans below each break one rule of this
+# library, every one observing "a" at index 0 unless the rule is the mark
+TWO_LEVEL_LIBRARY = {"basic": ["a", "b"], "complex": ["g", "c"], "goals": ["g"],
+                     "methods": [{"id": "mg", "head": "g", "children": ["a", "c"]},
+                                 {"id": "mc", "head": "c", "children": ["b"]}]}
+C_DONE = {"label": "c", "method": "mc", "children": [{"label": "b"}]}
+A_SEEN = {"label": "a", "observed": 0}
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({"label": "g", "method": "mg"}, "node 'g': children present iff a method was applied"),
+    ({"label": "zz", "observed": 0}, "undeclared action 'zz' at ()"),
+    ({"label": "g", "method": "mg", "children": [{"label": "a", "method": "mc", "children": [{"label": "b"}]},
+                                                 C_DONE]},
+     "basic action 'a' at (0,) cannot be expanded"),
+    ({"label": "g", "method": "mc", "children": [{"label": "b", "observed": 0}]},
+     "method 'mc' at () does not expand 'g'"),
+    ({"label": "g", "method": "mg", "children": [A_SEEN, {"label": "c", "observed": 1}]},
+     "observation mark on complex node 'c' at (1,)"),
+    ({"label": "g", "method": "mg", "children": [{"label": "a", "observed": -1}, C_DONE]},
+     "negative observation index at (0,)"),
+    ({"label": "g", "method": "mg", "children": [A_SEEN, {"label": "c"}]},
+     "truth plan rooted at 'g' is incomplete"),
+], ids=["method-without-children", "undeclared", "expanded-basic", "other-head",
+        "marked-complex-leaf", "negative-index", "incomplete"])
+def test_sprp_truth_breaking_the_library_exits_1_with_one_line(tmp_path, capsys, plan, message):
+    lib = tmp_path / "two.library.json"
+    lib.write_text(json.dumps(TWO_LEVEL_LIBRARY))
+    obs = tmp_path / "two.obs.txt"
+    obs.write_text("a\n")
+    truth = tmp_path / "two.truth.json"
+    truth.write_text(json.dumps({"plans": [plan]}))
+    assert main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_sprp_inconsistent_truth_exits_3(tmp_path, capsys):
     # the truth marks both observations and describes them, but under method
     # m, whose order puts a first; recognition explains "b a" only by m2, so
