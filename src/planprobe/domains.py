@@ -22,8 +22,8 @@ from .library import PlanLibrary, RefinementMethod
 from .plans import (
     Hypothesis,
     PlanNode,
-    describes,
     is_complete,
+    iter_nodes,
     observe_leaf,
     validate_hypothesis,
 )
@@ -80,11 +80,11 @@ class Instance:
     observations: tuple[str, ...]
 
     def __post_init__(self):
-        validate_hypothesis(self.library, self.truth)
+        marks = validate_hypothesis(self.library, self.truth)
         for plan in self.truth.plans:
             if not is_complete(plan, self.library):
                 raise GenerationError(f"truth plan rooted at {plan.label!r} is incomplete")
-        if not describes(self.truth, self.observations):
+        if marks != dict(enumerate(self.observations)):
             raise GenerationError("truth does not describe the observation sequence")
 
 
@@ -162,12 +162,6 @@ def _complete_plan(lib: PlanLibrary, label: str, rng: random.Random) -> PlanNode
     return PlanNode(label, method=method.id, children=children)
 
 
-def _count_leaves(node: PlanNode) -> int:
-    if not node.children:
-        return 1
-    return sum(_count_leaves(c) for c in node.children)
-
-
 def _emit_observations(
     lib: PlanLibrary, plans: list[PlanNode], obs_len: int, rng: random.Random
 ) -> tuple[list[PlanNode], list[str]]:
@@ -204,7 +198,7 @@ def gen_instance(params: GenParams) -> Instance:
             want = 2 if (params.num_goals >= 2 and params.obs_len >= 2 and rng.random() < 0.35) else 1
             goal_names = rng.sample(list(lib.goals), want)
             plans = [_complete_plan(lib, g, rng) for g in goal_names]
-            if sum(_count_leaves(p) for p in plans) < params.obs_len:
+            if sum(not node.children for p in plans for _, node in iter_nodes(p)) < params.obs_len:
                 continue
             marked, observations = _emit_observations(lib, plans, params.obs_len, rng)
             truth = Hypothesis(tuple(marked), 1.0)

@@ -211,9 +211,10 @@ def describes(h: Hypothesis, obs: Sequence[str]) -> bool:
     return all(seen.get(i) == label for i, label in enumerate(obs))
 
 
-def validate_plan(lib: PlanLibrary, plan: PlanNode) -> None:
-    """Check every node against the library; raises PlanError on violation."""
-    seen_marks: set[int] = set()
+def validate_plan(lib: PlanLibrary, plan: PlanNode) -> dict[int, str]:
+    """Check every node against the library; raises PlanError on violation.
+    Returns the plan's marks, observation index -> action, in preorder."""
+    marks: dict[int, str] = {}
     for path, node in iter_nodes(plan):
         basic = lib.is_basic(node.label)
         if not basic and not lib.is_complex(node.label):
@@ -232,33 +233,34 @@ def validate_plan(lib: PlanLibrary, plan: PlanNode) -> None:
                 raise PlanError(f"observation mark on complex node {node.label!r} at {path}")
             if node.observed < 0:
                 raise PlanError(f"negative observation index at {path}")
-            if node.observed in seen_marks:
+            if node.observed in marks:
                 raise PlanError(f"duplicate observation index {node.observed}")
-            seen_marks.add(node.observed)
+            marks[node.observed] = node.label
+    return marks
 
 
-def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> None:
+def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> dict[int, str]:
     """Plans valid, roots are goals, observation indices unique across plans,
     and every plan holds observations, at most one plan per goal: recognition
     starts each plan from an observation and builds one plan per goal, so no
-    hypothesis could refine to an unmarked plan or to a goal's split plans."""
-    seen_marks: set[int] = set()
+    hypothesis could refine to an unmarked plan or to a goal's split plans.
+    Returns the marks of all plans, observation index -> action."""
+    marks: dict[int, str] = {}
     roots: list[str] = []
     for plan in h.plans:
-        validate_plan(lib, plan)
+        plan_marks = validate_plan(lib, plan)
         if plan.label not in lib.goals:
             raise PlanError(f"plan root {plan.label!r} is not a goal")
-        marks_before = len(seen_marks)
-        for _, node in iter_nodes(plan):
-            if node.observed is not None:
-                if node.observed in seen_marks:
-                    raise PlanError(f"observation index {node.observed} used by two plans")
-                seen_marks.add(node.observed)
-        if len(seen_marks) == marks_before:
+        for index in plan_marks:
+            if index in marks:
+                raise PlanError(f"observation index {index} used by two plans")
+        if not plan_marks:
             raise PlanError(f"plan of goal {plan.label!r} holds no observation")
         if plan.label in roots:
             raise PlanError(f"goal {plan.label!r} has more than one plan holding observations")
         roots.append(plan.label)
+        marks.update(plan_marks)
+    return marks
 
 
 def plan_to_dict(plan: PlanNode) -> dict:
