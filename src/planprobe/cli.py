@@ -7,13 +7,15 @@ Subcommands:
     experiment   batch policy comparison, CSV output
 
 Exit codes: 0 ok, 1 input error, 2 unexplainable observation,
-3 inconsistent oracle (or a verified-equality failure).
+3 inconsistent oracle (or a verified-equality failure), 141 stdout closed
+by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -180,7 +182,14 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit quietly with the status a shell gives a
+        # tool killed by SIGPIPE, and send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnexplainableObservationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

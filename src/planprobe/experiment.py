@@ -98,6 +98,10 @@ def load_instance(library_path: Path, obs_path: Path, truth_path: Path) -> Insta
     return Instance(lib, truth, tuple(observations))
 
 
+def _refuse(message: str) -> Instance:
+    raise PlanProbeError(message)
+
+
 def discover_instances(instance_dir: Path) -> list[tuple[str, Callable[[], Instance]]]:
     """A loader for every {stem}.library.json / .obs.txt / .truth.json
     triple, by stem. Files are read only when the loader is called."""
@@ -106,8 +110,15 @@ def discover_instances(instance_dir: Path) -> list[tuple[str, Callable[[], Insta
         stem = lib_path.name[: -len(".library.json")]
         load = partial(load_instance, lib_path, instance_dir / f"{stem}.obs.txt", instance_dir / f"{stem}.truth.json")
         # the id is the name read as UTF-8, as under a UTF-8 locale, so its
-        # policy seeds and CSV text do not depend on the locale
-        out.append((os.fsencode(stem).decode("utf-8", "surrogateescape"), load))
+        # policy seeds and CSV text do not depend on the locale; a name that
+        # is not UTF-8 fails its instance, under an id with its bytes escaped
+        name = os.fsencode(stem)
+        try:
+            instance_id = name.decode("utf-8")
+        except UnicodeDecodeError:
+            instance_id = name.decode("utf-8", "backslashreplace")
+            load = partial(_refuse, f"file name {instance_id}.library.json is not UTF-8")
+        out.append((instance_id, load))
     if not out:
         raise PlanProbeError(f"no instances found in {instance_dir}")
     return out

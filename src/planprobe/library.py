@@ -117,7 +117,8 @@ class PlanLibrary:
         self._validate()
 
     def __hash__(self) -> int:
-        return id(self)
+        # the fields equality compares, less the goal_priors dict
+        return hash((self.basic, self.complex_actions, self.methods, self.goals))
 
     def _validate(self) -> None:
         for name in list(self.basic) + list(self.complex_actions):

@@ -12,6 +12,7 @@ import pytest
 import planprobe
 from planprobe.cli import main
 from planprobe.domains import GenParams, gen_instance
+from planprobe.engine import run_query_loop
 from planprobe.experiment import ExperimentSpec, run_experiment, save_instance, write_all_csvs
 from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import hypothesis_to_dict
@@ -365,6 +366,23 @@ def test_sprp_inconsistent_truth_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no hypothesis can be refined to the oracle's truth\n"
 
 
+def test_sprp_verify_mismatch_exits_3(chem_files, monkeypatch, capsys):
+    # a loop that prunes nothing leaves both chemistry hypotheses, while the
+    # exhaustive filter keeps only the one that refines to the truth
+    def unpruned(h0, oracle, policy):
+        return h0, run_query_loop(h0, oracle, policy)[1]
+
+    monkeypatch.setattr("planprobe.cli.run_query_loop", unpruned)
+    lib, obs, truth = chem_files
+    code = main(["sprp", "--library", str(lib), "--obs", str(obs), "--truth", str(truth), "--verify"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "verification failed: final set differs from exhaustive filter\n"
+    report = json.loads(captured.out)
+    assert report["verified"] is False
+    assert len(report["final"]) == 2
+
+
 def _drop_marks(doc):
     doc.pop("observed", None)
     for child in doc.get("children", []):
@@ -523,13 +541,13 @@ def test_experiment_names_a_bad_instance_file_and_writes_the_rest(tmp_path, caps
 ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0"}
 
 
-def _run_python(args, ascii_locale=False):
+def _run_python(args, ascii_locale=False, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(Path(planprobe.__file__).resolve().parents[1])}
     flags = []
     if ascii_locale:
         env.update(ASCII_LOCALE)  # LC_ALL overrides every other locale variable
         flags = ["-X", "utf8=0"]  # and this overrides PYTHONUTF8
-    return subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True)
+    return subprocess.run([sys.executable, *flags, *args], env=env, stdout=stdout, stderr=subprocess.PIPE)
 
 
 def _save_melange_instance(directory, stem):
@@ -572,6 +590,42 @@ def test_experiment_writes_utf8_csvs_under_an_ascii_locale(tmp_path, ascii_local
     assert done.returncode == 0, done.stderr
     rows = (out / "rows.csv").read_bytes().decode("utf-8").splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [[stem, p] for p in sorted(POLICY_KINDS)]
+    default = _run_python(["-m", "planprobe.cli", "experiment", "--instances", str(tmp_path / "batch"),
+                           "--out", str(tmp_path / "exp_default")])
+    assert default.returncode == 0, default.stderr
+    assert (tmp_path / "exp_default" / "rows.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ascii", [False, True], ids=["default-locale", "ascii-locale"])
+def test_experiment_fails_alone_an_instance_whose_file_name_is_not_utf8(tmp_path, ascii_locale, ascii):
+    batch = tmp_path / "batch"
+    save_instance(gen_instance(GenParams(seed=1, obs_len=3)), batch, "instance_001")
+    save_instance(gen_instance(GenParams(seed=2, obs_len=3)), batch, "x")
+    for suffix in (b".library.json", b".obs.txt", b".truth.json"):
+        os.rename(os.path.join(os.fsencode(batch), b"x" + suffix),
+                  os.path.join(os.fsencode(batch), b"m\xe9lange_000" + suffix))
+    out = tmp_path / "exp"
+    done = _run_python(["-m", "planprobe.cli", "experiment", "--instances", str(batch), "--out", str(out),
+                        "--policy", "mph"], ascii_locale=ascii)
+    assert done.returncode == 1
+    assert done.stderr == b"failure: m\\xe9lange_000: file name m\\xe9lange_000.library.json is not UTF-8\n"
+    rows = (out / "rows.csv").read_text(encoding="utf-8").strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["instance_001", "mph"]]
+
+
+@pytest.mark.parametrize("command", ["recognize", "sprp"])
+def test_closed_stdout_exits_141_without_a_word(chem_files, command):
+    lib, obs, truth = chem_files
+    args = ["-m", "planprobe.cli", command, "--library", str(lib), "--obs", str(obs)]
+    if command == "sprp":
+        args += ["--truth", str(truth)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        done = _run_python(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_usage_error_exits_nonzero():

@@ -149,6 +149,15 @@ def test_round_trip_identity():
         assert parse_library(serialize_library(lib)) == lib
 
 
+def test_equal_libraries_hash_equal():
+    for seed in range(8):
+        lib = gen_instance(GenParams(seed=seed, obs_len=3)).library
+        again = parse_library(serialize_library(lib))
+        assert again == lib and again is not lib
+        assert hash(again) == hash(lib)
+        assert len({lib, again}) == 1
+
+
 def test_methods_for_deterministic_across_parses():
     a = parse_library(CHEMISTRY_TEXT)
     b = parse_library(CHEMISTRY_TEXT)
