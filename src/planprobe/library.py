@@ -117,7 +117,8 @@ class PlanLibrary:
         self._validate()
 
     def __hash__(self) -> int:
-        # the fields equality compares, less the goal_priors dict
+        # equal libraries hash equal: the fields __eq__ compares, less the
+        # goal_priors dict, which cannot be hashed
         return hash((self.basic, self.complex_actions, self.methods, self.goals))
 
     def _validate(self) -> None:
