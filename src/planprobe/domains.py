@@ -123,9 +123,9 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary | None:
                 )
                 slots = rng.sample(basics, min(n_basic_slots, len(basics)))
                 n_complex_slots = tau_len - len(slots)
+                # never empty: level 1 draws only basic slots, and above it
+                # the others come from a pool of at least _MID_PER_LEVEL labels
                 slots += rng.sample(lower_pool, min(n_complex_slots, len(lower_pool)))
-                if not slots:
-                    slots = [rng.choice(basics)]
                 rng.shuffle(slots)
                 order = frozenset(
                     (i, i + 1) for i in range(len(slots) - 1)

@@ -27,10 +27,11 @@ asking every question would give.
 The relations are read from a RelationTable that the set holds: relations
 builds it on a set's first use and update hands it on to the derived set,
 so every loop and selector over one h0 evaluates each column once. The
-table names each plan up to marks by an int id, and the loop works in ids:
-asked and settled plans are id sets, and an answer prunes by the id the
-loop interned for the question. One prune rule, _pruned, serves update and
-the loop; the loop hands it the table and live mask it holds.
+table names each plan up to marks by an int id, keyed by its mark-free
+tree, and the loop works in ids: asked and settled plans are id sets, and
+an answer prunes by the id the loop interned for the question. One prune
+rule, _pruned, serves update and the loop; the loop hands it the table and
+live mask it holds.
 
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
@@ -38,8 +39,9 @@ lists the open candidates, the only plans a selector reads, from one row per
 live class. The loop lists them once per question, sends each listed id
 in one pass either to the settled ids by rule (a) or to the open ones, and
 hands the open ones to the policy with the set. Between questions it holds
-only the live mask and weights, renormalized at each answer as
-HypothesisSet.normalized does, and builds the final HypothesisSet once.
+only the live mask and weights, in a LiveSet dataclass, renormalized at each
+answer as HypothesisSet.normalized does, and builds the final HypothesisSet
+once.
 """
 
 from __future__ import annotations
@@ -95,22 +97,14 @@ def restrict(items: Sequence[T], alive: int, mask: int) -> Iterator[T]:
     return compress(items, compress(bit_selectors(mask & alive), bit_selectors(alive)))
 
 
-def _shape_key(root: PlanNode) -> tuple:
-    """The tree under root with observation marks dropped: the preorder
-    sequence of (label, method, child count), with a leaf written as just
-    its label. Every relation ignores marks, so two plans with one key are
-    interchangeable as questions."""
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        children = node.children
-        if children:
-            out.append((node.label, node.method, len(children)))
-            stack.extend(children[::-1])
-        else:
-            out.append(node.label)
-    return tuple(out)
+def _shape_key(node: PlanNode) -> tuple | str:
+    """The tree under node with observation marks dropped: a leaf's key is
+    its label, and an expanded node's is (label, method, its children's
+    keys). Every relation ignores marks, so two plans with one key are
+    interchangeable as questions. Plans are at most MAX_GRAMMAR_DEPTH + 1
+    levels deep, well inside the recursion limit."""
+    children = node.children
+    return (node.label, node.method, tuple(map(_shape_key, children))) if children else node.label
 
 
 class RelationTable:
@@ -118,9 +112,10 @@ class RelationTable:
     hypothesis set h0 and its hypotheses, as bitmasks over h0's order (bit i
     stands for h0.hypotheses[i]).
 
-    Plans are interned up to observation marks: every plan with one
-    _shape_key gets one int id, in first-occurrence order, and the key is
-    computed once per distinct plan. per_hyp[i] lists hypothesis i's
+    Plans are interned up to observation marks: each distinct plan object
+    is keyed once by _shape_key, its tree with the marks dropped, as nested
+    tuples, and every plan with one key gets one int id, in first-occurrence
+    order. per_hyp[i] lists hypothesis i's
     plan ids, owners[t] is the mask of hypotheses holding plan t, by_label
     lists the ids per root label and label_owners holds the mask of
     hypotheses with a plan of each root label. Hypotheses with one set of
@@ -143,7 +138,7 @@ class RelationTable:
     def __init__(self, h0: HypothesisSet):
         self.hypotheses = h0.hypotheses
         self.ids: dict[PlanNode, int] = {}
-        self._by_shape: dict[tuple, int] = {}
+        self._by_shape: dict[tuple | str, int] = {}
         self.plans: list[PlanNode] = []
         self.owners: list[int] = []
         self.by_label: dict[str, list[int]] = {}
@@ -226,26 +221,23 @@ class RelationTable:
         return out
 
 
+@dataclass(slots=True, eq=False)
 class LiveSet:
     """What the query loop holds between questions: h0's relation table and
     a live mask over h0, and the live hypotheses' weights in h0 order. It
     reads like a HypothesisSet but builds Hypothesis objects only when asked
-    for them. It is a plain slots class, and the loop sets handed on the set
-    it hands a policy: (closed, len(closed), ids), the question's open
-    candidate ids in first-occurrence order and the closed set they were
-    listed for, so the selector need not list them again. The ids hold only
-    for that set at that size, as passed in the same select call; None
-    elsewhere."""
+    for them. It is a mutable slots dataclass compared by identity, and the
+    loop sets handed on the set it hands a policy: (closed, len(closed),
+    ids), the question's open candidate ids in first-occurrence order and
+    the closed set they were listed for, so the selector need not list them
+    again. The ids hold only for that set at that size, as passed in the
+    same select call; None elsewhere."""
 
-    __slots__ = ("relations", "weights", "observation_count", "truncated", "handed")
-
-    def __init__(
-        self, relations: tuple[RelationTable, int], weights: list[float],
-        observation_count: int, truncated: bool,
-    ):
-        self.relations, self.weights = relations, weights
-        self.observation_count, self.truncated = observation_count, truncated
-        self.handed: tuple[set[PlanNode], int, list[int]] | None = None
+    relations: tuple[RelationTable, int]
+    weights: list[float]
+    observation_count: int
+    truncated: bool
+    handed: tuple[set[PlanNode], int, list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -61,9 +61,10 @@ def save_instance(instance: Instance, out_dir: Path, stem: str) -> None:
 
 
 def read_text(path: Path) -> str:
-    """The file's text, or a PlanProbeError naming the file."""
+    """The file's text, read as UTF-8 with a leading byte-order mark
+    dropped, or a PlanProbeError naming the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as e:
         raise PlanProbeError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

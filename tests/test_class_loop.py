@@ -13,12 +13,13 @@ the mph tie between mark variants whose weights differ in the last bit.
 Every select must also pick the plan of the reference selector, which
 builds its generator even when there is no tie to break.
 
-The class data itself is checked on the same instances: one representative
-per distinct set of plan ids, every column the loop reads all-or-nothing on
-each class, and the owner and representative masks equal to one sum of bits
-per class. The oracle premise, checked on one representative per class,
-must give the member-by-member verdict. And no loop may tie h0 into a
-reference cycle.
+The class data itself is checked on the same instances: plan ids that
+number the plans' mark-free trees in first-occurrence order, one
+representative per distinct set of plan ids, every column the loop reads
+all-or-nothing on each class, and the owner and representative masks equal
+to one sum of bits per class. The oracle premise, checked on one
+representative per class, must give the member-by-member verdict. And no
+loop may tie h0 into a reference cycle.
 """
 
 import functools
@@ -147,6 +148,19 @@ def test_masks_equal_one_sum_per_class(name):
     assert table.owners == owners
     assert table.label_owners == label_owners
     assert table.reps == sum(1 << members[0] for members in classes.values())
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in INSTANCES] + list(LARGE))
+def test_plan_ids_number_mark_free_trees_in_first_occurrence_order(name):
+    # Two plans share an id exactly when their trees with the marks dropped
+    # are equal, and ids count those trees in first-occurrence order over h0.
+    h0 = _large(name)[0] if name in LARGE else next(h for n, h, _ in INSTANCES if n == name)
+    numbers: dict = {}
+    want = tuple(tuple(numbers.setdefault(oracles.plan_shape(p), len(numbers)) for p in h.plans)
+                 for h in h0.hypotheses)
+    table = RelationTable(h0)
+    assert table.per_hyp == want
+    assert len(table.plans) == len(numbers)
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in INSTANCES] + list(LARGE))

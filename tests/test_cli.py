@@ -167,6 +167,22 @@ def test_falsy_non_object_goal_priors_exit_1_with_one_line(tmp_path, capsys, pri
     assert capsys.readouterr().err == "error: 'goal_priors' must be an object\n"
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"goals": ["g", "g"]}, "duplicate goal 'g'"),
+    ({"methods": [{"id": "m", "head": "g", "children": ["a"], "order": [[0, 0]]}]},
+     "method 'm': cyclic ordering constraint (pair (0, 0))"),
+], ids=["duplicate-goal", "self-ordered-constituent"])
+def test_library_rule_broken_in_the_file_exits_1_with_one_line(tmp_path, capsys, change, message):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({"basic": ["a"], "complex": ["g"], "goals": ["g"],
+                               "methods": [{"id": "m", "head": "g", "children": ["a"]}], **change}))
+    obs = tmp_path / "obs.txt"
+    obs.write_text("a\n")
+    assert main(["recognize", "--library", str(lib), "--obs", str(obs)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def _malformed(kind: str, library: dict, truth: dict, action: str) -> tuple[str, dict]:
     """The file ("library" or "truth") and its contents for one malformed
     record: a truth file with a bad field, or a 401-digit goal prior."""
@@ -389,6 +405,22 @@ def _drop_marks(doc):
         _drop_marks(child)
 
 
+def test_experiment_verify_mismatch_names_each_policy_and_writes_its_row(tmp_path, chem, monkeypatch, capsys):
+    # a loop that prunes nothing leaves both chemistry hypotheses, while the
+    # exhaustive filter keeps only the one that refines to the truth
+    def unpruned(h0, oracle, policy):
+        return h0, run_query_loop(h0, oracle, policy)[1]
+
+    monkeypatch.setattr("planprobe.experiment.run_query_loop", unpruned)
+    save_instance(chem["pairwise_first_mix"], tmp_path / "batch", "chem")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--out", str(out), "--instances", str(tmp_path / "batch"), "--verify"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"failure: chem/{kind}: final set disagrees with exhaustive filter" for kind in POLICY_KINDS]
+    rows = (out / "rows.csv").read_text().strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["chem", kind] for kind in sorted(POLICY_KINDS)]
+
+
 def test_gen_writes_instances(tmp_path, capsys):
     out = tmp_path / "batch"
     code = main(["gen", "--out", str(out), "--count", "3", "--obs-len", "4", "--seed", "5"])
@@ -435,6 +467,25 @@ def test_experiment_repeated_policy_or_obs_len_exits_1_with_one_line(tmp_path, c
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_experiment_reps_below_one_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["experiment", "--out", str(out), "--reps", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: reps must be >= 1\n")
+    assert not out.exists()
+
+
+def test_experiment_truncated_sets_fail_each_instance_and_leave_a_header_only_csv(tmp_path, capsys):
+    out = tmp_path / "exp"
+    code = main(["experiment", "--out", str(out), "--obs-len", "6", "--reps", "3", "--seed", "1",
+                 "--max-hypotheses", "5"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"failure: L6_r00{k}: hypothesis set truncated by cap; query loop skipped" for k in range(3)]
+    header = "instance,policy,obs_len,h0_size,queries,remaining_series"
+    assert (out / "rows.csv").read_text().splitlines() == [header]
 
 
 def test_gen_says_when_no_library_passes_the_ambiguity_bound(tmp_path, capsys):
@@ -579,6 +630,20 @@ def test_recognize_reads_utf8_files_under_an_ascii_locale(tmp_path, ascii_locale
     done = _run_python(args, ascii_locale=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == default.stdout
+
+
+def test_leading_byte_order_mark_is_read_as_utf8(tmp_path, capsys):
+    save_instance(gen_instance(GenParams(seed=5, obs_len=4)), tmp_path / "plain", "i")
+    (tmp_path / "bom").mkdir()
+    for name in ("i.library.json", "i.obs.txt", "i.truth.json"):
+        (tmp_path / "bom" / name).write_bytes(codecs.BOM_UTF8 + (tmp_path / "plain" / name).read_bytes())
+    outputs = []
+    for d in (tmp_path / "plain", tmp_path / "bom"):
+        files = ["--library", str(d / "i.library.json"), "--obs", str(d / "i.obs.txt")]
+        for argv in (["recognize", *files], ["sprp", *files, "--truth", str(d / "i.truth.json"), "--verify"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[2:] == outputs[:2]
 
 
 def test_experiment_writes_utf8_csvs_under_an_ascii_locale(tmp_path, ascii_locale):

@@ -120,6 +120,13 @@ def test_spec_rejects_a_cap_below_one_when_built(cap):
         ExperimentSpec(obs_lens=(3,), reps=1, max_hypotheses=cap)
 
 
+@pytest.mark.parametrize("policies, message", [((), "at least one policy is required"),
+                                               (("nope",), "unknown policy 'nope'")])
+def test_spec_rejects_an_empty_or_unknown_policy_when_built(policies, message):
+    with pytest.raises(PlanProbeError, match=f"^{message}$"):
+        ExperimentSpec(obs_lens=(3,), reps=1, policies=policies)
+
+
 class TestRunExperiment:
     def test_generated_batch_shape(self):
         spec = ExperimentSpec(obs_lens=(3, 4), reps=2, seed=11, verify=True)

@@ -7,7 +7,13 @@ builds its own table on first use) must both agree exactly with the
 reference set that the list-based update rules produce: hypotheses and
 weights, candidate plans in order, the update of each candidate under both
 answers, plan scores compared with ==, and the selected plan.
+
+A chain library at the grammar depth limit, whose deepest label has two
+methods, checks that a table is built over plans that deep and that the loop
+runs on it.
 """
+
+import json
 
 import pytest
 
@@ -23,12 +29,14 @@ from planprobe.engine import (
     update,
 )
 from planprobe.errors import OracleInconsistencyError
+from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library
 from planprobe.plans import is_refinement, matches
 from planprobe.policies import POLICY_KINDS, Policy, cumulative_plan_prob
 from planprobe.recognizer import HypothesisSet, recognize
 
 from . import oracles
 from .conftest import builtin_quartet
+from .test_library import chain_library_doc
 
 OBS_LENS = (3, 4, 5, 6)
 PER_OBS_LEN = 13
@@ -201,3 +209,23 @@ def test_every_loop_over_one_h0_shares_its_table(monkeypatch):
     open_instances = [r for r in result.rows if r.policy == POLICY_KINDS[0] and r.h0_size > 1]
     assert len(open_instances) >= 4
     assert len(built) == len(open_instances)
+
+
+def test_loop_runs_on_a_table_of_plans_at_the_depth_limit():
+    # c0 -> c1 -> ... -> c199 -> a, where c199 -> a by two methods: h0 holds
+    # two plans of MAX_GRAMMAR_DEPTH + 1 levels that differ only in their
+    # deepest method, so they are two questions, and one answer settles it.
+    doc = chain_library_doc(MAX_GRAMMAR_DEPTH)
+    doc["methods"].append({"id": "m_alt", "head": f"c{MAX_GRAMMAR_DEPTH - 1}", "children": ["a"]})
+    h0 = recognize(parse_library(json.dumps(doc)), ["a"])
+    assert len(h0) == 2
+    node, levels = h0.hypotheses[0].plans[0], 1
+    while node.children:
+        node, levels = node.children[0], levels + 1
+    assert levels == MAX_GRAMMAR_DEPTH + 1
+    assert RelationTable(h0).per_hyp == ((0,), (1,))
+    for truth in h0.hypotheses:
+        for kind in POLICY_KINDS:
+            final, trace = run_query_loop(h0, QueryOracle(truth), Policy(kind, seed=0))
+            assert trace.query_count == 1
+            assert [h.plans for h in final.hypotheses] == [truth.plans]
