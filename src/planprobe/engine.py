@@ -36,12 +36,13 @@ live mask it holds.
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
 lists the open candidates, the only plans a selector reads, from one row per
-live class. The loop lists them once per question, sends each listed id
-in one pass either to the settled ids by rule (a) or to the open ones, and
-hands the open ones to the policy with the set. Between questions it holds
-only the live mask and weights, in a LiveSet dataclass, renormalized at each
-answer as HypothesisSet.normalized does, and builds the final HypothesisSet
-once.
+live class. The loop lists them once per question and, in one pass over
+the listed ids, tests rule (b), then rule (a), on each: an id either rule
+forces is settled, counted under (b) when it meets both, and the rest stay
+open. It hands the open ones to the policy with the set. Between questions
+it holds only the live mask and weights, in a LiveSet dataclass,
+renormalized at each answer as HypothesisSet.normalized does, and builds
+the final HypothesisSet once.
 """
 
 from __future__ import annotations
@@ -211,7 +212,9 @@ class RelationTable:
     def open_ids(self, alive: int, skip: set[int]) -> list[int]:
         """Ids of the live hypotheses' plans not in skip, in first-occurrence
         order; skip gains each id listed. Only the representatives' rows are
-        read: a class's later members hold no id its representative lacks."""
+        read: a class's later members hold no id its representative lacks.
+        The query loop lists a question's candidates here once and settles
+        the forced ones from this list."""
         out = []
         for row in compress(self.per_hyp, bit_selectors(alive & self.reps)):
             for t in row:
@@ -372,10 +375,12 @@ def run_query_loop(
     whose premise holds builds the table anyway.
 
     Before each select, the candidates whose answer is forced are closed
-    unasked, by rules (a) and (b) of the module docstring. The open
-    candidates are listed once per question, by id, skipping the asked and
-    settled ids, and one pass over that list settles those rule (a)
-    forces.
+    unasked, by rules (a) and (b) of the module docstring. The candidates
+    are listed once per question, by id, skipping the asked and settled
+    ids, and one pass over that list settles each id that rule (b), tested
+    first, or rule (a) forces; an id that meets both counts as
+    settled_by_answer. Each rule checks the id's root label before it
+    evaluates a relation.
 
     When h0 has two or more hypotheses the loop holds a LiveSet sharing
     h0's relation table, and hands the policy one that carries the open
@@ -404,24 +409,20 @@ def run_query_loop(
     last_true: PlanNode | None = None
 
     while len(current) > 1:
-        by_answer = 0
-        if last_true is not None:
-            for t in table.by_label[last_true.label]:
-                if (owners[t] & alive and t not in asked and t not in settled
-                        and is_refinement(plans[t], last_true)):
-                    settled.add(t)
-                    closed.add(plans[t])
-                    by_answer += 1
-        # one pass: rule (a) settles each listed id or leaves it open
-        by_premise = 0
+        # one pass: rule (b), then rule (a), settles each listed id or leaves it open
+        by_answer = by_premise = 0
         open_ids = []
         for t in table.open_ids(alive, asked | settled):
-            if alive & ~label_owners[plans[t].label] or alive & ~table.refine(t):
+            q = plans[t]
+            if last_true is not None and q.label == last_true.label and is_refinement(q, last_true):
+                by_answer += 1
+            elif alive & ~label_owners[q.label] or alive & ~table.refine(t):
                 open_ids.append(t)
+                continue
             else:
-                settled.add(t)
-                closed.add(plans[t])
                 by_premise += 1
+            settled.add(t)
+            closed.add(q)
         if not open_ids:
             break
         current.handed = (closed, len(closed), open_ids)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from planprobe import engine
 from planprobe.domains import GenParams, gen_instance
 from planprobe.engine import (
     QueryOracle,
@@ -11,16 +12,19 @@ from planprobe.engine import (
     update,
 )
 from planprobe.errors import OracleInconsistencyError, PolicyError
-from planprobe.experiment import brute_force_final_set
+from planprobe.experiment import ExperimentSpec, _instances_for, brute_force_final_set
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
     hypothesis_key,
     hypothesis_refines,
+    is_refinement,
     matches,
 )
-from planprobe.policies import Policy
-from planprobe.recognizer import HypothesisSet, recognize
+from planprobe.policies import POLICY_KINDS, Policy
+from planprobe.recognizer import HypothesisSet, RecognizerConfig, recognize
+
+from . import oracles
 
 
 def _names(quartet, hset):
@@ -100,6 +104,23 @@ class TestUpdate:
                        pytest.approx([h.weight for h in once.hypotheses])
                 cases += 1
         assert cases == 1000
+
+    def test_truncated_set_stays_truncated_and_shares_its_table(self):
+        inst = gen_instance(GenParams(obs_len=6, seed=1))
+        h0 = recognize(inst.library, list(inst.observations), RecognizerConfig(max_hypotheses=30))
+        assert h0.truncated and len(h0) == 30
+        table = engine.relations(h0)[0]
+        # a True answer that keeps 24 of 30, then a False one that keeps 4
+        first = candidate_plans(h0, set())[2]
+        h1 = update(h0, first, True)
+        second = candidate_plans(h1, {first})[1]
+        h2 = update(h1, second, False)
+        assert (len(h1), len(h2)) == (24, 4)
+        for got, (before, plan, answer) in ((h1, (h0, first, True)), (h2, (h1, second, False))):
+            assert got.truncated is True and got.observation_count == 6
+            assert engine.relations(got)[0] is table
+            want = oracles.update(before, plan, answer)
+            assert got.hypotheses == want.hypotheses  # plans and weights, exactly
 
 
 class TestCandidatePlans:
@@ -249,3 +270,27 @@ class TestRunQueryLoop:
         assert len(doc["steps"]) == trace.query_count
         for step in doc["steps"]:
             assert {"plan_key", "plan", "answer", "remaining"} <= step.keys()
+
+
+def test_loop_relation_calls_over_the_obs_5_7_batch(monkeypatch):
+    """Relation calls of the four loops over the obs-5/7 batch, counted at
+    the engine's names, so the oracle's calls count too. Rule (b) and every
+    column check a plan's root label before they evaluate a relation, and a
+    count above these means one stopped doing so. perfbench reports such
+    counts as plans.refine_calls and plans.match_calls."""
+    calls = {is_refinement: 0, matches: 0}
+
+    def counted(relation):
+        def call(p, q):
+            calls[relation] += 1
+            return relation(p, q)
+        return call
+
+    monkeypatch.setattr(engine, "is_refinement", counted(is_refinement))
+    monkeypatch.setattr(engine, "matches", counted(matches))
+    for _, load in _instances_for(ExperimentSpec(obs_lens=(5, 7), reps=30, seed=11)):
+        inst = load()
+        h0 = recognize(inst.library, list(inst.observations))
+        for kind in POLICY_KINDS:
+            run_query_loop(h0, QueryOracle(inst.truth), Policy(kind, 0))
+    assert (calls[is_refinement], calls[matches]) == (2647, 1102)
