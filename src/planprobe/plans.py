@@ -1,8 +1,9 @@
 """Plan trees, the refinement and match relations, and hypothesis structure.
 
-Plans are immutable labeled trees, and a plan is its root PlanNode. An inner
-node records which refinement method expanded it; its children follow the
-method's constituent order.
+Plans are labeled trees, and a plan is its root PlanNode, a slots dataclass
+that caches its hash at construction: nodes are treated as immutable, though
+nothing enforces it. An inner node records which refinement method expanded
+it; its children follow the method's constituent order.
 Unexpanded complex nodes and unobserved basic leaves form the open frontier,
 the part of the plan the agent has yet to carry out.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import PlanError, PlanTooDeepError
@@ -26,49 +27,32 @@ from .library import MAX_GRAMMAR_DEPTH, PlanLibrary
 Path = tuple[int, ...]
 
 
+@dataclass(slots=True, repr=False)
 class PlanNode:
-    """Immutable tree node, and as a root a whole plan. Hash is computed
-    once at construction; pickling and copying rebuild a node through the
-    constructor, because the hash of its fields differs between processes."""
+    """Tree node, and as a root a whole plan: a slots dataclass whose hash
+    is computed once at construction, so it is immutable by convention only.
+    Equality compares the four fields. Pickling and copying rebuild a node
+    through the constructor, because the hash of its fields differs between
+    processes."""
 
-    __slots__ = ("label", "method", "children", "observed", "_hash")
+    label: str
+    method: str | None = None
+    children: tuple[PlanNode, ...] = ()
+    observed: int | None = None
+    _hash: int = field(init=False, compare=False)
 
-    def __init__(
-        self,
-        label: str,
-        method: str | None = None,
-        children: tuple[PlanNode, ...] = (),
-        observed: int | None = None,
-    ):
-        if (method is None) != (len(children) == 0):
-            raise PlanError(f"node {label!r}: children present iff a method was applied")
-        if observed is not None and method is not None:
-            raise PlanError(f"node {label!r}: only leaves can carry an observation index")
-        self.label = label
-        self.method = method
-        self.children = children
-        self.observed = observed
-        self._hash = hash((label, method, observed, children))
+    def __post_init__(self) -> None:
+        if (self.method is None) != (len(self.children) == 0):
+            raise PlanError(f"node {self.label!r}: children present iff a method was applied")
+        if self.observed is not None and self.method is not None:
+            raise PlanError(f"node {self.label!r}: only leaves can carry an observation index")
+        self._hash = hash((self.label, self.method, self.observed, self.children))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return PlanNode, (self.label, self.method, self.children, self.observed)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PlanNode):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return (
-            self.label == other.label
-            and self.method == other.method
-            and self.observed == other.observed
-            and self.children == other.children
-        )
 
     def __repr__(self) -> str:
         parts = [repr(self.label)]
@@ -265,18 +249,14 @@ def validate_hypothesis(lib: PlanLibrary, h: Hypothesis) -> dict[int, str]:
 
 def plan_to_dict(plan: PlanNode) -> dict:
     """Nested {label, method?, observed?, children?} records."""
-
-    def encode(node: PlanNode) -> dict:
-        out: dict = {"label": node.label}
-        if node.method is not None:
-            out["method"] = node.method
-        if node.observed is not None:
-            out["observed"] = node.observed
-        if node.children:
-            out["children"] = [encode(c) for c in node.children]
-        return out
-
-    return encode(plan)
+    out: dict = {"label": plan.label}
+    if plan.method is not None:
+        out["method"] = plan.method
+    if plan.observed is not None:
+        out["observed"] = plan.observed
+    if plan.children:
+        out["children"] = [plan_to_dict(c) for c in plan.children]
+    return out
 
 
 def plan_from_dict(doc: dict) -> PlanNode:

@@ -45,9 +45,11 @@ def cumulative_plan_prob(hset: HypothesisSet | LiveSet, plan: PlanNode) -> float
 
 
 def _entropy_of_weights(weights: list[float]) -> float:
-    if len(weights) <= 1:
-        return 0.0
+    """Entropy (bits) of the weights renormalized; 0.0 for at most one
+    weight, and for a branch with no weight (its sum is not > 0)."""
     total = left_sum(weights)
+    if len(weights) <= 1 or not total > 0:
+        return 0.0
     e = 0.0
     for w in weights:
         p = w / total

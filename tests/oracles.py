@@ -414,9 +414,9 @@ def _rng(seed: int, closed: set) -> random.Random:
 
 
 def _entropy_of_weights(weights: list[float]) -> float:
-    if len(weights) <= 1:
-        return 0.0
     total = _left_sum(weights)
+    if len(weights) <= 1 or not total > 0:
+        return 0.0
     e = 0.0
     for w in weights:
         p = w / total

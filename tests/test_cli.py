@@ -19,7 +19,7 @@ from planprobe.plans import hypothesis_to_dict
 from planprobe.policies import POLICY_KINDS
 from planprobe.recognizer import recognize
 
-from .test_experiment import ZERO_WEIGHT, break_instance_file, save_zero_prior_instances
+from .test_experiment import ZERO_WEIGHT, break_instance_file, save_zero_branch_instance, save_zero_prior_instances
 from .test_library import chain_library_doc, long_order_library_doc
 
 
@@ -572,6 +572,24 @@ def test_experiment_names_a_zero_weight_instance_and_writes_the_rest(tmp_path, c
         f"failure: zero_loop: {ZERO_WEIGHT}", f"failure: zero_recognize: {ZERO_WEIGHT}"]
     rows = (out / "rows.csv").read_text().strip().splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [["good", "mph"]]
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_a_branch_of_zero_weight_verifies_under_every_policy(tmp_path, capsys, policy):
+    stem = save_zero_branch_instance(tmp_path)
+    code = main(["sprp", "--library", str(tmp_path / f"{stem}.library.json"),
+                 "--obs", str(tmp_path / f"{stem}.obs.txt"), "--truth", str(tmp_path / f"{stem}.truth.json"),
+                 "--policy", policy, "--verify"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_experiment_writes_the_rows_of_an_instance_with_a_zero_weight_branch(tmp_path):
+    stem = save_zero_branch_instance(tmp_path / "batch")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--out", str(out), "--instances", str(tmp_path / "batch"), "--verify"]) == 0
+    rows = (out / "rows.csv").read_text().strip().splitlines()
+    assert sorted(row.split(",")[:2] for row in rows[1:]) == sorted([stem, kind] for kind in POLICY_KINDS)
 
 
 @pytest.mark.parametrize("case", ["obs-not-observed", "truth-not-json"])

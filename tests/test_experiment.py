@@ -43,6 +43,24 @@ def save_zero_prior_instances(directory):
         (directory / f"{stem}.truth.json").write_text(json.dumps(truth))
 
 
+def save_zero_branch_instance(directory) -> str:
+    """An instance whose goals h and k have prior 0 beside g's 1, and return
+    its stem. After observing a then x, every hypothesis that pursues only
+    h and k weighs 0, so a question's branch can keep only such ones."""
+    directory.mkdir(parents=True, exist_ok=True)
+    methods = [{"id": "mg", "head": "g", "children": ["a", "x"]},
+               {"id": "mh", "head": "h", "children": ["a", "x"]},
+               {"id": "mk", "head": "k", "children": ["x"]}]
+    library = {"basic": ["a", "x"], "complex": ["g", "h", "k"], "goals": ["g", "h", "k"],
+               "goal_priors": {"g": 1.0, "h": 0.0, "k": 0.0}, "methods": methods}
+    leaves = [{"label": "a", "observed": 0}, {"label": "x", "observed": 1}]
+    truth = {"plans": [{"label": "g", "method": "mg", "children": leaves}]}
+    (directory / "zero_branch.library.json").write_text(json.dumps(library))
+    (directory / "zero_branch.obs.txt").write_text("a\nx\n")
+    (directory / "zero_branch.truth.json").write_text(json.dumps(truth))
+    return "zero_branch"
+
+
 # a bad file of instance_001 -> what its failure says after the stem
 BAD_INSTANCE_FILES = {
     "obs-not-observed": ("obs.txt", b"b0\n", "truth does not describe the observation sequence"),

@@ -406,3 +406,19 @@ def test_basic_complex_overlap_rejected():
             methods=(RefinementMethod("m", "g", ("a",)),),
             goals=("g",),
         )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RefinementMethod("", "g", ("a",)), "method id must be non-empty"),
+        (lambda: RefinementMethod("m", "g", ()), "method 'm' has no constituents"),
+        (lambda: PlanLibrary(basic=frozenset({""}), complex_actions=frozenset({"g"}),
+                             methods=(RefinementMethod("m", "g", ("",)),), goals=("g",)),
+         "action name must be a non-empty string, got ''"),
+    ],
+    ids=["empty-method-id", "no-constituents", "empty-action-name"],
+)
+def test_constructor_rejections(build, message):
+    with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
+        build()

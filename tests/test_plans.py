@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,20 @@ class TestApplyMethod:
     def test_head_mismatch_rejected(self, quartet):
         with pytest.raises(PlanError, match="expands"):
             apply_method(quartet.p2, (1,), quartet.library.method("my"))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda: PlanNode("a").node_at((5,)), "no node at path (5,)"),
+            (lambda: observe_leaf(PlanNode("g", "m", (PlanNode("a"),)), (), 0), "node 'g' at () is not a leaf"),
+            (lambda: observe_leaf(PlanNode("g", "m", (PlanNode("a", observed=0),)), (0,), 1),
+             "leaf 'a' at (0,) already observed at 0"),
+        ],
+        ids=["no-node", "not-a-leaf", "already-observed"],
+    )
+    def test_bad_path_rejected(self, edit, message):
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            edit()
 
 
 def _strip_marks(doc):
@@ -209,6 +224,9 @@ class TestCanonicalKey:
 
     def test_distinct_plans_differ(self, quartet):
         assert quartet.p1 != quartet.p3
+        # a node is never equal to a value of another type
+        assert not PlanNode("a") == "a" and PlanNode("a") != "a"
+        assert PlanNode("a").__eq__("a") is NotImplemented
 
     def test_pickled_under_another_hash_seed_equal(self):
         # A node's cached hash covers str hashes, which follow the hash
@@ -265,6 +283,10 @@ class TestDescribes:
         assert not describes(quartet.h1, ["o1", "o2"])
         assert not describes(quartet.h1, ["o2", "o1", "o3"])
         assert not describes(quartet.h1, ["o1", "o2", "o3", "o1"])
+        # two plans marking index 0 with the observed action
+        twice = Hypothesis((PlanNode("g", "m", (PlanNode("a", observed=0),)),
+                            PlanNode("h", "n", (PlanNode("a", observed=0),))))
+        assert not describes(twice, ["a"])
 
 
 class TestValidation:

@@ -60,6 +60,10 @@ class TestEntropy:
             hs = HypothesisSet.normalized([Hypothesis((), 1.0) for _ in range(n)], 0)
             assert entropy(hs) == pytest.approx(math.log2(n))
 
+    def test_branch_with_no_weight_zero(self):
+        # the survivors of a branch can all pursue goals of prior 0
+        assert policies._entropy_of_weights([0.0, 0.0]) == oracles._entropy_of_weights([0.0, 0.0]) == 0.0
+
 
 class TestSelectRandom:
     def test_single_candidate(self, quartet):
