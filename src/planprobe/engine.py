@@ -26,12 +26,12 @@ asking every question would give.
 
 The relations are read from a RelationTable that the set holds: relations
 builds it on a set's first use and update hands it on to the derived set,
-so every loop and selector over one h0 evaluates each column once. The
-table names each plan up to marks by an int id, keyed by its mark-free
-tree, and the loop works in ids: asked and settled plans are id sets, and
-an answer prunes by the id the loop interned for the question. One prune
-rule, _pruned, serves update and the loop; the loop hands it the table and
-live mask it holds.
+so every loop and selector over one h0 evaluates each column once. Every
+loop, whatever h0's size, runs on that table. The table names each plan up
+to marks by an int id, keyed by its mark-free tree, and the loop works in
+ids: asked and settled plans are id sets, and an answer prunes by the id
+the loop interned for the question. One prune rule, _pruned, serves update
+and the loop; the loop hands it the table and live mask it holds.
 
 No relation sees marks, so hypotheses holding the same plans up to marks (a
 mark-free class) are kept or dropped together by every answer, and the table
@@ -177,10 +177,9 @@ class RelationTable:
 
     def plan(self, t: int, alive: int) -> PlanNode:
         """The plan of id t held by the first hypothesis in alive that holds
-        one (the first interned plan of id t if none does)."""
+        one. Requires that some hypothesis in alive holds one, as every id
+        listed from alive's rows (candidates, open_ids) does."""
         mask = self.owners[t] & alive
-        if not mask:
-            return self.plans[t]
         i = (mask & -mask).bit_length() - 1
         return self.hypotheses[i].plans[self.per_hyp[i].index(t)]
 
@@ -368,11 +367,10 @@ def run_query_loop(
 
     Requires an untruncated set and that some hypothesis can be refined to
     the oracle's truth (the guarantee that pruning can never empty the set).
-    hypothesis_refines ignores marks, so a set of two or more hypotheses is
-    checked on one representative per mark-free class. Those come from h0's
-    relation table, so the check runs after the table is built: a truth that
-    no hypothesis refines is reported only after that build, and a run
-    whose premise holds builds the table anyway.
+    hypothesis_refines ignores marks, so the set is checked on one
+    representative per mark-free class. Those come from h0's relation
+    table, which every loop builds or reuses first, whatever h0's size: a
+    truth that no hypothesis refines is reported only after that build.
 
     Before each select, the candidates whose answer is forced are closed
     unasked, by rules (a) and (b) of the module docstring. The candidates
@@ -382,24 +380,20 @@ def run_query_loop(
     settled_by_answer. Each rule checks the id's root label before it
     evaluates a relation.
 
-    When h0 has two or more hypotheses the loop holds a LiveSet sharing
-    h0's relation table, and hands the policy one that carries the open
-    ids. It returns h0 when nothing was asked, and otherwise the set that
-    updating h0 by every answer would give.
+    The loop holds a LiveSet sharing h0's relation table, and hands the
+    policy one that carries the open ids. A set of fewer than two
+    hypotheses asks nothing. The loop returns h0 when nothing was asked,
+    and otherwise the set that updating h0 by every answer would give.
     """
     if h0.truncated:
         raise ValueError("query loop requires an untruncated hypothesis set")
-    held = h0.hypotheses
-    if len(h0) > 1:
-        # one representative per live class; only their plans are read
-        table, alive = relations(h0)
-        held = compress(table.hypotheses, bit_selectors(alive & table.reps))
+    table, alive = relations(h0)
+    # one representative per live class; only their plans are read
+    held = compress(table.hypotheses, bit_selectors(alive & table.reps))
     if not any(hypothesis_refines(h, oracle.truth) for h in held):
         raise OracleInconsistencyError("no hypothesis can be refined to the oracle's truth")
 
     trace = ProbeTrace(initial_size=len(h0))
-    if len(h0) < 2:
-        return h0, trace
     plans, owners, label_owners = table.plans, table.owners, table.label_owners
     current = LiveSet((table, alive), h0.weights, h0.observation_count, h0.truncated)
     # closed holds a plan per asked or settled id; asked and settled split it

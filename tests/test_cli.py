@@ -1,7 +1,9 @@
 import codecs
+import collections
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -719,3 +721,69 @@ def test_usage_error_exits_nonzero():
 def test_unknown_policy_rejected():
     with pytest.raises(SystemExit):
         main(["sprp", "--library", "a", "--obs", "b", "--truth", "c", "--policy", "greedy"])
+
+
+def _json_paths(doc, path=()):
+    """The path of every value under doc, doc itself excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate_json(text, rng):
+    """text with one value deleted, or two values (neither inside the other)
+    swapped."""
+    doc = json.loads(text)
+    paths = list(_json_paths(doc))
+
+    def parent(path):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    a = rng.choice(paths)
+    others = [b for b in paths if a[: len(b)] != b and b[: len(a)] != a]
+    if others and rng.random() < 0.5:
+        b = rng.choice(others)
+        pa, pb = parent(a), parent(b)
+        pa[a[-1]], pb[b[-1]] = pb[b[-1]], pa[a[-1]]
+    else:
+        del parent(a)[a[-1]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["sprp", "recognize"])
+def test_mutated_instance_files_exit_with_a_documented_code_and_one_line(tmp_path, capsys, command):
+    # Any input either succeeds or fails with a documented exit code and a
+    # one-line message: one JSON value of the library or truth swapped or
+    # deleted, or one observation replaced, never ends in a traceback.
+    save_instance(gen_instance(GenParams(obs_len=4, seed=3)), tmp_path, "good")
+    files = {suffix: (tmp_path / f"good.{suffix}").read_text() for suffix in ("library.json", "truth.json", "obs.txt")}
+    lib = json.loads(files["library.json"])
+    names = lib["basic"] + lib["complex"] + ["not_an_action"]
+    suffixes = ["library.json", "obs.txt"] + (["truth.json"] if command == "sprp" else [])
+    rng = random.Random(f"mutate:{command}")
+    codes = collections.Counter()
+    for case in range(300):
+        mutated = dict(files)
+        suffix = rng.choice(suffixes)
+        if suffix == "obs.txt":
+            observations = files[suffix].split()
+            observations[rng.randrange(len(observations))] = rng.choice(names)
+            mutated[suffix] = "".join(f"{o}\n" for o in observations)
+        else:
+            mutated[suffix] = _mutate_json(files[suffix], rng)
+        for name, text in mutated.items():
+            (tmp_path / f"case.{name}").write_text(text)
+        args = [command, "--library", str(tmp_path / "case.library.json"), "--obs", str(tmp_path / "case.obs.txt")]
+        if command == "sprp":
+            args += ["--truth", str(tmp_path / "case.truth.json"), "--verify"]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (case, suffix, mutated[suffix], err)
+        assert err.count("\n") <= 1, (case, suffix, mutated[suffix], err)
+        codes[code] += 1
+    # the mutations reach both success and failure
+    assert codes[0] and codes[1], codes

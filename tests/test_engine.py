@@ -142,8 +142,21 @@ class TestCandidatePlans:
 class TestRunQueryLoop:
     def test_singleton_makes_no_queries(self, quartet):
         lone = HypothesisSet.normalized([quartet.h1], 3)
-        final, trace = run_query_loop(lone, QueryOracle(quartet.truth), Policy("random", 0))
-        assert trace.query_count == 0 and len(final) == 1
+        held = []
+        for kind in POLICY_KINDS:
+            final, trace = run_query_loop(lone, QueryOracle(quartet.truth), Policy(kind, 0))
+            assert final is lone and trace.query_count == 0
+            held.append(lone.relations)
+        # the first loop built the set's table, and the other three ran on it
+        table, alive = held[0]
+        assert isinstance(table, engine.RelationTable) and alive == 1
+        assert all(r is held[0] for r in held)
+
+        # h4 uses another root method, so h1 cannot be refined to its plans
+        with pytest.raises(OracleInconsistencyError, match="no hypothesis can be refined"):
+            run_query_loop(lone, QueryOracle(Hypothesis(quartet.h4.plans)), Policy("random", 0))
+        with pytest.raises(OracleInconsistencyError, match="no hypothesis can be refined"):
+            run_query_loop(HypothesisSet((), 0), QueryOracle(quartet.truth), Policy("random", 0))
 
     def test_final_set_matches_exhaustive_filter(self, quartet):
         expected = {hypothesis_key(h) for h in brute_force_final_set(quartet.hset, quartet.truth).hypotheses}

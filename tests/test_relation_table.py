@@ -205,10 +205,10 @@ def test_every_loop_over_one_h0_shares_its_table(monkeypatch):
     result = experiment.run_experiment(experiment.ExperimentSpec(obs_lens=(4,), reps=6, seed=5))
     assert not result.failures
     assert len(result.rows) == 6 * len(POLICY_KINDS)
-    # a loop over a single hypothesis asks nothing and needs no table
-    open_instances = [r for r in result.rows if r.policy == POLICY_KINDS[0] and r.h0_size > 1]
-    assert len(open_instances) >= 4
-    assert len(built) == len(open_instances)
+    # one table per instance, an instance of a single hypothesis included
+    sizes = [r.h0_size for r in result.rows if r.policy == POLICY_KINDS[0]]
+    assert 1 in sizes and sum(size > 1 for size in sizes) >= 4
+    assert len(built) == len(sizes) == 6
 
 
 def test_loop_runs_on_a_table_of_plans_at_the_depth_limit():
