@@ -78,24 +78,24 @@ def _build_parser() -> _Parser:
     p_sprp.add_argument("--obs", required=True, type=Path)
     p_sprp.add_argument("--truth", required=True, type=Path)
     p_sprp.add_argument("--policy", choices=POLICY_KINDS, default="entropy")
-    p_sprp.add_argument("--seed", type=int, default=0)
+    p_sprp.add_argument("--seed", type=int, default=Policy.seed)
     p_sprp.add_argument("--verify", action="store_true",
                         help="check the final set equals the exhaustive refinement filter")
 
     p_gen = sub.add_parser("gen", parents=[shape], help="write synthetic instance files")
     p_gen.add_argument("--out", required=True, type=Path)
     p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--obs-len", type=int, default=5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--obs-len", type=int, default=GenParams.obs_len)
+    p_gen.add_argument("--seed", type=int, default=GenParams.seed)
 
     p_exp = sub.add_parser("experiment", parents=[shape], help="batch policy comparison, writes CSV files")
     p_exp.add_argument("--out", required=True, type=Path)
     p_exp.add_argument("--policy", action="append", choices=POLICY_KINDS, default=None,
                        help="repeatable; default: all policies")
     p_exp.add_argument("--obs-len", action="append", type=int, default=None,
-                       help="repeatable; default: 3 4 5 6 7")
-    p_exp.add_argument("--reps", type=int, default=10)
-    p_exp.add_argument("--seed", type=int, default=0)
+                       help=f"repeatable; default: {' '.join(map(str, DEFAULT_OBS_LENS))}")
+    p_exp.add_argument("--reps", type=int, default=ExperimentSpec.reps)
+    p_exp.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     p_exp.add_argument("--instances", type=Path, default=None,
                        help="directory of instance files instead of generated ones")
     p_exp.add_argument("--max-hypotheses", type=int, default=None)
@@ -165,6 +165,7 @@ def _cmd_experiment(args) -> int:
         verify=args.verify,
         timeout=args.timeout,
     )
+    args.out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the batch runs
     result = run_experiment(spec)
     write_all_csvs(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

@@ -9,12 +9,17 @@ gen_instance then tries a fresh draw.
 
 builtin_chemistry encodes a small lab domain where a student either mixes
 all substance pairs or mixes everything in one flask.
+
+Both build their truths with _complete_plan, which expands each complex
+node by the method a chooser picks from its label's methods: gen_instance
+passes rng.choice, builtin_chemistry picks the strategy by position.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import GenerationError
@@ -154,11 +159,14 @@ def _gen_library(params: GenParams, rng: random.Random) -> PlanLibrary | None:
     )
 
 
-def _complete_plan(lib: PlanLibrary, label: str, rng: random.Random) -> PlanNode:
+def _complete_plan(lib: PlanLibrary, label: str, choose: Callable[..., RefinementMethod]) -> PlanNode:
+    """A complete unmarked plan rooted at label: each complex node expands by
+    the method that choose picks from its label's methods in file order,
+    children left to right."""
     if lib.is_basic(label):
         return PlanNode(label)
-    method = rng.choice(lib.methods_for(label))
-    children = tuple(_complete_plan(lib, c, rng) for c in method.constituents)
+    method = choose(lib.methods_for(label))
+    children = tuple(_complete_plan(lib, c, choose) for c in method.constituents)
     return PlanNode(label, method=method.id, children=children)
 
 
@@ -167,18 +175,23 @@ def _emit_observations(
 ) -> tuple[list[PlanNode], list[str]]:
     """Mark a legal execution prefix of length obs_len. The first picks touch
     every plan once so no true plan stays unobserved. One memo serves the
-    whole emission, so a plan is walked only where a step changed it."""
+    whole emission, so a plan is walked only where a step changed it.
+
+    The pool is never empty. The plans are complete and gen_instance passes
+    them only with at least obs_len leaves, so at every step a picked plan
+    has an unobserved leaf: a first pick takes a plan no earlier step
+    touched, and a later step picks every plan. A complete plan with an
+    unobserved leaf has an enabled one, since each method's order is
+    acyclic: a minimal unfinished constituent has every predecessor fully
+    observed."""
     memo = _PlanMemo(lib)
     observations: list[str] = []
     start_order = list(range(len(plans)))
     rng.shuffle(start_order)
     for step in range(obs_len):
         picks = [start_order[step]] if step < len(plans) else range(len(plans))
-        pool = [(i, path) for i in picks for path, _ in memo[plans[i]][1]]
-        if not pool:
-            raise GenerationError("execution stalled before reaching obs_len")
-        plan_idx, path = rng.choice(pool)
-        leaf = plans[plan_idx].node_at(path)
+        pool = [(i, path, leaf) for i in picks for path, leaf in memo[plans[i]][1]]
+        plan_idx, path, leaf = rng.choice(pool)
         observations.append(leaf.label)
         plans[plan_idx] = observe_leaf(plans[plan_idx], path, step)
     return plans, observations
@@ -197,7 +210,7 @@ def gen_instance(params: GenParams) -> Instance:
         for _ in range(_MAX_TRUTH_TRIES):
             want = 2 if (params.num_goals >= 2 and params.obs_len >= 2 and rng.random() < 0.35) else 1
             goal_names = rng.sample(list(lib.goals), want)
-            plans = [_complete_plan(lib, g, rng) for g in goal_names]
+            plans = [_complete_plan(lib, g, rng.choice) for g in goal_names]
             if sum(not node.children for p in plans for _, node in iter_nodes(p)) < params.obs_len:
                 continue
             marked, observations = _emit_observations(lib, plans, params.obs_len, rng)
@@ -226,28 +239,10 @@ def builtin_chemistry() -> dict[str, Instance]:
     react, either by mixing each pair or by mixing everything in one flask
     (where the first pour pair still shows up as a pair mix)."""
     lib = _chem_library()
-    pairwise = PlanNode(
-        "InvestigateReaction",
-        method="strategy_pairwise",
-        children=(
-            PlanNode(
-                "Pairwise",
-                method="run_pairwise",
-                children=tuple(PlanNode(m) for m in lib.method("run_pairwise").constituents),
-            ),
-        ),
-    )
-    fourway = PlanNode(
-        "InvestigateReaction",
-        method="strategy_fourway",
-        children=(
-            PlanNode(
-                "FourWay",
-                method="run_fourway",
-                children=(PlanNode("mix_AB"), PlanNode("mix_ABCD")),
-            ),
-        ),
-    )
+    # InvestigateReaction's methods are strategy_pairwise, then
+    # strategy_fourway; every other label has one method
+    pairwise = _complete_plan(lib, "InvestigateReaction", lambda methods: methods[0])
+    fourway = _complete_plan(lib, "InvestigateReaction", lambda methods: methods[-1])
     return {
         "pairwise_first_mix": Instance(
             lib,

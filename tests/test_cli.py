@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import planprobe
+from planprobe import cli
 from planprobe.cli import main
 from planprobe.domains import GenParams, gen_instance
 from planprobe.engine import run_query_loop
-from planprobe.experiment import ExperimentSpec, run_experiment, save_instance, write_all_csvs
+from planprobe.experiment import DEFAULT_OBS_LENS, ExperimentSpec, run_experiment, save_instance, write_all_csvs
 from planprobe.library import MAX_GRAMMAR_DEPTH, parse_library, serialize_library
 from planprobe.plans import hypothesis_to_dict
-from planprobe.policies import POLICY_KINDS
+from planprobe.policies import POLICY_KINDS, Policy
 from planprobe.recognizer import recognize
 
 from .test_experiment import ZERO_WEIGHT, break_instance_file, save_zero_branch_instance, save_zero_prior_instances
@@ -477,6 +478,36 @@ def test_experiment_reps_below_one_exits_1_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: reps must be >= 1\n")
     assert not out.exists()
+
+
+def test_experiment_out_that_is_a_file_exits_1_before_the_batch_runs(tmp_path, monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("the batch ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    out = tmp_path / "exp"
+    out.write_text("")
+    assert main(["experiment", "--out", str(out), "--obs-len", "3", "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_defaults_are_the_dataclasses_defaults(monkeypatch, capsys):
+    parser = cli._build_parser()
+    files = ["--library", "l", "--obs", "o"]
+    assert parser.parse_args(["sprp", *files, "--truth", "t"]).seed == Policy.seed
+    gen = parser.parse_args(["gen", "--out", "d"])
+    assert (gen.obs_len, gen.seed) == (GenParams.obs_len, GenParams.seed)
+    exp = parser.parse_args(["experiment", "--out", "d"])
+    assert (exp.reps, exp.seed) == (ExperimentSpec.reps, ExperimentSpec.seed)
+    for args in (gen, exp):
+        assert [getattr(args, name) for name in cli._SHAPE_FIELDS] == \
+            [getattr(GenParams, name) for name in cli._SHAPE_FIELDS]
+    monkeypatch.setenv("COLUMNS", "200")  # one help entry per line
+    with pytest.raises(SystemExit):
+        parser.parse_args(["experiment", "--help"])
+    assert f"repeatable; default: {' '.join(map(str, DEFAULT_OBS_LENS))}\n" in capsys.readouterr().out
 
 
 def test_experiment_truncated_sets_fail_each_instance_and_leave_a_header_only_csv(tmp_path, capsys):

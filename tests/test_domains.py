@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 import random
 
@@ -13,6 +16,7 @@ from planprobe.plans import (
     describes,
     hypothesis_key,
     hypothesis_refines,
+    hypothesis_to_dict,
     is_complete,
     is_refinement,
     iter_nodes,
@@ -113,6 +117,21 @@ class TestGenInstance:
             hset = recognize(inst.library, list(inst.observations))
             assert any(hypothesis_refines(h, inst.truth) for h in hset.hypotheses)
 
+    @pytest.mark.parametrize("order_density", [0.0, 1.0])
+    def test_generation_never_stalls(self, order_density):
+        # the emitter has no empty-pool branch: every draw either yields an
+        # instance or fails before emitting, for one of the two named causes
+        shapes = itertools.product(range(1, 5), range(1, 10), (2, 6), (1, 3))
+        for k, (depth, obs_len, num_basic, num_goals) in enumerate(shapes):
+            params = GenParams(num_goals=num_goals, depth=depth, num_basic=num_basic, obs_len=obs_len,
+                               seed=k % 3, order_density=order_density)
+            try:
+                inst = gen_instance(params)
+            except GenerationError as e:
+                assert "plans too small" in str(e) or "too ambiguous" in str(e), (params, e)
+            else:
+                assert isinstance(inst, Instance) and len(inst.observations) == obs_len, params
+
 
 class TestAmbiguityWhileDrawing:
     """The generator counts chains per label while it draws and drops a draw
@@ -158,6 +177,15 @@ class TestChemistry:
     def test_catalog_instances_valid(self, chem):
         for inst in chem.values():
             assert isinstance(inst, Instance)
+
+    def test_instances_pinned(self, chem):
+        doc = {name: [hypothesis_to_dict(inst.truth, include_weight=False), list(inst.observations)]
+               for name, inst in chem.items()}
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "d8fb39ec0001ea11f3026656b6dc561c57169f1bdd16c806e4d10983fb2f551a"
+        # builtin_chemistry picks the pairwise strategy first, the four-way one last
+        lib = chem["pairwise_first_mix"].library
+        assert [m.id for m in lib.methods_for("InvestigateReaction")] == ["strategy_pairwise", "strategy_fourway"]
 
     def test_first_mix_two_hypotheses(self, chem):
         inst = chem["pairwise_first_mix"]
