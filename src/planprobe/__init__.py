@@ -19,7 +19,6 @@ from .library import PlanLibrary, RefinementMethod, parse_library, serialize_lib
 from .plans import (
     Hypothesis,
     PlanNode,
-    describes,
     hypothesis_refines,
     is_complete,
     is_refinement,
@@ -33,7 +32,6 @@ from .plans import (
 from .recognizer import (
     HypothesisSet,
     RecognizerConfig,
-    enabled_expansion_targets,
     explain_step,
     hypothesis_weight,
     recognize,
@@ -50,7 +48,6 @@ from .policies import (
     POLICY_KINDS,
     Policy,
     cumulative_plan_prob,
-    entropy,
     select_min_entropy,
     select_mph,
     select_mpp,

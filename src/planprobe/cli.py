@@ -165,8 +165,16 @@ def _cmd_experiment(args) -> int:
         verify=args.verify,
         timeout=args.timeout,
     )
-    args.out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the batch runs
-    result = run_experiment(spec)
+    # an unusable --out fails before the batch runs, and the directories made
+    # for it go again if the batch raises, so a failed start writes nothing
+    made = [d for d in (args.out, *args.out.parents) if not d.exists()]
+    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        result = run_experiment(spec)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     write_all_csvs(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for failure in result.failures:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import PlanError, PlanTooDeepError
 from .library import MAX_GRAMMAR_DEPTH, PlanLibrary
@@ -177,22 +177,6 @@ def hypothesis_refines(h: Hypothesis, g: Hypothesis) -> bool:
             return False
         paired.add(label)
     return True
-
-
-def describes(h: Hypothesis, obs: Sequence[str]) -> bool:
-    """True iff the observation marks across h's plans cover exactly the
-    indices 0..len(obs)-1, each exactly once, with matching action labels."""
-    seen: dict[int, str] = {}
-    for plan in h.plans:
-        for _, node in iter_nodes(plan):
-            if node.observed is None:
-                continue
-            if node.observed in seen:
-                return False
-            seen[node.observed] = node.label
-    if len(seen) != len(obs):
-        return False
-    return all(seen.get(i) == label for i, label in enumerate(obs))
 
 
 def validate_plan(lib: PlanLibrary, plan: PlanNode) -> dict[int, str]:

@@ -58,12 +58,6 @@ def _entropy_of_weights(weights: list[float]) -> float:
     return e
 
 
-def entropy(hset: HypothesisSet) -> float:
-    """Shannon entropy (bits) of the hypothesis distribution; empty and
-    singleton sets score 0."""
-    return _entropy_of_weights(hset.weights)
-
-
 def _open_candidates(
     hset: HypothesisSet | LiveSet, closed: set[PlanNode]
 ) -> tuple[RelationTable, int, list[int]]:

@@ -203,12 +203,6 @@ def hypothesis_weight(lib: PlanLibrary, h: Hypothesis) -> float:
     return _weight(_PlanMemo(lib), h.plans)
 
 
-def enabled_expansion_targets(lib: PlanLibrary, plan: PlanNode) -> list[Path]:
-    """Frontier nodes whose ordering predecessors, at every ancestor level,
-    all root fully observed subtrees. Left-to-right order."""
-    return [path for path, _ in _PlanMemo(lib)[plan][1]]
-
-
 def _step(
     memo: _PlanMemo,
     hypotheses: Iterable[tuple[PlanNode, ...]],

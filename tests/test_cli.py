@@ -493,6 +493,26 @@ def test_experiment_out_that_is_a_file_exits_1_before_the_batch_runs(tmp_path, m
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("out, flags", [
+    ("made/exp", ["--instances", "missing"]),
+    ("made/exp", ["--instances", "empty"]),
+    ("made/exp", ["--obs-len", "0", "--reps", "1"]),
+    ("made/exp", ["--depth", "300", "--obs-len", "3", "--reps", "1"]),  # every library draw is too ambiguous
+    ("file", ["--obs-len", "3", "--reps", "1"]),
+], ids=["missing-instance-dir", "empty-instance-dir", "obs-len-0", "too-ambiguous", "out-is-a-file"])
+def test_experiment_that_fails_before_its_first_instance_writes_nothing(tmp_path, monkeypatch, capsys, out, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("empty").mkdir()
+    Path("file").write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["experiment", "--out", out, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before  # neither --out nor its parent is left
+    assert Path("file").read_text() == "keep\n"
+
+
 def test_defaults_are_the_dataclasses_defaults(monkeypatch, capsys):
     parser = cli._build_parser()
     files = ["--library", "l", "--obs", "o"]

@@ -13,7 +13,6 @@ from planprobe.errors import GenerationError
 from planprobe.experiment import brute_force_final_set
 from planprobe.library import serialize_library
 from planprobe.plans import (
-    describes,
     hypothesis_key,
     hypothesis_refines,
     hypothesis_to_dict,
@@ -24,9 +23,10 @@ from planprobe.plans import (
     observe_leaf,
     plan_from_dict,
     plan_to_dict,
+    validate_hypothesis,
 )
 from planprobe.policies import Policy
-from planprobe.recognizer import enabled_expansion_targets, recognize
+from planprobe.recognizer import recognize
 
 from . import oracles
 
@@ -62,7 +62,7 @@ class TestGenInstance:
             inst = gen_instance(GenParams(seed=seed, obs_len=5))
             for plan in inst.truth.plans:
                 assert is_complete(plan, inst.library)
-            assert describes(inst.truth, inst.observations)
+            assert validate_hypothesis(inst.library, inst.truth) == dict(enumerate(inst.observations))
             assert len(inst.observations) == 5
 
     def test_every_truth_plan_observed(self):
@@ -85,7 +85,7 @@ class TestGenInstance:
                         mark_at[node.observed] = (pi, path)
             for index in range(len(inst.observations)):
                 pi, path = mark_at[index]
-                assert path in enabled_expansion_targets(inst.library, bare[pi])
+                assert path in oracles.enabled_expansion_targets(inst.library, bare[pi])
                 bare[pi] = observe_leaf(bare[pi], path, index)
 
     def test_depth_one_yields_two_level_trees(self):
@@ -243,7 +243,7 @@ class TestQuartet:
 
     def test_hypotheses_describe_observations(self, quartet):
         for h in (quartet.h1, quartet.h2, quartet.h3, quartet.h4):
-            assert describes(h, quartet.observations)
+            assert validate_hypothesis(quartet.library, h) == dict(enumerate(quartet.observations))
 
     def test_truth_filter(self, quartet):
         final = brute_force_final_set(quartet.hset, quartet.truth)

@@ -36,7 +36,6 @@ from planprobe.recognizer import (
     HypothesisSet,
     RecognizerConfig,
     _PlanMemo,
-    enabled_expansion_targets,
     explain_step,
     hypothesis_weight,
     recognize,
@@ -230,7 +229,7 @@ def test_hypothesis_weight_matches_reference():
 def test_node_memo_matches_whole_tree_walks(name, lib, observations, sizes):
     """One node memo serves the whole fold, as in recognize. At every
     observation, every plan's memoized targets and weight factors must equal
-    the reference's whole-tree walks, and so must the public wrapper's."""
+    the reference's whole-tree walks."""
     memo = _PlanMemo(lib)
     hset = _seed()
     for action in observations:
@@ -240,7 +239,6 @@ def test_node_memo_matches_whole_tree_walks(name, lib, observations, sizes):
             _, targets, factors = memo[plan]
             assert [path for path, _ in targets] == want
             assert [node for _, node in targets] == [plan.node_at(path) for path in want]
-            assert enabled_expansion_targets(lib, plan) == want
             assert (lib.goal_priors[plan.label],) + factors == oracles.weight_factors(lib, plan)
 
 

@@ -16,7 +16,6 @@ from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
-    describes,
     hypothesis_from_dict,
     hypothesis_refines,
     is_complete,
@@ -269,24 +268,30 @@ class TestCanonicalKey:
 
 
 class TestDescribes:
+    # a hypothesis describes observations when its marks are exactly them
     def test_chemistry_hypotheses(self, chem):
         inst = chem["pairwise_first_mix"]
         hset = recognize(inst.library, list(inst.observations))
         for h in hset.hypotheses:
-            assert describes(h, ["mix_AB"])
+            assert validate_hypothesis(inst.library, h) == {0: "mix_AB"}
 
-    def test_empty_hypothesis_empty_obs(self):
-        assert describes(Hypothesis(()), [])
+    def test_empty_hypothesis_empty_obs(self, minimal_lib):
+        assert validate_hypothesis(minimal_lib, Hypothesis(())) == {}
 
     def test_wrong_labels_and_gaps(self, quartet):
-        assert describes(quartet.h1, ["o1", "o2", "o3"])
-        assert not describes(quartet.h1, ["o1", "o2"])
-        assert not describes(quartet.h1, ["o2", "o1", "o3"])
-        assert not describes(quartet.h1, ["o1", "o2", "o3", "o1"])
+        marks = validate_hypothesis(quartet.library, quartet.h1)
+        assert marks == dict(enumerate(["o1", "o2", "o3"]))
+        assert marks != dict(enumerate(["o1", "o2"]))
+        assert marks != dict(enumerate(["o2", "o1", "o3"]))
+        assert marks != dict(enumerate(["o1", "o2", "o3", "o1"]))
         # two plans marking index 0 with the observed action
+        lib = PlanLibrary(basic=frozenset({"a"}), complex_actions=frozenset({"g", "h"}),
+                          methods=(RefinementMethod("m", "g", ("a",)), RefinementMethod("n", "h", ("a",))),
+                          goals=("g", "h"))
         twice = Hypothesis((PlanNode("g", "m", (PlanNode("a", observed=0),)),
                             PlanNode("h", "n", (PlanNode("a", observed=0),))))
-        assert not describes(twice, ["a"])
+        with pytest.raises(PlanError, match="^observation index 0 used by two plans$"):
+            validate_hypothesis(lib, twice)
 
 
 class TestValidation:

@@ -12,7 +12,6 @@ from planprobe import policies
 from planprobe.policies import (
     Policy,
     cumulative_plan_prob,
-    entropy,
     select_min_entropy,
     select_mph,
     select_mpp,
@@ -44,21 +43,21 @@ class TestCumulativePlanProb:
 
 class TestEntropy:
     def test_half_half(self, quartet):
-        assert entropy(_two_hypothesis_set(quartet, 0.5, 0.5)) == pytest.approx(1.0)
+        assert policies._entropy_of_weights(_two_hypothesis_set(quartet, 0.5, 0.5).weights) == pytest.approx(1.0)
 
     def test_singleton_zero(self, quartet):
-        assert entropy(HypothesisSet.normalized([quartet.h1], 3)) == 0.0
+        assert policies._entropy_of_weights(HypothesisSet.normalized([quartet.h1], 3).weights) == 0.0
 
     def test_four_uniform(self, quartet):
-        assert entropy(quartet.hset) == pytest.approx(2.0)
+        assert policies._entropy_of_weights(quartet.hset.weights) == pytest.approx(2.0)
 
     def test_empty_zero(self):
-        assert entropy(HypothesisSet((), 0)) == 0.0
+        assert policies._entropy_of_weights(HypothesisSet((), 0).weights) == 0.0
 
     def test_uniform_is_log2_n(self):
         for n in (2, 3, 5, 8):
             hs = HypothesisSet.normalized([Hypothesis((), 1.0) for _ in range(n)], 0)
-            assert entropy(hs) == pytest.approx(math.log2(n))
+            assert policies._entropy_of_weights(hs.weights) == pytest.approx(math.log2(n))
 
     def test_branch_with_no_weight_zero(self):
         # the survivors of a branch can all pursue goals of prior 0

@@ -12,16 +12,16 @@ from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod, 
 from planprobe.plans import (
     Hypothesis,
     PlanNode,
-    describes,
     is_complete,
     hypothesis_key,
     hypothesis_refines,
     plan_to_dict,
+    validate_hypothesis,
 )
 from planprobe.recognizer import (
     HypothesisSet,
     RecognizerConfig,
-    enabled_expansion_targets,
+    _PlanMemo,
     explain_step,
     hypothesis_weight,
     recognize,
@@ -45,7 +45,7 @@ class TestEnabledTargets:
         lib = _ordered_lib({(0, 1)})
         hset = recognize(lib, ["a"])
         plan = hset.hypotheses[0].plans[0]
-        assert enabled_expansion_targets(lib, plan) == [(1,)]
+        assert [p for p, _ in _PlanMemo(lib)[plan][1]] == [(1,)]
         hset = recognize(lib, ["a", "b"])
         assert len(hset) == 1
 
@@ -53,9 +53,9 @@ class TestEnabledTargets:
         lib = _ordered_lib(set())
         hset = recognize(lib, ["a"])
         plan = hset.hypotheses[0].plans[0]
-        assert enabled_expansion_targets(lib, plan) == [(1,)]
+        assert [p for p, _ in _PlanMemo(lib)[plan][1]] == [(1,)]
         hset2 = recognize(lib, ["b"])
-        assert enabled_expansion_targets(lib, hset2.hypotheses[0].plans[0]) == [(0,)]
+        assert [p for p, _ in _PlanMemo(lib)[hset2.hypotheses[0].plans[0]][1]] == [(0,)]
 
     def test_blocked_observation_unexplainable(self):
         lib = _ordered_lib({(0, 1)})
@@ -77,18 +77,18 @@ class TestEnabledTargets:
         )
         hset = recognize(lib, ["a"])
         plan = hset.hypotheses[0].plans[0]
-        targets = {plan.node_at(p).label for p in enabled_expansion_targets(lib, plan)}
+        targets = {plan.node_at(p).label for p, _ in _PlanMemo(lib)[plan][1]}
         assert targets == {"a2"}
         hset = recognize(lib, ["a", "a2"])
         plan = hset.hypotheses[0].plans[0]
-        targets = {plan.node_at(p).label for p in enabled_expansion_targets(lib, plan)}
+        targets = {plan.node_at(p).label for p, _ in _PlanMemo(lib)[plan][1]}
         assert targets == {"b"}
 
     def test_chemistry_open_leaves_enabled(self, chem):
         inst = chem["pairwise_first_mix"]
         hset = recognize(inst.library, ["mix_AB"])
         pairwise = next(h.plans[0] for h in hset.hypotheses if h.plans[0].method == "strategy_pairwise")
-        labels = {pairwise.node_at(p).label for p in enabled_expansion_targets(inst.library, pairwise)}
+        labels = {pairwise.node_at(p).label for p, _ in _PlanMemo(inst.library)[pairwise][1]}
         assert labels == {"mix_AC", "mix_AD", "mix_BC", "mix_BD", "mix_CD"}
 
 
@@ -126,12 +126,12 @@ class TestRecognize:
         inst = chem["pairwise_two_mixes"]
         hset = recognize(inst.library, list(inst.observations))
         for h in hset.hypotheses:
-            assert describes(h, list(inst.observations))
+            assert validate_hypothesis(inst.library, h) == dict(enumerate(inst.observations))
         for seed in range(10):
             instance = gen_instance(GenParams(seed=seed, obs_len=4))
             out = recognize(instance.library, list(instance.observations))
             for h in out.hypotheses:
-                assert describes(h, list(instance.observations))
+                assert validate_hypothesis(instance.library, h) == dict(enumerate(instance.observations))
 
     def test_deterministic(self):
         inst = gen_instance(GenParams(seed=5, obs_len=4))
@@ -233,7 +233,7 @@ class TestRecognize:
         hset = recognize(lib, observations)
         assert len(hset) == 1
         (plan,) = hset.hypotheses[0].plans
-        assert is_complete(plan, lib) and describes(hset.hypotheses[0], observations)
+        assert is_complete(plan, lib) and validate_hypothesis(lib, hset.hypotheses[0]) == dict(enumerate(observations))
         assert plan.node_at((0,) * 100 + (1, 0)).observed == 2
         assert plan.node_at((0,) * (MAX_GRAMMAR_DEPTH - 1) + (1,)).observed == 1
         with pytest.raises(UnexplainableObservationError) as info:
