@@ -146,9 +146,10 @@ def _cmd_sprp(args) -> int:
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise PlanProbeError("count must be >= 1")
-    for i in range(args.count):
-        params = _gen_params(args, obs_len=args.obs_len, seed=args.seed + i)
-        save_instance(gen_instance(params), args.out, f"instance_{i:03d}")
+    # draw every instance before saving any, so a failed draw writes nothing
+    params = [_gen_params(args, obs_len=args.obs_len, seed=args.seed + i) for i in range(args.count)]
+    for i, instance in enumerate([gen_instance(p) for p in params]):
+        save_instance(instance, args.out, f"instance_{i:03d}")
     print(f"wrote {args.count} instance(s) to {args.out}")
     return 0
 
@@ -165,16 +166,15 @@ def _cmd_experiment(args) -> int:
         verify=args.verify,
         timeout=args.timeout,
     )
-    # an unusable --out fails before the batch runs, and the directories made
-    # for it go again if the batch raises, so a failed start writes nothing
-    made = [d for d in (args.out, *args.out.parents) if not d.exists()]
-    args.out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_experiment(spec)
-    except BaseException:
-        for d in made:
-            d.rmdir()
-        raise
+    # write_all_csvs makes --out only after the batch, so a batch that raises
+    # writes nothing; an --out it could not make fails here instead, before
+    # the batch runs rather than after it (absolute() fails in a removed
+    # working directory, where "." still exists)
+    out = args.out.absolute()
+    nearest = next(d for d in (out, *out.parents) if d.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise PlanProbeError(f"{args.out}: {nearest} is not a writable directory")
+    result = run_experiment(spec)
     write_all_csvs(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for failure in result.failures:

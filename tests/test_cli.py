@@ -480,14 +480,31 @@ def test_experiment_reps_below_one_exits_1_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_experiment_out_that_is_a_file_exits_1_before_the_batch_runs(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("out", ["file", "file/exp"], ids=["the-file", "below-the-file"])
+def test_experiment_out_that_is_a_file_exits_1_before_the_batch_runs(tmp_path, monkeypatch, capsys, out):
     def refuse(spec):
         raise AssertionError("the batch ran before --out was checked")
 
     monkeypatch.setattr(cli, "run_experiment", refuse)
-    out = tmp_path / "exp"
-    out.write_text("")
-    assert main(["experiment", "--out", str(out), "--obs-len", "3", "--reps", "2"]) == 1
+    (tmp_path / "file").write_text("keep\n")
+    assert main(["experiment", "--out", str(tmp_path / out), "--obs-len", "3", "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert (tmp_path / "file").read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+def test_experiment_in_a_removed_working_directory_exits_1_before_the_batch_runs(tmp_path, monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("the batch ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()  # "." still stats as a directory, but nothing can be made in it
+    assert main(["experiment", "--out", "exp", "--obs-len", "3", "--reps", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -554,6 +571,18 @@ def test_gen_says_plans_too_small_when_no_truth_is_long_enough(tmp_path, capsys)
     assert main(["gen", "--out", str(tmp_path / "batch"), *args]) == 1
     assert capsys.readouterr().err == \
         "error: could not generate an instance with obs_len=50 (plans too small for these parameters)\n"
+
+
+def test_gen_that_fails_a_later_draw_writes_nothing(tmp_path, capsys):
+    # the draws for seeds 1..10 succeed, and the one for seed 11 finds no plan long enough
+    out = tmp_path / "batch"
+    args = ["--count", "11", "--seed", "1", "--depth", "2", "--num-basic", "2", "--obs-len", "9"]
+    assert main(["gen", "--out", str(out), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "plans too small for these parameters" in captured.err
+    assert not out.exists()
 
 
 SHAPE_FLAGS = ["--num-goals", "4", "--branching", "2", "--depth", "2", "--num-basic", "15",
