@@ -16,13 +16,19 @@ recognize folds one step over the observations with a node memo that
 lives for the call: a dict keyed by tree node that computes a missing
 node's fully-observed flag, enabled frontier and weight factors from the
 library it carries, so each is computed once. Every reader indexes it, and
-the steps read the library from it. A grown plan shares every subtree off
-its attachment path with its parent, so only the new nodes are computed.
-Each distinct plan is grown once per observation. A label's graft subtrees,
-one per chain down to the action, are built straight from its methods once
-per observation, sharing each lower label's subtrees; a label whose
-first-action set lacks the action has none, so no chain to an unobserved
-action is ever built. A subtree is attached with one path copy,
+the steps read the library from it; the memo keeps each method id's
+predecessor masks and each label's method-count factor once read. A grown
+plan shares every subtree off its attachment path with its parent, so only
+the new nodes are computed. Each distinct plan is grown once per
+observation. A label's graft subtrees, one per chain down to the action,
+are built straight from its methods once per observation, sharing each
+lower label's subtrees; a label whose first-action set lacks the action has
+none, and its methods are not read, so no chain to an unobserved action is
+ever built, and a step starts plans only for goals whose first-action set
+holds the action. A graft's blank constituents are unmarked leaves, which
+depend on the label alone: one module-level dict holds one PlanNode per
+distinct label seen, built once per process and shared by every library.
+A subtree is attached with one path copy,
 and a new plan for a goal is one of that goal's subtrees. _step returns plans
 only; _fold weighs just the set it returns, by the product
 hypothesis_weight forms from each hypothesis's own plans, plus a capped
@@ -115,6 +121,20 @@ def normalize(weights: list[float]) -> list[float]:
     return [w / total for w in weights]
 
 
+class _Leaves(dict):
+    """One unmarked leaf PlanNode(label) per label, made on a miss. An
+    unmarked leaf depends on its label alone, so every library shares it:
+    _grafts builds each method's blank constituents from here, once per
+    process, and the dict holds one node per distinct label seen."""
+
+    def __missing__(self, label: str) -> PlanNode:
+        leaf = self[label] = PlanNode(label)
+        return leaf
+
+
+_LEAVES = _Leaves()
+
+
 class _PlanMemo(dict):
     """What one recognize call, or one chain of explain_step calls, knows
     about each plan node it has met (a plan is its root node): a dict keyed
@@ -122,17 +142,25 @@ class _PlanMemo(dict):
     entry holds whether the node's subtree is fully observed, its enabled
     frontier as (path relative to the node, node) pairs in left-to-right
     order, and the weight factors of its expanded nodes in preorder, all
-    read from lib, which the memo carries. blanks holds, per method id, one
-    tuple of blank constituent nodes, shared by every graft subtree built.
-    Plans are persistent trees, so a grown plan shares every subtree off its
-    attachment path with the plan it grew from, and only the nodes on that
-    path and in the grafted subtree are new here."""
+    read from lib, which the memo carries, so entries stay per memo even
+    for the unmarked leaves that every memo shares (_LEAVES). The memo also
+    keeps the library facts its entries and grafts read: blanks, per method
+    id, the tuple of its blank constituents, shared by every graft subtree
+    built; predecessors, per method id, its constituents' ordering
+    predecessor masks; and factors, per label, one over its number of
+    methods. A fact is stored only once the library gives it, so a node the
+    library cannot weigh raises on every miss. Plans are persistent trees,
+    so a grown plan shares every subtree off its attachment path with the
+    plan it grew from, and only the nodes on that path and in the grafted
+    subtree are new here."""
 
-    __slots__ = ("lib", "blanks")
+    __slots__ = ("lib", "blanks", "predecessors", "factors")
 
     def __init__(self, lib: PlanLibrary):
         self.lib = lib
         self.blanks: dict[str, tuple[PlanNode, ...]] = {}
+        self.predecessors: dict[str, tuple[int, ...]] = {}
+        self.factors: dict[str, float] = {}
 
     def __missing__(self, node: PlanNode) -> tuple[bool, tuple[tuple[Path, PlanNode], ...], tuple[float, ...]]:
         """(fully observed, enabled frontier, weight factors) of `node`,
@@ -151,8 +179,16 @@ class _PlanMemo(dict):
             for j, kid in enumerate(kids):
                 if kid[0]:
                     done |= 1 << j
-            predecessors = lib.method(node.method).predecessors
-            factors = (1.0 / len(lib.methods_for(node.label)),)
+            # the factor is keyed by the node's label, not its method id, so
+            # a node whose label has no methods raises even after a
+            # well-formed node with that method id was weighed
+            predecessors = self.predecessors.get(node.method)
+            if predecessors is None:
+                predecessors = self.predecessors[node.method] = lib.method(node.method).predecessors
+            factor = self.factors.get(node.label)
+            if factor is None:
+                factor = self.factors[node.label] = 1.0 / len(lib.methods_for(node.label))
+            factors = (factor,)
             targets = []
             for i, (_, below, fs) in enumerate(kids):
                 factors += fs
@@ -168,22 +204,25 @@ def _grafts(memo: _PlanMemo, cache: dict[str, list[PlanNode]], leaf: PlanNode, l
     """The subtree of every fresh expansion from an open `label` node down to
     `leaf` through order-minimal positions, in chain order: methods in file
     order, positions ascending. `cache` holds one step's subtrees per label,
-    so a lower label's subtrees are built once and shared. An undeclared
-    label raises LibraryValidationError."""
+    so a lower label's subtrees are built once and shared. A label whose
+    first-action set lacks the action has none, and its methods are not
+    read; an undeclared label, which has no first-action set, raises
+    methods_for's LibraryValidationError."""
     out = cache.get(label)
     if out is not None:
         return out
     out = cache[label] = []
     lib = memo.lib
-    methods = lib.methods_for(label)
-    if leaf.label in lib.first_actions[label]:
-        for m in methods:
-            blanks = memo.blanks.get(m.id) or memo.blanks.setdefault(m.id, tuple(map(PlanNode, m.constituents)))
-            for i in m.minimal_positions:
-                c = m.constituents[i]
-                below = (leaf,) if c == leaf.label else _grafts(memo, cache, leaf, c) if c in lib.complex_actions else ()
-                for sub in below:
-                    out.append(PlanNode(label, m.id, blanks[:i] + (sub,) + blanks[i + 1:]))
+    first = lib.first_actions.get(label)
+    if first is not None and leaf.label not in first:
+        return out
+    for m in lib.methods_for(label):
+        blanks = memo.blanks.get(m.id) or memo.blanks.setdefault(m.id, tuple(map(_LEAVES.__getitem__, m.constituents)))
+        for i in m.minimal_positions:
+            c = m.constituents[i]
+            below = (leaf,) if c == leaf.label else _grafts(memo, cache, leaf, c) if c in lib.complex_actions else ()
+            for sub in below:
+                out.append(PlanNode(label, m.id, blanks[:i] + (sub,) + blanks[i + 1:]))
     return out
 
 
@@ -248,8 +287,14 @@ def _step(
                 out.append(_replace(root, path, sub))
         return out
 
-    # the goals whose subtrees reach the action, in goal order
-    starts = [(goal, subtrees) for goal in lib.goals if (subtrees := _grafts(memo, cache, leaf, goal))]
+    # the goals whose subtrees reach the action, in goal order; a goal
+    # whose first-action set lacks it has none
+    first = lib.first_actions
+    starts = [
+        (goal, subtrees)
+        for goal in lib.goals
+        if action in first[goal] and (subtrees := _grafts(memo, cache, leaf, goal))
+    ]
     successors = []
     for plans in hypotheses:
         for i, root in enumerate(plans):

@@ -3,9 +3,13 @@ import gc
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planprobe
 from planprobe.domains import GenParams, gen_instance
 from planprobe.errors import LibraryValidationError, PlanError, UnexplainableObservationError
 from planprobe.library import MAX_GRAMMAR_DEPTH, PlanLibrary, RefinementMethod, parse_library, serialize_library
@@ -212,11 +216,17 @@ class TestRecognize:
             methods=(RefinementMethod("mg", "g", ("s", "x")), RefinementMethod("ms", "s", ("a",))),
             goals=("g",),
         )
-        h = Hypothesis((PlanNode("g", method="mg", children=(node, PlanNode("x"))),), 1.0)
-        with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
-            hypothesis_weight(lib, h)
-        with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
-            explain_step(lib, HypothesisSet((h,), 1), "a")
+        bad = PlanNode("g", method="mg", children=(node, PlanNode("x")))
+        # a well-formed plan first, whose `s`/`ms` node fills the memo's
+        # per-method and per-label facts before the bad node is met: a
+        # factor keyed by method id would weigh `x`/`ms` from `ms`
+        good = PlanNode("g", method="mg", children=(PlanNode("s", method="ms", children=(PlanNode("a"),)), PlanNode("x")))
+        for plans in ((bad,), (good, bad)):
+            h = Hypothesis(plans, 1.0)
+            with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
+                hypothesis_weight(lib, h)
+            with pytest.raises(LibraryValidationError, match=f"^{re.escape(message)}$"):
+                explain_step(lib, HypothesisSet((h,), 1), "a")
 
     def test_several_observations_at_the_depth_limit(self):
         # c0 -> ... -> c199 -> (a, b) with a before b, and c100 -> (c101, e),
@@ -239,6 +249,44 @@ class TestRecognize:
         with pytest.raises(UnexplainableObservationError) as info:
             recognize(lib, ["b"])
         assert info.value.index == 0
+
+    def test_results_do_not_depend_on_call_order(self):
+        # generated libraries share label names (b0, c1_0, ...), and the
+        # unmarked leaves that grafts are built from live for the process:
+        # recognizing several instances in one process, forward and then
+        # reversed, must give each the set a fresh process gives it
+        seeds = [3, 4, 5, 6]
+        libs = [gen_instance(GenParams(seed=s, obs_len=5)).library for s in seeds]
+        shared = set.intersection(*(set(lib.basic | lib.complex_actions) for lib in libs))
+        assert {"b0", "c1_0"} <= shared
+        script = (
+            "import json, sys\n"
+            "from planprobe.domains import GenParams, gen_instance\n"
+            "from planprobe.plans import plan_to_dict\n"
+            "from planprobe.recognizer import RecognizerConfig, recognize\n"
+            "sets = []\n"
+            "for seed in map(int, sys.argv[1:]):\n"
+            "    inst = gen_instance(GenParams(seed=seed, obs_len=5))\n"
+            "    for cfg in (None, RecognizerConfig(3)):\n"
+            "        hset = recognize(inst.library, list(inst.observations), cfg)\n"
+            "        sets.append([[[plan_to_dict(p) for p in h.plans], h.weight] for h in hset.hypotheses]\n"
+            "                    + [hset.truncated])\n"
+            "print(json.dumps(sets))\n"
+        )
+        src = str(Path(planprobe.__file__).resolve().parents[1])
+
+        def run(order):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *map(str, order)],
+                capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+            )
+            return json.loads(done.stdout)  # floats round-trip exactly
+
+        fresh = {seed: run([seed]) for seed in seeds}
+        # the cap binds on some instance, so a truncated set is compared too
+        assert any(capped[-1] for _, capped in fresh.values())
+        order = seeds + seeds[::-1]
+        assert run(order) == [sets for seed in order for sets in fresh[seed]]
 
     def test_truth_always_recoverable(self):
         for seed in range(25):
